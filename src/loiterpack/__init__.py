@@ -5,32 +5,21 @@ from .errors import ConfigError, InfeasibleError, PlanningError
 from .geometry import (
     AreaSpec,
     LoiterCircle,
-    LoiterDirection,
     PackingKind,
     PackingParams,
     PlatformModel,
     SensorModel,
     Vec2,
     coverage_radius,
-    covered_at_instant,
-    covered_over_cycle,
-    effective_coverage,
     lens_area,
     max_loiter_radius,
     min_comm_radius,
     min_turn_radius,
     packing_params,
 )
-from .packing import (
-    PackingLayout,
-    pack,
-    uav_count,
-    validate_full_coverage,
-    validate_persistent_coverage,
-)
+from .packing import PackingLayout, pack, uav_count
 from .optimize import (
     FleetBudget,
-    OptimizerWeights,
     RadiusSolution,
     Regime,
     classify_regime,
@@ -43,7 +32,7 @@ from .dubins import (
     DubinsWord,
     Pose,
     TransitionPlan,
-    min_separation,
+    closest_approach,
     plan_transition,
     sample,
     shortest_path,

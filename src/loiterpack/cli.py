@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 infeasible or recovery failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -108,7 +107,8 @@ class ScenarioConfig:
 
 
 def _get(d: dict, key: str, kind=float, required: bool = True, default=None):
-    if key not in d:
+    """Typed config value; a JSON null counts as an absent key."""
+    if key not in d or d[key] is None:
         if required:
             raise ConfigError(f"missing config key {key!r}")
         return default
@@ -278,22 +278,6 @@ def layout_csv(layout: PackingLayout) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_layout_csv(path: str | Path, kind: PackingKind, area: AreaSpec) -> PackingLayout:
-    """Rebuild a layout from its CSV export (exact float round-trip)."""
-    rows: dict[int, list[Vec2]] = {}
-    radius = None
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.setdefault(int(rec["row"]), []).append(
-                Vec2(float(rec["x_m"]), float(rec["y_m"]))
-            )
-            radius = float(rec["r_l_m"])
-    if radius is None:
-        raise ConfigError(f"layout CSV {path} is empty")
-    ordered = tuple(tuple(rows[i]) for i in sorted(rows))
-    return PackingLayout(kind=kind, loiter_radius=radius, rows=ordered, area=area)
-
-
 def _params_csv(cfg: ScenarioConfig, r_l: float) -> str:
     p = packing_params(r_l, cfg.kind, cfg.table1_mode)
     header = (
@@ -345,13 +329,15 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
         needed = f" (needs {sol.min_required} UAVs)" if sol.min_required else ""
         print(f"infeasible: {cfg.deploy_budget} UAVs cannot cover the area{needed}")
         return EXIT_INFEASIBLE
+    r = sol.loiter_radius
+    # The objective column is the revisit-rate proxy 1/r^2.
     out.write_text(
         "solution.csv",
-        header + f"{sol.loiter_radius!r},{sol.n_x},{sol.n_y},{sol.regime.value},{sol.objective_value!r}\n",
+        header + f"{r!r},{sol.n_x},{sol.n_y},{sol.regime.value},{1.0 / (r * r)!r}\n",
     )
     out.write_manifest()
     print(
-        f"r_l = {sol.loiter_radius:.4f} m, n_x = {sol.n_x}, n_y = {sol.n_y}, "
+        f"r_l = {r:.4f} m, n_x = {sol.n_x}, n_y = {sol.n_y}, "
         f"regime = {sol.regime.value}"
     )
     return EXIT_OK
@@ -389,7 +375,14 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     out.write_text("initial_layout.csv", layout_csv(state.layout))
 
     def finish(final_state, failed_detail=None):
-        cov = coverage_report(final_state, r_c, cfg.effective_grid_pitch(), cfg.phase_samples)
+        cov = coverage_report(
+            cfg.area,
+            [u.assigned_circle.center for u in final_state.uavs if u.alive],
+            final_state.loiter_radius,
+            r_c,
+            cfg.effective_grid_pitch(),
+            cfg.phase_samples,
+        )
         out.write_text("coverage.csv", _coverage_csv(cov))
         out.write_text("events.log", _events_text(events))
         out.write_manifest()

@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
 from .errors import PlanningError
 from .geometry import LoiterCircle, Vec2
 
@@ -159,15 +158,6 @@ _SOLVERS = {
     DubinsWord.LRL: _lrl,
 }
 
-_SEGMENTS = {
-    DubinsWord.LSL: "LSL",
-    DubinsWord.LSR: "LSR",
-    DubinsWord.RSL: "RSL",
-    DubinsWord.RSR: "RSR",
-    DubinsWord.RLR: "RLR",
-    DubinsWord.LRL: "LRL",
-}
-
 
 def _advance(x: float, y: float, th: float, kind: str, length: float, r: float):
     """End state after one segment; arcs are exact, no integration."""
@@ -191,7 +181,7 @@ def _advance(x: float, y: float, th: float, kind: str, length: float, r: float):
 
 def path_end(path: DubinsPath) -> Pose:
     x, y, th = path.start.position.x, path.start.position.y, path.start.heading
-    for kind, length in zip(_SEGMENTS[path.word], path.segment_lengths):
+    for kind, length in zip(path.word.value, path.segment_lengths):
         x, y, th = _advance(x, y, th, kind, length, path.turn_radius)
     return Pose(Vec2(x, y), th)
 
@@ -203,7 +193,7 @@ def sample(path: DubinsPath, s: float) -> Pose:
         raise ValueError(f"arc length {s} outside [0, {total}]")
     s = min(max(s, 0.0), total)
     x, y, th = path.start.position.x, path.start.position.y, path.start.heading
-    for kind, length in zip(_SEGMENTS[path.word], path.segment_lengths):
+    for kind, length in zip(path.word.value, path.segment_lengths):
         if s <= length:
             x, y, th = _advance(x, y, th, kind, s, path.turn_radius)
             return Pose(Vec2(x, y), th)
@@ -425,29 +415,13 @@ def _all_positions(plans, loitering, v: float, times: np.ndarray):
     return tracks
 
 
-def min_separation(plans, loitering=(), v: float = 1.0, dt: float = 0.25) -> float:
-    """Minimum pairwise distance over the sampled union timeline.
+def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
+    """(distance, index_i, index_j) of the closest pair over the sampled timeline.
 
     ``loitering`` holds (circle, phase-at-t0) pairs for UAVs that stay on
-    their circles. Returns +inf when fewer than two UAVs are involved.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    plans = list(plans)
-    loitering = list(loitering)
-    if len(plans) + len(loitering) < 2:
-        return math.inf
-    times = _timeline(plans, loitering, v, dt)
-    tracks = _all_positions(plans, loitering, v, times)
-    xs = np.stack([trk[:, 0] for trk in tracks])
-    ys = np.stack([trk[:, 1] for trk in tracks])
-    return kernels.min_pairwise_distance(xs, ys)
-
-
-def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
-    """(distance, index_i, index_j) of the closest pair over the timeline.
-
-    Indices run over plans first, then loitering entries.
+    their circles; indices run over plans first, then loitering entries.
+    Ties go to the lexicographically first pair. Returns (inf, -1, -1) when
+    fewer than two UAVs are involved.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -458,11 +432,15 @@ def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
         return math.inf, -1, -1
     times = _timeline(plans, loitering, v, dt)
     tracks = _all_positions(plans, loitering, v, times)
+    xs = np.stack([trk[:, 0] for trk in tracks])
+    ys = np.stack([trk[:, 1] for trk in tracks])
     best = (math.inf, -1, -1)
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            d = tracks[i] - tracks[j]
-            d_min = float(np.sqrt((d * d).sum(axis=1).min()))
-            if d_min < best[0]:
-                best = (d_min, i, j)
+        dx = xs[i + 1 :] - xs[i]
+        dy = ys[i + 1 :] - ys[i]
+        # Per-pair minima against every j > i; argmin keeps the first j on ties.
+        d_min = np.sqrt((dx * dx + dy * dy).min(axis=1))
+        k = int(d_min.argmin())
+        if d_min[k] < best[0]:
+            best = (float(d_min[k]), i, i + 1 + k)
     return best

@@ -5,7 +5,8 @@ communication graph and per-UAV neighbor state vectors, and survives seeded
 multi-UAV failure events. Recovery re-optimizes the homogeneous loiter radius
 for the survivor count, packs the new layout, assigns survivors to circles by
 minimum-total-distance matching and plans phase-synchronized transitions with
-pairwise-separation staggering.
+pairwise-separation staggering. ``coverage_report`` measures the coverage
+fractions of any set of loiter circles.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .geometry import (
     PackingKind,
     PlatformModel,
     Vec2,
+    max_loiter_radius,
     min_comm_radius,
     min_turn_radius,
 )
@@ -484,23 +486,33 @@ def apply_recovery(state: FleetState, plan: RecoveryPlan) -> FleetState:
 
 
 def coverage_report(
-    state: FleetState, r_c: float, grid_pitch: float, phase_samples: int
+    area: AreaSpec,
+    centers,
+    r_l: float,
+    r_c: float,
+    grid_pitch: float,
+    phase_samples: int,
 ) -> CoverageReport:
-    """Instant (worst-phase) and per-cycle coverage fractions of the area."""
+    """Coverage fractions of the area's sample grid by circles of radius r_l.
+
+    The cycle fraction counts points that some UAV's footprint (radius r_c)
+    sweeps during one loiter cycle; the instant fraction is the worst, over
+    ``phase_samples`` evenly spaced common phases, of the points covered at
+    that instant by the phase-synchronized CCW fleet.
+    """
     if not r_c > 0:
         raise ValueError(f"coverage radius must be positive, got {r_c}")
     if phase_samples < 8:
         raise ValueError(f"phase_samples must be >= 8, got {phase_samples}")
-    circles = [u.assigned_circle for u in state.uavs if u.alive]
-    if not circles:
+    px, py = grid_points(area, grid_pitch)
+    centers = list(centers)
+    if not centers:
         return CoverageReport(0.0, 0.0, grid_pitch, phase_samples)
-    radius = circles[0].radius
-    px, py = grid_points(state.area, grid_pitch)
-    cx = np.array([c.center.x for c in circles])
-    cy = np.array([c.center.y for c in circles])
-    cycle = kernels.cycle_cover_count(px, py, cx, cy, radius, r_c, BOUNDARY_TOL) / px.size
+    cx = np.array([c.x for c in centers])
+    cy = np.array([c.y for c in centers])
+    cycle = kernels.cycle_cover_count(px, py, cx, cy, r_l, r_c, BOUNDARY_TOL) / px.size
     phases = np.arange(phase_samples) * (TWO_PI / phase_samples)
-    instant = kernels.min_instant_fraction(px, py, cx, cy, radius, r_c, phases, BOUNDARY_TOL)
+    instant = kernels.min_instant_fraction(px, py, cx, cy, r_l, r_c, phases, BOUNDARY_TOL)
     return CoverageReport(
         instant_min_fraction=instant,
         cycle_fraction=cycle,
@@ -540,19 +552,16 @@ def loss_sweep(
     r_inits,
     loss_fractions,
     r_c: float,
-    seed: int | None = None,
     r_min_turn: float = 0.0,
     r_l_max: float | None = None,
 ) -> SweepResult:
     """Re-optimized radius for every (initial radius, loss fraction) pair.
 
-    Losing a fraction removes ceil(fraction * N) UAVs. ``seed`` names the
-    selection draw for reproducibility, but which individuals are lost does
-    not affect the homogeneous radius, so the sweep works on counts.
-    Emits the simulated radius next to the continuous-tiling ideal value.
+    Losing a fraction removes ceil(fraction * N) UAVs. Which individuals are
+    lost does not affect the homogeneous radius, so the sweep works on
+    counts. Emits the simulated radius next to the continuous-tiling ideal
+    value.
     """
-    from .geometry import max_loiter_radius
-
     cap = r_l_max if r_l_max is not None else max_loiter_radius(r_c, kind)
     points = []
     max_rec = {}

@@ -1,7 +1,7 @@
 """Scalar geometry of sensing and loitering.
 
-Radii relations, circle-overlap areas and coverage predicates used by every
-other module. All operations are pure functions over immutable value types.
+Radii relations and circle-overlap areas used by every other module. All
+operations are pure functions over immutable value types.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ SQRT3 = math.sqrt(3.0)
 class PackingKind(Enum):
     SQUARE = "square"
     HEXAGON = "hexagon"
-
-
-class LoiterDirection(Enum):
-    CCW = "ccw"
-    CW = "cw"
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,6 @@ class SensorModel:
         if not self.altitude > 0:
             raise ValueError(f"altitude must be positive, got {self.altitude}")
 
-    @property
-    def quality(self) -> float:
-        # Reported proportionality only; no unit calibration.
-        return 1.0 / self.altitude
-
 
 @dataclass(frozen=True)
 class PlatformModel:
@@ -97,9 +87,10 @@ class PlatformModel:
 
 @dataclass(frozen=True)
 class LoiterCircle:
+    """A loiter circle; every UAV flies its circle counter-clockwise."""
+
     center: Vec2
     radius: float
-    direction: LoiterDirection = LoiterDirection.CCW
 
     def __post_init__(self) -> None:
         if not self.radius > 0:
@@ -223,36 +214,3 @@ def packing_params(r_l: float, kind: PackingKind, table_mode: str = "exact") -> 
         effective_area=eff,
         table_mode=table_mode,
     )
-
-
-def effective_coverage(r_l: float, outside_fraction: float, neighbor_overlaps) -> float:
-    """In-area swept disk area minus the supplied neighbor overlaps.
-
-    May be negative for heavily-overlapped boundary circles; callers decide
-    how to interpret that.
-    """
-    if not 0.0 <= outside_fraction <= 1.0:
-        raise ValueError(f"outside_fraction must be in [0, 1], got {outside_fraction}")
-    overlaps = list(neighbor_overlaps)
-    if any(a < 0 for a in overlaps):
-        raise ValueError("neighbor overlaps must be non-negative")
-    return (1.0 - outside_fraction) * math.pi * r_l * r_l - sum(overlaps)
-
-
-def covered_over_cycle(p: Vec2, circle: LoiterCircle, r_c: float) -> bool:
-    """True iff the UAV sweeping ``circle`` covers ``p`` at some point of the cycle.
-
-    The footprint sweeps an annulus of width 2*r_c around the loiter circle;
-    boundary distances count as covered.
-    """
-    if not r_c > 0:
-        raise ValueError(f"coverage radius must be positive, got {r_c}")
-    return abs(p.dist(circle.center) - circle.radius) <= r_c + BOUNDARY_TOL
-
-
-def covered_at_instant(p: Vec2, positions, r_c: float) -> bool:
-    """True iff some UAV position is within the footprint radius of ``p``."""
-    if not r_c > 0:
-        raise ValueError(f"coverage radius must be positive, got {r_c}")
-    threshold = r_c + BOUNDARY_TOL
-    return any(p.dist(pos) <= threshold for pos in positions)

@@ -1,207 +1,54 @@
-"""Hot numeric kernels for coverage grids and separation sampling.
+"""Grid-coverage kernels in numpy.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy twin.
-The active backend is chosen at import time from the ``LOITERPACK_BACKEND``
-environment variable (``"numba"`` or ``"numpy"``); the default is numba when
-it is importable, numpy otherwise. Both implementations are exact twins and
-are cross-checked in the test suite; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+Both kernels test every sample point against every circle (or UAV), in
+chunks of points so that each (points x circles) intermediate stays near 8 MB
+whatever the layout size. Distances at exactly the coverage reach count as
+covered, up to ``tol``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "LOITERPACK_BACKEND"
-_requested = os.environ.get(_ENV_FLAG, "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"{_ENV_FLAG} must be 'numba' or 'numpy', got {_requested!r}")
-
-if _requested == "numpy":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise RuntimeError(f"{_ENV_FLAG}=numba but numba is not importable")
-        _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA
-
-# Chunk size for the numpy twins: bounds the (points x circles) or
-# (points x uavs) intermediate to a few MB.
-_NP_CHUNK = 65536
+# Elements (points x circles) per chunk intermediate.
+_CHUNK_ELEMENTS = 1 << 20
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def cycle_cover_count_np(px, py, cx, cy, r_l, r_c, tol):
-    """Number of grid points within the swept annulus of any circle."""
+def _count_covered(px, py, cx, cy, hit) -> int:
+    """Number of points for which ``hit(dx, dy)`` holds for some circle."""
     if cx.size == 0 or px.size == 0:
         return 0
+    step = max(1, _CHUNK_ELEMENTS // cx.size)
     covered = 0
-    for lo in range(0, px.size, _NP_CHUNK):
-        hi = min(lo + _NP_CHUNK, px.size)
+    for lo in range(0, px.size, step):
+        hi = min(lo + step, px.size)
         dx = px[lo:hi, None] - cx[None, :]
         dy = py[lo:hi, None] - cy[None, :]
-        d = np.sqrt(dx * dx + dy * dy)
-        covered += int((np.abs(d - r_l) <= r_c + tol).any(axis=1).sum())
+        covered += int(hit(dx, dy).any(axis=1).sum())
     return covered
 
 
-def instant_cover_count_np(px, py, ux, uy, r_c, tol):
-    """Number of grid points within r_c of at least one UAV position."""
-    if ux.size == 0 or px.size == 0:
-        return 0
-    covered = 0
-    for lo in range(0, px.size, _NP_CHUNK):
-        hi = min(lo + _NP_CHUNK, px.size)
-        dx = px[lo:hi, None] - ux[None, :]
-        dy = py[lo:hi, None] - uy[None, :]
-        d2 = dx * dx + dy * dy
-        covered += int((d2 <= (r_c + tol) ** 2).any(axis=1).sum())
-    return covered
+def cycle_cover_count(px, py, cx, cy, r_l, r_c, tol):
+    """Number of grid points within the swept annulus of any loiter circle."""
+    reach = r_c + tol
+    return _count_covered(
+        px, py, cx, cy, lambda dx, dy: np.abs(np.sqrt(dx * dx + dy * dy) - r_l) <= reach
+    )
 
 
-def min_instant_fraction_np(px, py, cx, cy, r_l, r_c, phases, tol):
-    """Minimum over sampled phases of the instant-coverage fraction."""
+def min_instant_fraction(px, py, cx, cy, r_l, r_c, phases, tol):
+    """Minimum over the common loiter phases of the instant-coverage fraction."""
     if px.size == 0:
         return 0.0
+    reach2 = (r_c + tol) ** 2
     worst = 1.0
     for phi in phases:
         ux = cx + r_l * math.cos(phi)
         uy = cy + r_l * math.sin(phi)
-        frac = instant_cover_count_np(px, py, ux, uy, r_c, tol) / px.size
-        worst = min(worst, frac)
+        covered = _count_covered(px, py, ux, uy, lambda dx, dy: dx * dx + dy * dy <= reach2)
+        worst = min(worst, covered / px.size)
         if worst == 0.0:
             break
     return worst
-
-
-def min_pairwise_distance_np(xs, ys):
-    """Minimum pairwise distance across frames; xs/ys are (n_agents, n_frames)."""
-    n = xs.shape[0]
-    if n < 2:
-        return math.inf
-    best = math.inf
-    for i in range(n - 1):
-        dx = xs[i + 1 :] - xs[i]
-        dy = ys[i + 1 :] - ys[i]
-        d2 = dx * dx + dy * dy
-        best = min(best, float(d2.min()))
-    return math.sqrt(best)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _cycle_cover_count_nb(px, py, cx, cy, r_l, r_c, tol):
-        covered = 0
-        reach = r_c + tol
-        for i in range(px.size):
-            for j in range(cx.size):
-                dx = px[i] - cx[j]
-                dy = py[i] - cy[j]
-                d = math.sqrt(dx * dx + dy * dy)
-                if abs(d - r_l) <= reach:
-                    covered += 1
-                    break
-        return covered
-
-    @njit(cache=True)
-    def _instant_cover_count_nb(px, py, ux, uy, r_c, tol):
-        covered = 0
-        reach2 = (r_c + tol) * (r_c + tol)
-        for i in range(px.size):
-            for j in range(ux.size):
-                dx = px[i] - ux[j]
-                dy = py[i] - uy[j]
-                if dx * dx + dy * dy <= reach2:
-                    covered += 1
-                    break
-        return covered
-
-    @njit(cache=True)
-    def _min_instant_fraction_nb(px, py, cx, cy, r_l, r_c, phases, tol):
-        if px.size == 0:
-            return 0.0
-        worst = 1.0
-        ux = np.empty(cx.size)
-        uy = np.empty(cy.size)
-        for k in range(phases.size):
-            c = r_l * math.cos(phases[k])
-            s = r_l * math.sin(phases[k])
-            for j in range(cx.size):
-                ux[j] = cx[j] + c
-                uy[j] = cy[j] + s
-            frac = _instant_cover_count_nb(px, py, ux, uy, r_c, tol) / px.size
-            if frac < worst:
-                worst = frac
-                if worst == 0.0:
-                    break
-        return worst
-
-    @njit(cache=True)
-    def _min_pairwise_distance_nb(xs, ys):
-        n = xs.shape[0]
-        if n < 2:
-            return math.inf
-        best = math.inf
-        for t in range(xs.shape[1]):
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    dx = xs[i, t] - xs[j, t]
-                    dy = ys[i, t] - ys[j, t]
-                    d2 = dx * dx + dy * dy
-                    if d2 < best:
-                        best = d2
-        return math.sqrt(best)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def cycle_cover_count(px, py, cx, cy, r_l, r_c, tol):
-    if USING_NUMBA:
-        return _cycle_cover_count_nb(px, py, cx, cy, r_l, r_c, tol)
-    return cycle_cover_count_np(px, py, cx, cy, r_l, r_c, tol)
-
-
-def instant_cover_count(px, py, ux, uy, r_c, tol):
-    if USING_NUMBA:
-        return _instant_cover_count_nb(px, py, ux, uy, r_c, tol)
-    return instant_cover_count_np(px, py, ux, uy, r_c, tol)
-
-
-def min_instant_fraction(px, py, cx, cy, r_l, r_c, phases, tol):
-    if USING_NUMBA:
-        return _min_instant_fraction_nb(px, py, cx, cy, r_l, r_c, phases, tol)
-    return min_instant_fraction_np(px, py, cx, cy, r_l, r_c, phases, tol)
-
-
-def min_pairwise_distance(xs, ys):
-    if USING_NUMBA:
-        return _min_pairwise_distance_nb(np.ascontiguousarray(xs), np.ascontiguousarray(ys))
-    return min_pairwise_distance_np(xs, ys)
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels on tiny inputs."""
-    z = np.zeros(1)
-    p = np.zeros((2, 1))
-    cycle_cover_count(z, z, z, z, 1.0, 1.0, 0.0)
-    instant_cover_count(z, z, z, z, 1.0, 0.0)
-    min_instant_fraction(z, z, z, z, 1.0, 1.0, np.zeros(1), 0.0)
-    min_pairwise_distance(p, p)

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InfeasibleError
 from .geometry import BOUNDARY_TOL, SQRT2, SQRT3, AreaSpec, PackingKind, max_loiter_radius
-from .packing import uav_count
+from .packing import axis_march, uav_count
 
 # Lower bound on any solved radius (meters): prevents degenerate zero-radius
 # layouts when the budget is effectively unlimited.
@@ -38,26 +37,11 @@ class FleetBudget:
 
 
 @dataclass(frozen=True)
-class OptimizerWeights:
-    """Objective tuning vector; only the first component scales the reported
-    objective value, the other two are accepted but unused."""
-
-    sigma: tuple[float, float, float] = (1.0, 0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        if len(self.sigma) != 3:
-            raise ValueError("sigma must have exactly three components")
-        if not self.sigma[0] > 0:
-            raise ValueError(f"sigma[0] must be positive, got {self.sigma[0]}")
-
-
-@dataclass(frozen=True)
 class RadiusSolution:
     loiter_radius: float | None
     n_x: int
     n_y: int
     regime: Regime
-    objective_value: float | None = None
     min_required: int | None = None  # UAVs needed at the radius cap when infeasible
 
 
@@ -117,17 +101,6 @@ def _binding_radii(area: AreaSpec, kind: PackingKind, lo: float, hi: float) -> l
     return out
 
 
-def _layout_dims(area: AreaSpec, r_l: float, kind: PackingKind) -> tuple[int, int]:
-    """(first-row circle count, row count) of the packed layout."""
-    from .packing import _march_count, _row_specs  # shared construction core
-
-    templates, x_pitch, y_first, y_half = _row_specs(r_l, kind)
-    y_pitch = 1.5 * r_l if kind is PackingKind.HEXAGON else SQRT2 * r_l
-    n_y = _march_count(y_first, y_pitch, area.y_extent, y_half)
-    n_x = _march_count(templates[0][0], x_pitch, area.x_extent, templates[0][1])
-    return n_x, n_y
-
-
 def solve_radius(
     budget: FleetBudget,
     area: AreaSpec,
@@ -135,7 +108,6 @@ def solve_radius(
     r_c: float,
     r_min_turn: float,
     r_l_max: float | None = None,
-    weights: OptimizerWeights | None = None,
 ) -> RadiusSolution:
     """Smallest loiter radius whose layout fits the budget.
 
@@ -146,7 +118,6 @@ def solve_radius(
     required fleet size when even the radius cap needs more UAVs than
     budgeted.
     """
-    weights = weights or OptimizerWeights()
     r_cap = r_l_max if r_l_max is not None else max_loiter_radius(r_c, kind)
     if not r_cap > 0:
         raise ValueError(f"radius cap must be positive, got {r_cap}")
@@ -188,24 +159,11 @@ def solve_radius(
             lo_i = mid + 1
     r_best = candidates[hi_i]
 
-    n_x, n_y = _layout_dims(area, r_best, kind)
+    xs, ys = axis_march(area, r_best, kind)
     return RadiusSolution(
         loiter_radius=r_best,
-        n_x=n_x,
-        n_y=n_y,
+        n_x=len(xs[0]),
+        n_y=len(ys),
         regime=classify_regime(r_best, r_c, kind),
-        objective_value=weights.sigma[0] / (r_best * r_best),
     )
 
-
-def require_feasible(solution: RadiusSolution, n_available: int) -> RadiusSolution:
-    """Raise :class:`InfeasibleError` (with the deficit) for infeasible solutions."""
-    if solution.regime is Regime.INFEASIBLE:
-        deficit = (
-            solution.min_required - n_available if solution.min_required is not None else None
-        )
-        msg = f"no feasible loiter radius for {n_available} UAVs"
-        if deficit is not None:
-            msg += f" (short by {deficit})"
-        raise InfeasibleError(msg, deficit=deficit)
-    return solution

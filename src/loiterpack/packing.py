@@ -2,21 +2,21 @@
 
 Square packing tiles the area with squares of side sqrt(2)*r inscribed in the
 loiter circles; hexagon packing tiles it with pointy-top hexagons of side r.
-Rows are marched until the polygon footprints span each extent, appending one
-fractionally-outside circle per direction when the last full footprint falls
-short. Coverage validators sample the area on a uniform grid and delegate the
-inner loops to :mod:`loiterpack.kernels`.
+One axis march places every layout: rows, and the circles of each row
+template, are appended until the polygon footprints span the extent, which
+adds one fractionally-outside circle per direction when the last full
+footprint falls short. ``pack``, ``uav_count`` and the optimizer's row and
+column counts all read that march. ``grid_points`` gives the uniform sample
+grid that coverage is measured on.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .geometry import BOUNDARY_TOL, SQRT2, SQRT3, AreaSpec, PackingKind, Vec2
+from .geometry import SQRT2, SQRT3, AreaSpec, PackingKind, Vec2
 
 # A new circle is appended while the footprint span falls short of the extent
 # by more than this (meters); exact-fit layouts do not gain a spurious circle.
@@ -48,77 +48,54 @@ class PackingLayout:
     def count(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def center_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        cs = self.centers
-        return (
-            np.array([c.x for c in cs], dtype=np.float64),
-            np.array([c.y for c in cs], dtype=np.float64),
-        )
-
 
 def _march(first: float, pitch: float, extent: float, half_span: float) -> list[float]:
-    """Center coordinates along one axis, appended until the span is reached."""
+    """Center coordinates along one axis, appended until the span is reached.
+
+    The running sum is deliberate: binding radii sit exactly where a count
+    changes, and a closed form could round the other way there.
+    """
     xs = [first]
     while xs[-1] + half_span < extent - SPAN_TOL:
         xs.append(xs[-1] + pitch)
     return xs
 
 
-def _march_count(first: float, pitch: float, extent: float, half_span: float) -> int:
-    n = 1
-    last = first
-    while last + half_span < extent - SPAN_TOL:
-        last += pitch
-        n += 1
-    return n
+def axis_march(area: AreaSpec, r_l: float, kind: PackingKind) -> tuple[list[list[float]], list[float]]:
+    """(x coordinates of each row template, y coordinates of the rows).
 
-
-def _row_specs(r_l: float, kind: PackingKind) -> tuple[list[tuple[float, float]], float, float, float]:
-    """Per-template (first_x, half_span) plus x-pitch, first row y and y half-span."""
-    if kind is PackingKind.HEXAGON:
-        x_pitch = SQRT3 * r_l
-        # Alternating templates: odd rows start half a hexagon in, even rows
-        # start on the x=0 boundary. Vertical footprint reaches one vertex
-        # height (r_l) above each row.
-        return [(0.5 * x_pitch, 0.5 * x_pitch), (0.0, 0.5 * x_pitch)], x_pitch, 0.5 * r_l, r_l
-    x_pitch = SQRT2 * r_l
-    half = r_l / SQRT2
-    return [(half, half)], x_pitch, half, half
-
-
-def pack(area: AreaSpec, r_l: float, kind: PackingKind) -> PackingLayout:
-    """Generate the loiter-circle layout for ``area`` at radius ``r_l``.
-
-    Hexagon rows alternate between a half-pitch-offset template and a
-    boundary-anchored template with vertical pitch 1.5*r_l; square rows all
-    share one template with pitch sqrt(2)*r_l in both directions.
+    Row i uses template i modulo the template count. Hexagon rows alternate
+    between a half-pitch-offset template and one anchored on the x = 0
+    boundary, with vertical pitch 1.5*r_l and a footprint reaching one vertex
+    height (r_l) above each row; square rows share one template with pitch
+    sqrt(2)*r_l in both directions.
     """
     if not r_l > 0:
         raise ValueError(f"loiter radius must be positive, got {r_l}")
-    templates, x_pitch, y_first, y_half = _row_specs(r_l, kind)
-    y_pitch = 1.5 * r_l if kind is PackingKind.HEXAGON else SQRT2 * r_l
-    ys = _march(y_first, y_pitch, area.y_extent, y_half)
-    rows = []
-    for i, y in enumerate(ys):
-        first_x, half_span = templates[i % len(templates)]
-        xs = _march(first_x, x_pitch, area.x_extent, half_span)
-        rows.append(tuple(Vec2(x, y) for x in xs))
-    return PackingLayout(kind=kind, loiter_radius=r_l, rows=tuple(rows), area=area)
+    if kind is PackingKind.HEXAGON:
+        x_pitch = SQRT3 * r_l
+        templates = ((0.5 * x_pitch, 0.5 * x_pitch), (0.0, 0.5 * x_pitch))
+        ys = _march(0.5 * r_l, 1.5 * r_l, area.y_extent, r_l)
+    else:
+        x_pitch = SQRT2 * r_l
+        half = r_l / SQRT2
+        templates = ((half, half),)
+        ys = _march(half, x_pitch, area.y_extent, half)
+    xs = [_march(first, x_pitch, area.x_extent, half_span) for first, half_span in templates]
+    return xs, ys
+
+
+def pack(area: AreaSpec, r_l: float, kind: PackingKind) -> PackingLayout:
+    """Generate the loiter-circle layout for ``area`` at radius ``r_l``."""
+    xs, ys = axis_march(area, r_l, kind)
+    rows = tuple(tuple(Vec2(x, y) for x in xs[i % len(xs)]) for i, y in enumerate(ys))
+    return PackingLayout(kind=kind, loiter_radius=r_l, rows=rows, area=area)
 
 
 def uav_count(area: AreaSpec, r_l: float, kind: PackingKind) -> int:
-    """Number of circles ``pack`` would place, without materializing them."""
-    if not r_l > 0:
-        raise ValueError(f"loiter radius must be positive, got {r_l}")
-    templates, x_pitch, y_first, y_half = _row_specs(r_l, kind)
-    y_pitch = 1.5 * r_l if kind is PackingKind.HEXAGON else SQRT2 * r_l
-    n_rows = _march_count(y_first, y_pitch, area.y_extent, y_half)
-    per_template = [_march_count(fx, x_pitch, area.x_extent, hs) for fx, hs in templates]
-    if len(per_template) == 1:
-        return n_rows * per_template[0]
-    odd_rows = (n_rows + 1) // 2
-    even_rows = n_rows // 2
-    return odd_rows * per_template[0] + even_rows * per_template[1]
+    """Number of circles ``pack`` would place, without building the centers."""
+    xs, ys = axis_march(area, r_l, kind)
+    return sum(len(xs[i % len(xs)]) for i in range(len(ys)))
 
 
 def grid_points(area: AreaSpec, grid_pitch: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,37 +108,3 @@ def grid_points(area: AreaSpec, grid_pitch: float) -> tuple[np.ndarray, np.ndarr
     ys = (np.arange(ny) + 0.5) * (area.y_extent / ny)
     gx, gy = np.meshgrid(xs, ys)
     return gx.ravel(), gy.ravel()
-
-
-def validate_full_coverage(layout: PackingLayout, r_c: float, grid_pitch: float) -> float:
-    """Fraction of grid points covered at least once per loiter cycle."""
-    if not r_c > 0:
-        raise ValueError(f"coverage radius must be positive, got {r_c}")
-    px, py = grid_points(layout.area, grid_pitch)
-    if layout.count == 0:
-        return 0.0
-    cx, cy = layout.center_arrays()
-    covered = kernels.cycle_cover_count(px, py, cx, cy, layout.loiter_radius, r_c, BOUNDARY_TOL)
-    return covered / px.size
-
-
-def validate_persistent_coverage(
-    layout: PackingLayout, r_c: float, grid_pitch: float, phase_samples: int
-) -> float:
-    """Minimum instant-coverage fraction over a sweep of common loiter phases.
-
-    All UAVs share the same phase (synchronized CCW loitering); the result is
-    the worst instant fraction across ``phase_samples`` evenly spaced phases.
-    """
-    if not r_c > 0:
-        raise ValueError(f"coverage radius must be positive, got {r_c}")
-    if phase_samples < 8:
-        raise ValueError(f"phase_samples must be >= 8, got {phase_samples}")
-    px, py = grid_points(layout.area, grid_pitch)
-    if layout.count == 0:
-        return 0.0
-    cx, cy = layout.center_arrays()
-    phases = np.arange(phase_samples) * (2.0 * math.pi / phase_samples)
-    return kernels.min_instant_fraction(
-        px, py, cx, cy, layout.loiter_radius, r_c, phases, BOUNDARY_TOL
-    )

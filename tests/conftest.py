@@ -6,14 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from loiterpack import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile (or no-op on the numpy backend) before any timed test runs.
-    kernels.warmup()
-
 
 # Golden scenario constants (500 x 650 m area, radius cap 100 m).
 #

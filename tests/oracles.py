@@ -3,7 +3,8 @@
 Each oracle re-derives its result from first principles with no shared code:
 numeric quadrature for lens areas, a literal marching rule for placement
 counts, a discretized control-space search for shortest bounded-curvature
-paths, union-find for clusters and permutation search for assignments.
+paths, per-point coverage predicates for the grid fractions, union-find for
+clusters and permutation search for assignments.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import numpy as np
 from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
+
+# Boundary slack of the coverage predicates (meters), as in the library.
+BOUNDARY_TOL = 1e-9
 
 
 def lens_area_quad(d: float, r: float) -> float:
@@ -118,6 +122,40 @@ def dubins_discretized_length(a, b, r: float, n_grid: int = 200_000) -> float:
             if ok2.any():
                 lengths = (t[ok][ok2] + p_mid[ok2] + q_f[ok2]) * r
                 best = min(best, float(lengths.min()))
+    return best
+
+
+def covered_over_cycle(p, circle, r_c: float) -> bool:
+    """True iff the UAV sweeping ``circle`` covers ``p`` at some point of the cycle.
+
+    The footprint sweeps an annulus of width 2*r_c around the loiter circle;
+    boundary distances count as covered.
+    """
+    if not r_c > 0:
+        raise ValueError(f"coverage radius must be positive, got {r_c}")
+    return abs(p.dist(circle.center) - circle.radius) <= r_c + BOUNDARY_TOL
+
+
+def covered_at_instant(p, positions, r_c: float) -> bool:
+    """True iff some UAV position is within the footprint radius of ``p``."""
+    if not r_c > 0:
+        raise ValueError(f"coverage radius must be positive, got {r_c}")
+    threshold = r_c + BOUNDARY_TOL
+    return any(p.dist(pos) <= threshold for pos in positions)
+
+
+def closest_pair_loop(tracks):
+    """(distance, i, j) of the closest pair of (T, 2) position tracks.
+
+    Visits the pairs one by one in lexicographic order and keeps the first
+    pair at the smallest distance.
+    """
+    best = (math.inf, -1, -1)
+    for i, j in itertools.combinations(range(len(tracks)), 2):
+        d = tracks[i] - tracks[j]
+        d_min = float(np.sqrt((d * d).sum(axis=1).min()))
+        if d_min < best[0]:
+            best = (d_min, i, j)
     return best
 
 

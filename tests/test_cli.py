@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from loiterpack.cli import main, read_layout_csv
-from loiterpack.geometry import AreaSpec, PackingKind
-from loiterpack.packing import pack
+from loiterpack.cli import main
+from loiterpack.geometry import AreaSpec, PackingKind, Vec2
+from loiterpack.packing import PackingLayout, pack
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -45,6 +45,17 @@ def circle_count(svg_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_layout_csv(path, kind, area):
+    """Rebuild a layout from its CSV export (exact float round-trip)."""
+    rows = {}
+    radius = None
+    for rec in read_rows(path):
+        rows.setdefault(int(rec["row"]), []).append(Vec2(float(rec["x_m"]), float(rec["y_m"])))
+        radius = float(rec["r_l_m"])
+    ordered = tuple(tuple(rows[i]) for i in sorted(rows))
+    return PackingLayout(kind=kind, loiter_radius=radius, rows=ordered, area=area)
 
 
 class TestPackCommand:
@@ -343,3 +354,30 @@ class TestConfigValidation:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["pack", "--config", str(bad)]) == 2
+
+
+def readme_scenario():
+    """The scenario config block of the README, parsed."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("### Scenario config", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
+class TestReadmeConfig:
+    @pytest.mark.parametrize("command", ["pack", "sweep", "path"])
+    def test_commands_run(self, tmp_path, command):
+        path = write_config(tmp_path, readme_scenario())
+        assert run(command, path, "--out", str(tmp_path / "out")) == 0
+
+    def test_optimize_needs_a_budget(self, tmp_path, capsys):
+        path = write_config(tmp_path, readme_scenario())
+        assert run("optimize", path, "--out", str(tmp_path / "out")) == 2
+        assert "needs deployment.budget_n" in capsys.readouterr().err
+
+    def test_simulate_takes_the_default_for_a_null_grid_pitch(self, tmp_path):
+        cfg = readme_scenario()
+        assert cfg["validation"]["grid_pitch_m"] is None
+        out = tmp_path / "out"
+        assert run("simulate", write_config(tmp_path, cfg), "--out", str(out)) == 0
+        assert float(read_rows(out / "coverage.csv")[0]["grid_pitch_m"]) == cfg["r_c_m"] / 20.0

@@ -7,10 +7,9 @@ from loiterpack.dubins import (
     DubinsPath,
     DubinsWord,
     Pose,
-    _SEGMENTS,
     _SOLVERS,
+    closest_approach,
     loiter_pose,
-    min_separation,
     mod2pi,
     path_end,
     plan_pose,
@@ -224,17 +223,18 @@ class TestPlanTransition:
 
 
 class TestMinSeparation:
+    # closest_approach(...)[0] is the minimum pairwise separation.
     def test_single_agent_sentinel(self):
         src = LoiterCircle(Vec2(0, 0), 30.0)
         tgt = LoiterCircle(Vec2(200, 0), 30.0)
         plan = plan_transition(0, src, 0.0, tgt, 10.0, 15.0)
-        assert min_separation([plan], v=15.0) == math.inf
+        assert closest_approach([plan], v=15.0)[0] == math.inf
 
     def test_antipodal_loiterers(self):
         circle = LoiterCircle(Vec2(0, 0), 35.0)
-        sep = min_separation([], loitering=[(circle, 0.0), (circle, math.pi)], v=15.0, dt=0.1)
+        sep = closest_approach([], loitering=[(circle, 0.0), (circle, math.pi)], v=15.0, dt=0.1)[0]
         assert sep == pytest.approx(70.0, rel=1e-9)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            min_separation([], loitering=[], v=1.0, dt=0.0)
+            closest_approach([], loitering=[], v=1.0, dt=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from loiterpack.dubins import TWO_PI, min_separation
+from loiterpack.dubins import TWO_PI, closest_approach
 from loiterpack.errors import InfeasibleError
 from loiterpack.fleet import (
     FailureEvent,
@@ -28,6 +28,14 @@ HEX = PackingKind.HEXAGON
 PLATFORM = PlatformModel(speed=15.0, max_bank=0.5, gravity=9.81)
 R_C = 80.0
 R_L_MAX = 100.0
+
+
+def fleet_coverage(state, grid_pitch, phase_samples):
+    """Coverage fractions of the UAVs still alive, as ``simulate`` reports them."""
+    centers = [u.assigned_circle.center for u in state.uavs if u.alive]
+    return coverage_report(
+        state.area, centers, state.loiter_radius, R_C, grid_pitch, phase_samples
+    )
 
 
 def table2_fleet():
@@ -251,7 +259,7 @@ class TestSuperAgentRecover:
 
     def test_transitions_keep_separation(self):
         _, report, plan = run_recovery()
-        sep = min_separation(plan.transitions, v=PLATFORM.speed, dt=0.25)
+        sep = closest_approach(plan.transitions, v=PLATFORM.speed, dt=0.25)[0]
         assert sep == pytest.approx(plan.min_separation)
         assert sep >= 2.0
 
@@ -268,12 +276,12 @@ class TestApplyRecoveryAndCoverage:
         state, _, plan = run_recovery()
         recovered = apply_recovery(state, plan)
         assert len(recovered.uavs) == 17
-        report = coverage_report(recovered, R_C, grid_pitch=R_C / 20.0, phase_samples=36)
+        report = fleet_coverage(recovered, grid_pitch=R_C / 20.0, phase_samples=36)
         assert report.cycle_fraction == 1.0
 
     def test_cycle_dominates_instant(self):
         state = table2_fleet()
-        report = coverage_report(state, R_C, grid_pitch=8.0, phase_samples=16)
+        report = fleet_coverage(state, grid_pitch=8.0, phase_samples=16)
         assert report.cycle_fraction >= report.instant_min_fraction
 
     def test_rectangle_instant_coverage_leaks_at_the_boundary(self):
@@ -281,13 +289,13 @@ class TestApplyRecoveryAndCoverage:
         # bounded rectangle the boundary strips fall outside every footprint
         # at some phases, so the worst-phase instant fraction stays below 1.
         state = table2_fleet()
-        report = coverage_report(state, R_C, grid_pitch=R_C / 20.0, phase_samples=90)
+        report = fleet_coverage(state, grid_pitch=R_C / 20.0, phase_samples=90)
         assert report.cycle_fraction == 1.0
         assert 0.9 < report.instant_min_fraction < 1.0
 
     def test_initial_fleet_cycle_coverage(self):
         state = table2_fleet()
-        report = coverage_report(state, R_C, grid_pitch=R_C / 20.0, phase_samples=16)
+        report = fleet_coverage(state, grid_pitch=R_C / 20.0, phase_samples=16)
         assert report.cycle_fraction == 1.0
 
     def test_every_successful_recovery_restores_cycle_coverage(self):
@@ -295,13 +303,13 @@ class TestApplyRecoveryAndCoverage:
             state, _, plan = run_recovery(loss_count=lost)
             assert plan.outcome is not RecoveryOutcome.RECOVERY_FAILED
             recovered = apply_recovery(state, plan)
-            report = coverage_report(recovered, R_C, grid_pitch=R_C / 20.0, phase_samples=16)
+            report = fleet_coverage(recovered, grid_pitch=R_C / 20.0, phase_samples=16)
             assert report.cycle_fraction == 1.0
 
     def test_empty_fleet(self):
         state = table2_fleet()
         inject_failure(state, FailureEvent(lost_ids=frozenset(range(35))))
-        report = coverage_report(state, R_C, grid_pitch=10.0, phase_samples=16)
+        report = fleet_coverage(state, grid_pitch=10.0, phase_samples=16)
         assert report.cycle_fraction == 0.0
         assert report.instant_min_fraction == 0.0
 

@@ -11,16 +11,13 @@ from loiterpack.geometry import (
     SensorModel,
     Vec2,
     coverage_radius,
-    covered_at_instant,
-    covered_over_cycle,
-    effective_coverage,
     lens_area,
     max_loiter_radius,
     min_comm_radius,
     min_turn_radius,
     packing_params,
 )
-from oracles import lens_area_quad
+from oracles import covered_at_instant, covered_over_cycle, lens_area_quad
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -44,7 +41,6 @@ class TestTypes:
             SensorModel(fov_half_angle=math.pi / 2, altitude=100.0)
         with pytest.raises(ValueError):
             SensorModel(fov_half_angle=0.5, altitude=0.0)
-        assert SensorModel(0.5, 100.0).quality == pytest.approx(0.01)
 
     def test_platform_model_validation(self):
         with pytest.raises(ValueError):
@@ -200,22 +196,6 @@ class TestPackingParams:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             packing_params(1.0, PackingKind.HEXAGON, "folklore")
-
-
-class TestEffectiveCoverage:
-    def test_isolated_interior_circle(self):
-        assert effective_coverage(1.0, 0.0, []) == pytest.approx(math.pi)
-
-    def test_fully_outside(self):
-        assert effective_coverage(1.0, 1.0, [0.3, 0.2]) == pytest.approx(-0.5)
-
-    def test_six_exact_hexagon_overlaps(self):
-        a_s = packing_params(1.0, PackingKind.HEXAGON, "exact").half_overlap_area
-        assert effective_coverage(1.0, 0.0, [a_s] * 6) == pytest.approx(2.5980, abs=1e-4)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            effective_coverage(1.0, 1.5, [])
 
 
 def _hex_cluster(r_l: float) -> list[Vec2]:

@@ -1,110 +1,140 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from loiterpack import kernels
-
-pytestmark = pytest.mark.skipif(
-    not kernels.USING_NUMBA, reason="numba backend unavailable; twins cannot be compared"
+from loiterpack.dubins import _all_positions, _timeline, closest_approach, plan_transition
+from loiterpack.fleet import (
+    FailureEvent,
+    coverage_report,
+    deploy,
+    detect_failures,
+    inject_failure,
+    super_agent_recover,
 )
+from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
+from loiterpack.packing import grid_points
+from oracles import closest_pair_loop, covered_at_instant, covered_over_cycle
+
+TOL = 1e-9
 
 
-def random_inputs(seed, n_points=400, n_circles=12):
-    rng = np.random.default_rng(seed)
-    px = rng.uniform(0, 100, n_points)
-    py = rng.uniform(0, 100, n_points)
-    cx = rng.uniform(0, 100, n_circles)
-    cy = rng.uniform(0, 100, n_circles)
-    return px, py, cx, cy
+def oracle_fractions(area, centers, r_l, r_c, grid_pitch, phase_samples):
+    """(cycle, worst instant) fractions by per-point predicates."""
+    px, py = grid_points(area, grid_pitch)
+    points = [Vec2(float(x), float(y)) for x, y in zip(px, py)]
+    circles = [LoiterCircle(c, r_l) for c in centers]
+    cycle = sum(any(covered_over_cycle(p, c, r_c) for c in circles) for p in points)
+    worst = 1.0
+    for k in range(phase_samples):
+        phase = k * (2.0 * math.pi / phase_samples)
+        positions = [c.point_at(phase) for c in circles]
+        covered = sum(covered_at_instant(p, positions, r_c) for p in points)
+        worst = min(worst, covered / len(points))
+    return cycle / len(points), worst
 
 
-class TestBackendTwins:
-    def test_cycle_cover_count(self):
-        for seed in range(5):
-            px, py, cx, cy = random_inputs(seed)
-            nb = kernels._cycle_cover_count_nb(px, py, cx, cy, 12.0, 5.0, 1e-9)
-            np_ = kernels.cycle_cover_count_np(px, py, cx, cy, 12.0, 5.0, 1e-9)
-            assert nb == np_
+class TestCoverageReportOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_layouts_match_the_predicates(self, seed):
+        rng = np.random.default_rng(seed)
+        area = AreaSpec(rng.uniform(30.0, 80.0), rng.uniform(30.0, 80.0))
+        centers = [
+            Vec2(rng.uniform(0.0, area.x_extent), rng.uniform(0.0, area.y_extent))
+            for _ in range(rng.integers(1, 7))
+        ]
+        r_l = rng.uniform(3.0, 20.0)
+        r_c = rng.uniform(3.0, 20.0)
+        report = coverage_report(area, centers, r_l, r_c, 2.0, 8)
+        cycle, instant = oracle_fractions(area, centers, r_l, r_c, 2.0, 8)
+        assert report.cycle_fraction == cycle
+        assert report.instant_min_fraction == instant
 
-    def test_instant_cover_count(self):
-        for seed in range(5):
-            px, py, ux, uy = random_inputs(seed + 50)
-            nb = kernels._instant_cover_count_nb(px, py, ux, uy, 9.0, 1e-9)
-            np_ = kernels.instant_cover_count_np(px, py, ux, uy, 9.0, 1e-9)
-            assert nb == np_
+    def test_boundary_distance_counts_as_covered(self):
+        # One grid point at (1, 1); the circle's annulus edge passes through it.
+        area = AreaSpec(2.0, 2.0)
+        report = coverage_report(area, [Vec2(1.0, 6.0)], 2.0, 3.0, 2.0, 8)
+        assert report.cycle_fraction == 1.0
 
-    def test_min_instant_fraction(self):
-        phases = np.linspace(0, 2 * math.pi, 24, endpoint=False)
-        for seed in range(5):
-            px, py, cx, cy = random_inputs(seed + 100)
-            nb = kernels._min_instant_fraction_nb(px, py, cx, cy, 8.0, 10.0, phases, 1e-9)
-            np_ = kernels.min_instant_fraction_np(px, py, cx, cy, 8.0, 10.0, phases, 1e-9)
-            assert nb == pytest.approx(np_, abs=0.0)
+    def test_empty_fleet_covers_nothing(self):
+        report = coverage_report(AreaSpec(10.0, 10.0), [], 5.0, 5.0, 1.0, 8)
+        assert (report.cycle_fraction, report.instant_min_fraction) == (0.0, 0.0)
 
-    def test_min_pairwise_distance(self):
-        rng = np.random.default_rng(7)
-        xs = rng.uniform(0, 50, size=(6, 300))
-        ys = rng.uniform(0, 50, size=(6, 300))
-        nb = kernels._min_pairwise_distance_nb(xs, ys)
-        np_ = kernels.min_pairwise_distance_np(xs, ys)
-        assert nb == pytest.approx(np_, rel=1e-15)
+    def test_rejects_bad_arguments(self):
+        area = AreaSpec(10.0, 10.0)
+        with pytest.raises(ValueError):
+            coverage_report(area, [Vec2(5.0, 5.0)], 5.0, 0.0, 1.0, 8)
+        with pytest.raises(ValueError):
+            coverage_report(area, [Vec2(5.0, 5.0)], 5.0, 5.0, 1.0, 7)
+        with pytest.raises(ValueError):
+            coverage_report(area, [Vec2(5.0, 5.0)], 5.0, 5.0, 0.0, 8)
 
-    def test_single_agent_sentinel(self):
-        one = np.zeros((1, 10))
-        assert kernels.min_pairwise_distance_np(one, one) == math.inf
-        assert kernels._min_pairwise_distance_nb(one, one) == math.inf
 
-    def test_empty_inputs(self):
+class TestKernelEmptyInputs:
+    def test_no_circles(self):
         z = np.zeros(0)
         p = np.zeros(3)
-        assert kernels.cycle_cover_count_np(p, p, z, z, 1.0, 1.0, 0.0) == 0
-        assert kernels.instant_cover_count_np(z, z, p, p, 1.0, 0.0) == 0
+        assert kernels.cycle_cover_count(p, p, z, z, 1.0, 1.0, TOL) == 0
+        assert kernels.min_instant_fraction(p, p, z, z, 1.0, 1.0, np.zeros(8), TOL) == 0.0
+
+    def test_no_points(self):
+        z = np.zeros(0)
+        c = np.zeros(3)
+        assert kernels.cycle_cover_count(z, z, c, c, 1.0, 1.0, TOL) == 0
+        assert kernels.min_instant_fraction(z, z, c, c, 1.0, 1.0, np.zeros(8), TOL) == 0.0
 
 
-class TestBackendSelection:
-    def _probe(self, env_value):
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("LOITERPACK_BACKEND", None)
-        else:
-            env["LOITERPACK_BACKEND"] = env_value
-        out = subprocess.run(
-            [sys.executable, "-c", "from loiterpack import kernels; print(kernels.USING_NUMBA)"],
-            capture_output=True,
-            text=True,
-            env=env,
+def loiterers(*xs):
+    """Equal circles on the x axis, all at phase 0."""
+    return [(LoiterCircle(Vec2(x, 0.0), 30.0), 0.0) for x in xs]
+
+
+class TestClosestApproach:
+    def test_fewer_than_two_uavs(self):
+        assert closest_approach([], v=15.0) == (math.inf, -1, -1)
+        assert closest_approach([], loitering=loiterers(0.0), v=15.0) == (math.inf, -1, -1)
+
+    def test_ties_go_to_the_lexicographically_first_pair(self):
+        # Repeated circles fly identical tracks, so their pairs tie at exactly 0.
+        assert closest_approach([], loitering=loiterers(0, 100, 0, 0), v=15.0) == (0.0, 0, 2)
+        tracks = loiterers(0, 100, 200, 100, 200)
+        assert closest_approach([], loitering=tracks, v=15.0) == (0.0, 1, 3)
+
+    def test_closest_pair_in_a_later_row(self):
+        sep, i, j = closest_approach([], loitering=loiterers(0, 100, 250, 260), v=15.0)
+        assert (i, j) == (2, 3)
+        assert sep == pytest.approx(10.0, abs=1e-9)
+
+    def test_plans_are_indexed_before_loiterers(self):
+        src = LoiterCircle(Vec2(0.0, 0.0), 30.0)
+        tgt = LoiterCircle(Vec2(400.0, 0.0), 30.0)
+        plan = plan_transition(0, src, 0.0, tgt, 10.0, 15.0)
+        # After arrival the plan loiters on the target antipodal to the
+        # second loiterer (index 2), 60 m away; the first one stays far off.
+        far = (LoiterCircle(Vec2(-1000.0, 0.0), 30.0), 0.0)
+        sep, i, j = closest_approach([plan], loitering=[far, (tgt, math.pi)], v=15.0)
+        assert (i, j) == (0, 2)
+        assert sep <= 60.0 + 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_pair_loop(self, seed):
+        # Recovery transitions of the Table II scenario, plus loiterers that
+        # repeat one circle (exact ties) and sit among the transit tracks.
+        area, platform = AreaSpec(500.0, 650.0), PlatformModel(speed=15.0, max_bank=0.5)
+        state = deploy(area, PackingKind.HEXAGON, platform, radius=70.0)
+        inject_failure(state, FailureEvent(seed=seed, loss_count=18))
+        plan = super_agent_recover(
+            detect_failures(state), area, PackingKind.HEXAGON, 80.0, platform, r_l_max=100.0
         )
-        return out
-
-    def test_numpy_flag_disables_numba(self):
-        out = self._probe("numpy")
-        assert out.returncode == 0
-        assert out.stdout.strip() == "False"
-
-    def test_numba_flag_enables_numba(self):
-        out = self._probe("numba")
-        assert out.returncode == 0
-        assert out.stdout.strip() == "True"
-
-    def test_bad_flag_is_rejected(self):
-        out = self._probe("fortran")
-        assert out.returncode != 0
-
-    def test_numpy_backend_runs_the_pipeline(self):
-        env = dict(os.environ)
-        env["LOITERPACK_BACKEND"] = "numpy"
-        code = (
-            "from loiterpack.geometry import AreaSpec, PackingKind;"
-            "from loiterpack.packing import pack, validate_full_coverage;"
-            "layout = pack(AreaSpec(200.0, 150.0), 20.0, PackingKind.HEXAGON);"
-            "print(validate_full_coverage(layout, 20.0, 2.0))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "1.0"
+        rng = np.random.default_rng(seed)
+        circle = LoiterCircle(Vec2(rng.uniform(0, 500), rng.uniform(0, 650)), 70.0)
+        loitering = [(circle, 1.0), (circle, 1.0)] + [
+            (LoiterCircle(Vec2(rng.uniform(0, 500), rng.uniform(0, 650)), 70.0), rng.uniform(0, 6))
+            for _ in range(3)
+        ]
+        for plans, extra in ((plan.transitions, ()), (plan.transitions, loitering)):
+            times = _timeline(plans, extra, 15.0, 0.25)
+            tracks = _all_positions(plans, extra, 15.0, times)
+            expected = closest_pair_loop(tracks)
+            assert closest_approach(plans, extra, v=15.0, dt=0.25) == expected

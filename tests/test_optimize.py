@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from loiterpack.errors import InfeasibleError
 from loiterpack.geometry import AreaSpec, PackingKind
 from loiterpack.optimize import (
     RADIUS_FLOOR,
     FleetBudget,
-    OptimizerWeights,
     Regime,
     classify_regime,
     ideal_radius_after_loss,
-    require_feasible,
     revisit_period,
     solve_radius,
 )
@@ -41,9 +38,6 @@ class TestSolveRadius:
         assert sol.regime is Regime.INFEASIBLE
         assert sol.loiter_radius is None
         assert sol.min_required == 17
-        with pytest.raises(InfeasibleError) as err:
-            require_feasible(sol, 16)
-        assert err.value.deficit == 1
 
     def test_large_budget_reaches_persistence(self):
         sol = solve(58, r_c=50.0, cap=None)
@@ -90,19 +84,6 @@ class TestSolveRadius:
         sol = solve(42, kind=PackingKind.SQUARE, cap=None)
         assert sol.regime is not Regime.INFEASIBLE
         assert uav_count(AREA, sol.loiter_radius, PackingKind.SQUARE) <= 42
-
-    def test_objective_scales_with_sigma(self):
-        sol = solve_radius(
-            FleetBudget(17), AREA, HEX, R_C, R_MIN_TURN, r_l_max=100.0,
-            weights=OptimizerWeights((2.0, 0.0, 0.0)),
-        )
-        assert sol.objective_value == pytest.approx(2.0 / sol.loiter_radius**2)
-
-    def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerWeights((0.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            OptimizerWeights((1.0, 1.0))
 
 
 class TestClassifyRegime:

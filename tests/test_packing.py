@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from loiterpack.fleet import coverage_report
 from loiterpack.geometry import AreaSpec, PackingKind, Vec2, max_loiter_radius
-from loiterpack.packing import (
-    PackingLayout,
-    grid_points,
-    pack,
-    uav_count,
-    validate_full_coverage,
-    validate_persistent_coverage,
-)
+from loiterpack.packing import PackingLayout, grid_points, pack, uav_count
 from oracles import count_hexagon_placement, count_square_placement
 
 SQRT3 = math.sqrt(3.0)
@@ -146,6 +140,13 @@ def hex_cluster_layout(r_l: float) -> PackingLayout:
     return PackingLayout(kind=PackingKind.HEXAGON, loiter_radius=r_l, rows=rows, area=area)
 
 
+def layout_coverage(layout, r_c, grid_pitch, phase_samples=8):
+    """Coverage fractions of a layout's circles on its own area."""
+    return coverage_report(
+        layout.area, layout.centers, layout.loiter_radius, r_c, grid_pitch, phase_samples
+    )
+
+
 class TestValidateFullCoverage:
     # The interior closest-approach cap r_c/(sqrt(3)-1) is not attainable over
     # a bounded rectangle: corner circles lack outboard neighbors, so the
@@ -158,19 +159,19 @@ class TestValidateFullCoverage:
         corner_bound = (4.0 + SQRT3) / (3.0 + SQRT3)
         for r_l in (0.5 * r_c, r_c, 1.15 * r_c, corner_bound * r_c * 0.999):
             layout = pack(AREA, r_l, PackingKind.HEXAGON)
-            assert validate_full_coverage(layout, r_c, grid_pitch=r_c / 20.0) == 1.0
+            assert layout_coverage(layout, r_c, r_c / 20.0).cycle_fraction == 1.0
 
     def test_square_layout_reaches_full_coverage(self):
         r_c = 30.0
         for r_l in (r_c, 1.45 * r_c):
             layout = pack(AREA, r_l, PackingKind.SQUARE)
-            assert validate_full_coverage(layout, r_c, grid_pitch=r_c / 20.0) == 1.0
+            assert layout_coverage(layout, r_c, r_c / 20.0).cycle_fraction == 1.0
 
     def test_boundary_rows_limit_coverage_near_the_cap(self):
         r_c = 30.0
         cap = max_loiter_radius(r_c, PackingKind.HEXAGON)
         layout = pack(AREA, 0.999 * cap, PackingKind.HEXAGON)
-        frac = validate_full_coverage(layout, r_c, grid_pitch=r_c / 20.0)
+        frac = layout_coverage(layout, r_c, r_c / 20.0).cycle_fraction
         assert 0.99 < frac < 1.0  # only the boundary-row holes leak
 
     def test_hole_breaks_coverage(self):
@@ -180,23 +181,24 @@ class TestValidateFullCoverage:
         del middle[2]  # remove an interior circle
         rows[3] = tuple(middle)
         broken = PackingLayout(layout.kind, layout.loiter_radius, tuple(rows), layout.area)
-        assert validate_full_coverage(broken, 70.0 * (SQRT3 - 1), grid_pitch=2.0) < 1.0
+        assert layout_coverage(broken, 70.0 * (SQRT3 - 1), 2.0).cycle_fraction < 1.0
 
     def test_empty_layout(self):
         empty = PackingLayout(PackingKind.HEXAGON, 10.0, (), AREA)
-        assert validate_full_coverage(empty, 5.0, grid_pitch=10.0) == 0.0
+        cov = layout_coverage(empty, 5.0, 10.0)
+        assert (cov.cycle_fraction, cov.instant_min_fraction) == (0.0, 0.0)
 
 
 class TestValidatePersistentCoverage:
     def test_cluster_is_persistent_at_footprint_radius(self):
         r_l = 70.0
         layout = hex_cluster_layout(r_l)
-        frac = validate_persistent_coverage(layout, r_c=r_l, grid_pitch=r_l / 20.0, phase_samples=360)
+        frac = layout_coverage(layout, r_l, r_l / 20.0, 360).instant_min_fraction
         assert frac == 1.0
 
     def test_persistence_lost_above_footprint_radius(self):
         layout = pack(AREA, 91.0, PackingKind.HEXAGON)  # r_l = 1.3 r_c
-        frac = validate_persistent_coverage(layout, r_c=70.0, grid_pitch=5.0, phase_samples=60)
+        frac = layout_coverage(layout, 70.0, 5.0, 60).instant_min_fraction
         assert frac < 1.0
 
     def test_single_circle_covers_its_center_at_all_phases(self):
@@ -204,12 +206,12 @@ class TestValidatePersistentCoverage:
         layout = PackingLayout(
             PackingKind.HEXAGON, 5.0, ((Vec2(0.5, 0.5),),), area
         )
-        assert validate_persistent_coverage(layout, r_c=6.0, grid_pitch=0.2, phase_samples=36) == 1.0
+        assert layout_coverage(layout, 6.0, 0.2, 36).instant_min_fraction == 1.0
 
     def test_requires_enough_phase_samples(self):
         layout = hex_cluster_layout(10.0)
         with pytest.raises(ValueError):
-            validate_persistent_coverage(layout, 10.0, 1.0, phase_samples=4)
+            layout_coverage(layout, 10.0, 1.0, phase_samples=4)
 
 
 class TestGridPoints:
