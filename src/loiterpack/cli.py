@@ -118,6 +118,14 @@ def _get(d: dict, key: str, kind=float, required: bool = True, default=None):
         raise ConfigError(f"bad value for {key!r}: {d[key]!r}") from exc
 
 
+def _section(d: dict, name: str) -> dict | None:
+    """Config object section; a JSON null counts as an absent section."""
+    value = d.get(name)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -132,55 +140,49 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     try:
-        area_d = raw.get("area")
-        if not isinstance(area_d, dict):
+        area_d = _section(raw, "area")
+        if area_d is None:
             raise ConfigError("config needs an 'area' object")
         area = AreaSpec(_get(area_d, "x_extent_m"), _get(area_d, "y_extent_m"))
 
-        kind_s = raw.get("packing", "hexagon")
+        kind_s = _get(raw, "packing", kind=str, required=False, default="hexagon")
         try:
             kind = PackingKind(kind_s)
         except ValueError:
             raise ConfigError(f"packing must be 'square' or 'hexagon', got {kind_s!r}")
 
         sensor = None
-        r_c = None
-        if "sensor" in raw and "r_c_m" in raw:
+        s = _section(raw, "sensor")
+        r_c = _get(raw, "r_c_m", required=False)
+        if s is not None and r_c is not None:
             raise ConfigError("specify exactly one of 'sensor' or 'r_c_m'")
-        if "sensor" in raw:
-            s = raw["sensor"]
+        if s is not None:
             sensor = SensorModel(_get(s, "fov_half_angle_rad"), _get(s, "altitude_m"))
-        elif "r_c_m" in raw:
-            r_c = _get(raw, "r_c_m")
 
         platform = None
-        r_min_turn = None
-        if "platform" in raw:
-            p = raw["platform"]
+        p = _section(raw, "platform")
+        r_min_turn = _get(raw, "r_min_turn_m", required=False)
+        if p is not None:
+            if r_min_turn is not None:
+                raise ConfigError("specify at most one of 'platform' or 'r_min_turn_m'")
             platform = PlatformModel(
                 speed=_get(p, "speed_mps"),
                 max_bank=_get(p, "max_bank_rad"),
                 gravity=_get(p, "gravity_mps2", required=False, default=9.81),
             )
-        if "r_min_turn_m" in raw:
-            if platform is not None:
-                raise ConfigError("specify at most one of 'platform' or 'r_min_turn_m'")
-            r_min_turn = _get(raw, "r_min_turn_m")
 
         deploy_radius = None
         deploy_budget = None
-        if "deployment" in raw:
-            dep = raw["deployment"]
-            if ("radius_m" in dep) == ("budget_n" in dep):
+        dep = _section(raw, "deployment")
+        if dep is not None:
+            deploy_radius = _get(dep, "radius_m", required=False)
+            deploy_budget = _get(dep, "budget_n", kind=int, required=False)
+            if (deploy_radius is None) == (deploy_budget is None):
                 raise ConfigError("deployment needs exactly one of 'radius_m' or 'budget_n'")
-            if "radius_m" in dep:
-                deploy_radius = _get(dep, "radius_m")
-            else:
-                deploy_budget = _get(dep, "budget_n", kind=int)
 
         def parse_event(f: dict) -> FailureEvent:
             time_s = _get(f, "time_s", required=False, default=0.0)
-            if "lost_ids" in f:
+            if f.get("lost_ids") is not None:
                 return FailureEvent(time=time_s, lost_ids=frozenset(int(i) for i in f["lost_ids"]))
             return FailureEvent(
                 time=time_s,
@@ -188,32 +190,36 @@ def parse_config(raw: dict) -> ScenarioConfig:
                 loss_count=_get(f, "loss_count", kind=int),
             )
 
-        if "failure" in raw and "failures" in raw:
+        failure = _section(raw, "failure")
+        events = raw.get("failures")
+        if failure is not None and events is not None:
             raise ConfigError("specify either 'failure' or 'failures', not both")
-        if "failure" in raw:
-            failures = (parse_event(raw["failure"]),)
-        else:
-            failures = tuple(parse_event(f) for f in raw.get("failures", ()))
+        events = [failure] if failure is not None else events or []
+        if not isinstance(events, list) or not all(isinstance(f, dict) for f in events):
+            raise ConfigError(f"'failures' must be a list of JSON objects, got {events!r}")
+        failures = tuple(parse_event(f) for f in events)
 
-        validation = raw.get("validation", {})
+        validation = _section(raw, "validation") or {}
         grid_pitch = _get(validation, "grid_pitch_m", required=False)
         phase_samples = _get(validation, "phase_samples", kind=int, required=False, default=36)
 
-        sweep = raw.get("sweep", {})
-        sweep_r_inits = tuple(float(r) for r in sweep.get("r_init_m", ()))
-        sweep_fractions = tuple(float(f) for f in sweep.get("loss_fractions", ()))
+        sweep = _section(raw, "sweep") or {}
+        sweep_r_inits = tuple(float(r) for r in sweep.get("r_init_m") or ())
+        sweep_fractions = tuple(float(f) for f in sweep.get("loss_fractions") or ())
 
-        def parse_circle(d: dict) -> LoiterCircle:
+        def parse_circle(d: dict | None) -> LoiterCircle | None:
+            if d is None:
+                return None
             return LoiterCircle(Vec2(_get(d, "x_m"), _get(d, "y_m")), _get(d, "radius_m"))
 
-        path_cfg = raw.get("path", {})
-        path_source = parse_circle(path_cfg["source"]) if "source" in path_cfg else None
-        path_target = parse_circle(path_cfg["target"]) if "target" in path_cfg else None
+        path_cfg = _section(raw, "path") or {}
+        path_source = parse_circle(_section(path_cfg, "source"))
+        path_target = parse_circle(_section(path_cfg, "target"))
 
-        table1_mode = raw.get("table1_mode", "exact")
+        table1_mode = _get(raw, "table1_mode", kind=str, required=False, default="exact")
         if table1_mode not in ("exact", "paper"):
             raise ConfigError(f"table1_mode must be 'exact' or 'paper', got {table1_mode!r}")
-        min_turn_formula = raw.get("min_turn_formula", "paper")
+        min_turn_formula = _get(raw, "min_turn_formula", kind=str, required=False, default="paper")
         if min_turn_formula not in ("paper", "standard"):
             raise ConfigError(f"min_turn_formula must be 'paper' or 'standard'")
 
@@ -237,7 +243,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
             turn_radius=_get(raw, "turn_radius_m", required=False),
             min_turn_formula=min_turn_formula,
             table1_mode=table1_mode,
-            out_dir=raw.get("output_dir", "out"),
+            out_dir=_get(raw, "output_dir", kind=str, required=False, default="out"),
         )
     except ConfigError:
         raise

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 from .dubins import TWO_PI, TransitionPlan, closest_approach, plan_transition
@@ -333,6 +332,14 @@ def detect_failures(state: FleetState) -> SurvivorReport:
     )
 
 
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment``, imported on first use: the
+    import costs more than most commands that never assign anything."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
 def _assign_survivors(report: SurvivorReport, centers) -> tuple[dict[int, int], tuple[int, ...]]:
     """Minimum-total-distance matching of survivors onto the new circles.
 
@@ -504,15 +511,16 @@ def coverage_report(
         raise ValueError(f"coverage radius must be positive, got {r_c}")
     if phase_samples < 8:
         raise ValueError(f"phase_samples must be >= 8, got {phase_samples}")
-    px, py = grid_points(area, grid_pitch)
+    xs, ys = grid_points(area, grid_pitch)
     centers = list(centers)
     if not centers:
         return CoverageReport(0.0, 0.0, grid_pitch, phase_samples)
     cx = np.array([c.x for c in centers])
     cy = np.array([c.y for c in centers])
-    cycle = kernels.cycle_cover_count(px, py, cx, cy, r_l, r_c, BOUNDARY_TOL) / px.size
+    covered = kernels.cycle_cover_count(xs, ys, cx, cy, r_l, r_c, BOUNDARY_TOL)
+    cycle = covered / (xs.size * ys.size)
     phases = np.arange(phase_samples) * (TWO_PI / phase_samples)
-    instant = kernels.min_instant_fraction(px, py, cx, cy, r_l, r_c, phases, BOUNDARY_TOL)
+    instant = kernels.min_instant_fraction(xs, ys, cx, cy, r_l, r_c, phases, BOUNDARY_TOL)
     return CoverageReport(
         instant_min_fraction=instant,
         cycle_fraction=cycle,

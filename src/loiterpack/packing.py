@@ -6,12 +6,13 @@ One axis march places every layout: rows, and the circles of each row
 template, are appended until the polygon footprints span the extent, which
 adds one fractionally-outside circle per direction when the last full
 footprint falls short. ``pack``, ``uav_count`` and the optimizer's row and
-column counts all read that march. ``grid_points`` gives the uniform sample
-grid that coverage is measured on.
+column counts all read that march. ``grid_points`` gives the axes of the
+uniform sample grid that coverage is measured on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ from .geometry import SQRT2, SQRT3, AreaSpec, PackingKind, Vec2
 # A new circle is appended while the footprint span falls short of the extent
 # by more than this (meters); exact-fit layouts do not gain a spurious circle.
 SPAN_TOL = 1e-9
+
+# Most samples a coverage grid may hold (64 Mi points).
+MAX_GRID_POINTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -99,12 +103,22 @@ def uav_count(area: AreaSpec, r_l: float, kind: PackingKind) -> int:
 
 
 def grid_points(area: AreaSpec, grid_pitch: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-centered sample grid over the area at roughly the requested pitch."""
+    """Axes (xs, ys) of the cell-centered sample grid over the area at roughly
+    the requested pitch; the samples are every (x, y) pair.
+
+    Raises ``ValueError`` before allocating anything when the grid would hold
+    more than ``MAX_GRID_POINTS`` samples.
+    """
     if not grid_pitch > 0:
         raise ValueError(f"grid pitch must be positive, got {grid_pitch}")
-    nx = max(1, round(area.x_extent / grid_pitch))
-    ny = max(1, round(area.y_extent / grid_pitch))
+    cells = (area.x_extent / grid_pitch, area.y_extent / grid_pitch)
+    if not all(math.isfinite(c) for c in cells):
+        raise ValueError(f"grid pitch {grid_pitch} gives an unbounded sample grid")
+    nx, ny = (max(1, round(c)) for c in cells)
+    if nx * ny > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a {nx} x {ny} sample grid exceeds the limit of {MAX_GRID_POINTS} points"
+        )
     xs = (np.arange(nx) + 0.5) * (area.x_extent / nx)
     ys = (np.arange(ny) + 0.5) * (area.y_extent / ny)
-    gx, gy = np.meshgrid(xs, ys)
-    return gx.ravel(), gy.ravel()
+    return xs, ys

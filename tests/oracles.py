@@ -3,8 +3,9 @@
 Each oracle re-derives its result from first principles with no shared code:
 numeric quadrature for lens areas, a literal marching rule for placement
 counts, a discretized control-space search for shortest bounded-curvature
-paths, per-point coverage predicates for the grid fractions, union-find for
-clusters and permutation search for assignments.
+paths, per-point coverage predicates and dense points x circles kernels for
+the grid fractions, union-find for clusters and permutation search for
+assignments.
 """
 
 from __future__ import annotations
@@ -142,6 +143,43 @@ def covered_at_instant(p, positions, r_c: float) -> bool:
         raise ValueError(f"coverage radius must be positive, got {r_c}")
     threshold = r_c + BOUNDARY_TOL
     return any(p.dist(pos) <= threshold for pos in positions)
+
+
+def grid_samples(xs, ys):
+    """Every sample (x, y) of the grid with axes ``xs`` and ``ys``, flattened."""
+    gx, gy = np.meshgrid(xs, ys)
+    return gx.ravel(), gy.ravel()
+
+
+def _dense_count(px, py, cx, cy, hit) -> int:
+    """Number of points for which ``hit(dx, dy)`` holds for some circle."""
+    if cx.size == 0 or px.size == 0:
+        return 0
+    dx = px[:, None] - cx[None, :]
+    dy = py[:, None] - cy[None, :]
+    return int(hit(dx, dy).any(axis=1).sum())
+
+
+def dense_cycle_cover_count(px, py, cx, cy, r_l, r_c, tol):
+    """Cycle-covered points, testing every point against every circle."""
+    reach = r_c + tol
+    return _dense_count(
+        px, py, cx, cy, lambda dx, dy: np.abs(np.sqrt(dx * dx + dy * dy) - r_l) <= reach
+    )
+
+
+def dense_min_instant_fraction(px, py, cx, cy, r_l, r_c, phases, tol):
+    """Worst-phase instant fraction, testing every point against every UAV."""
+    if px.size == 0:
+        return 0.0
+    reach2 = (r_c + tol) ** 2
+    worst = 1.0
+    for phi in phases:
+        ux = cx + r_l * math.cos(phi)
+        uy = cy + r_l * math.sin(phi)
+        covered = _dense_count(px, py, ux, uy, lambda dx, dy: dx * dx + dy * dy <= reach2)
+        worst = min(worst, covered / px.size)
+    return worst
 
 
 def closest_pair_loop(tracks):

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -354,6 +357,81 @@ class TestConfigValidation:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["pack", "--config", str(bad)]) == 2
+
+
+def every_section_config(out_dir, **overrides):
+    """A config that fills every section, each read by some command."""
+    cfg = base_config(
+        out_dir,
+        deployment={"radius_m": 70.0},
+        failures=[{"time_s": 60.0, "seed": 0, "loss_count": 18}],
+        validation={"grid_pitch_m": 20.0, "phase_samples": 8},
+        sweep={"r_init_m": [70.0], "loss_fractions": [0.1]},
+        path={
+            "source": {"x_m": 0.0, "y_m": 0.0, "radius_m": 70.0},
+            "target": {"x_m": 300.0, "y_m": 200.0, "radius_m": 70.0},
+        },
+    )
+    cfg.update(overrides)
+    return cfg
+
+
+# (section, the command that reads it, exit code with the section null)
+SECTIONS = [
+    ("area", "pack", 2),
+    ("sensor", "pack", 0),
+    ("platform", "simulate", 2),
+    ("deployment", "pack", 2),
+    ("failure", "simulate", 0),
+    ("failures", "simulate", 0),
+    ("validation", "simulate", 0),
+    ("sweep", "sweep", 2),
+    ("path", "path", 2),
+]
+
+
+class TestConfigSections:
+    @pytest.mark.parametrize("section, command, code", SECTIONS)
+    def test_null_section_counts_as_absent(self, tmp_path, capsys, section, command, code):
+        cfg = every_section_config(tmp_path / "out")
+        cfg[section] = None
+        assert run(command, write_config(tmp_path, cfg)) == code
+        err = capsys.readouterr().err
+        assert "NoneType" not in err
+        assert code == 0 or err.startswith("config error:")
+
+    @pytest.mark.parametrize("section, command, _", SECTIONS)
+    def test_non_object_section_is_config_error(self, tmp_path, capsys, section, command, _):
+        cfg = every_section_config(tmp_path / "out")
+        cfg[section] = "x"
+        assert run(command, write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(section) in err
+
+    def test_null_top_level_keys_take_their_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        keys = ("packing", "table1_mode", "min_turn_formula", "output_dir", "r_min_turn_m")
+        cfg = every_section_config(None, **dict.fromkeys(keys))
+        assert run("pack", write_config(tmp_path, cfg)) == 0
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
+    def test_oversized_grid_is_config_error(self, tmp_path, capsys):
+        cfg = every_section_config(tmp_path / "out", validation={"grid_pitch_m": 1e-6})
+        assert run("simulate", write_config(tmp_path, cfg)) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # Only the survivor assignment needs scipy.optimize, and its import
+        # alone costs more than most commands.
+        paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        code = "import sys, loiterpack.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "False"
 
 
 def readme_scenario():

@@ -14,15 +14,22 @@ from loiterpack.fleet import (
     super_agent_recover,
 )
 from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
-from loiterpack.packing import grid_points
-from oracles import closest_pair_loop, covered_at_instant, covered_over_cycle
+from loiterpack.packing import grid_points, pack
+from oracles import (
+    closest_pair_loop,
+    covered_at_instant,
+    covered_over_cycle,
+    dense_cycle_cover_count,
+    dense_min_instant_fraction,
+    grid_samples,
+)
 
 TOL = 1e-9
 
 
 def oracle_fractions(area, centers, r_l, r_c, grid_pitch, phase_samples):
     """(cycle, worst instant) fractions by per-point predicates."""
-    px, py = grid_points(area, grid_pitch)
+    px, py = grid_samples(*grid_points(area, grid_pitch))
     points = [Vec2(float(x), float(y)) for x, y in zip(px, py)]
     circles = [LoiterCircle(c, r_l) for c in centers]
     cycle = sum(any(covered_over_cycle(p, c, r_c) for c in circles) for p in points)
@@ -74,15 +81,97 @@ class TestCoverageReportOracle:
 class TestKernelEmptyInputs:
     def test_no_circles(self):
         z = np.zeros(0)
-        p = np.zeros(3)
-        assert kernels.cycle_cover_count(p, p, z, z, 1.0, 1.0, TOL) == 0
-        assert kernels.min_instant_fraction(p, p, z, z, 1.0, 1.0, np.zeros(8), TOL) == 0.0
+        axis = np.arange(3.0)
+        assert kernels.cycle_cover_count(axis, axis, z, z, 1.0, 1.0, TOL) == 0
+        assert kernels.min_instant_fraction(axis, axis, z, z, 1.0, 1.0, np.zeros(8), TOL) == 0.0
 
     def test_no_points(self):
         z = np.zeros(0)
         c = np.zeros(3)
         assert kernels.cycle_cover_count(z, z, c, c, 1.0, 1.0, TOL) == 0
         assert kernels.min_instant_fraction(z, z, c, c, 1.0, 1.0, np.zeros(8), TOL) == 0.0
+
+
+def assert_matches_dense(xs, ys, cx, cy, r_l, r_c, phases, tol=TOL):
+    px, py = grid_samples(xs, ys)
+    assert kernels.cycle_cover_count(xs, ys, cx, cy, r_l, r_c, tol) == dense_cycle_cover_count(
+        px, py, cx, cy, r_l, r_c, tol
+    )
+    assert kernels.min_instant_fraction(
+        xs, ys, cx, cy, r_l, r_c, phases, tol
+    ) == dense_min_instant_fraction(px, py, cx, cy, r_l, r_c, phases, tol)
+
+
+class TestStampedMatchesDense:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_layouts(self, seed):
+        # Centres up to one loiter-plus-footprint reach outside the area,
+        # r_l below r_c on odd seeds and above it on even ones, and every
+        # fourth grid a single row or column.
+        rng = np.random.default_rng(seed)
+        area = AreaSpec(rng.uniform(20.0, 120.0), rng.uniform(20.0, 120.0))
+        small, large = sorted(rng.uniform(2.0, 30.0, size=2))
+        r_l, r_c = (small, large) if seed % 2 else (large, small)
+        pitch = rng.uniform(0.5, 7.0)
+        xs, ys = grid_points(area, pitch)
+        if seed % 4 == 1:
+            xs = xs[:1]
+        elif seed % 4 == 3:
+            ys = ys[:1]
+        n = int(rng.integers(1, 12))
+        margin = r_l + r_c
+        cx = rng.uniform(-margin, area.x_extent + margin, size=n)
+        cy = rng.uniform(-margin, area.y_extent + margin, size=n)
+        phases = np.arange(36) * (2.0 * math.pi / 36)
+        assert_matches_dense(xs, ys, cx, cy, r_l, r_c, phases)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_samples_exactly_at_the_reach(self, seed):
+        # The centre sits on a grid row and, with no slack, r_c is one
+        # sample's distance from the annulus (cycle) or from the UAV at phase
+        # 0 (instant), as the kernels compute it. That sample lies on the edge
+        # of the circle's window, which rounding can move to just inside it.
+        # The transposed grid puts the edge on the other axis.
+        rng = np.random.default_rng(seed)
+        axis, rows = grid_points(AreaSpec(60.0, 40.0), rng.uniform(0.7, 3.0))
+        c = np.array([rng.uniform(-40.0, 100.0)])
+        row = rows[rng.integers(rows.size), None]
+        r_l = rng.uniform(2.0, 25.0)
+        d = axis[rng.integers(axis.size)] - c[0]
+        for r_c in (abs(abs(d) - r_l), abs(d - r_l)):
+            assert kernels.cycle_cover_count(axis, rows, c, row, r_l, r_c, 0.0) >= 1
+            assert_matches_dense(axis, rows, c, row, r_l, r_c, np.zeros(1), tol=0.0)
+            assert_matches_dense(rows, axis, row, c, r_l, r_c, np.array([math.pi / 2]), tol=0.0)
+
+    def test_phase_blocks_and_row_chunks(self, monkeypatch):
+        # Budgets small enough that every phase gets its own mask block and
+        # every stamp is split into several row chunks.
+        monkeypatch.setattr(kernels, "_MASK_ELEMENTS", 1)
+        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 64)
+        xs, ys = grid_points(AreaSpec(90.0, 70.0), 1.5)
+        rng = np.random.default_rng(7)
+        cx, cy = rng.uniform(-10.0, 100.0, size=6), rng.uniform(-10.0, 80.0, size=6)
+        assert_matches_dense(xs, ys, cx, cy, 14.0, 11.0, np.arange(12) * (math.pi / 6))
+
+
+class TestRecoveredLayoutFractions:
+    """The fractions the benchmark checks bit for bit: the hexagon layouts of
+    the recovered radii (17 survivors on 500x650, 54 on 1000x1000, r_c 80 m,
+    r_l_max 100 m), on a 4 m grid at 36 phases."""
+
+    @pytest.mark.parametrize(
+        "x, y, r_l, instant",
+        [
+            (500.0, 650.0, 96.22504486493763, 0.7239012345679012),
+            (1000.0, 1000.0, 95.23809523809523, 0.745728),
+        ],
+    )
+    def test_pinned_fractions(self, x, y, r_l, instant):
+        area = AreaSpec(x, y)
+        layout = pack(area, r_l, PackingKind.HEXAGON)
+        report = coverage_report(area, layout.centers, r_l, 80.0, 4.0, 36)
+        assert report.cycle_fraction == 1.0
+        assert report.instant_min_fraction == instant
 
 
 def loiterers(*xs):

@@ -5,6 +5,7 @@ import pytest
 
 from loiterpack.fleet import coverage_report
 from loiterpack.geometry import AreaSpec, PackingKind, Vec2, max_loiter_radius
+from loiterpack import packing
 from loiterpack.packing import PackingLayout, grid_points, pack, uav_count
 from oracles import count_hexagon_placement, count_square_placement
 
@@ -216,11 +217,29 @@ class TestValidatePersistentCoverage:
 
 class TestGridPoints:
     def test_counts_and_bounds(self):
-        px, py = grid_points(AreaSpec(10.0, 5.0), 1.0)
-        assert px.size == 50
-        assert px.min() > 0 and px.max() < 10.0
-        assert py.min() > 0 and py.max() < 5.0
+        xs, ys = grid_points(AreaSpec(10.0, 5.0), 1.0)
+        assert xs.size * ys.size == 50
+        assert xs.min() > 0 and xs.max() < 10.0
+        assert ys.min() > 0 and ys.max() < 5.0
 
     def test_rejects_bad_pitch(self):
         with pytest.raises(ValueError):
             grid_points(AreaSpec(10.0, 5.0), 0.0)
+
+    @pytest.mark.parametrize("pitch", [1e-3, 1e-300])
+    def test_rejects_oversized_grids_before_allocating(self, pitch):
+        # 1e18 samples at 1 mm, or an unbounded count: either would exhaust
+        # memory if the limit were checked after allocating.
+        with pytest.raises(ValueError, match="grid"):
+            grid_points(AreaSpec(1e6, 1e6), pitch)
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(packing, "MAX_GRID_POINTS", 50)
+        xs, ys = grid_points(AreaSpec(10.0, 5.0), 1.0)
+        assert xs.size * ys.size == 50
+        with pytest.raises(ValueError):
+            grid_points(AreaSpec(11.0, 5.0), 1.0)
+
+    def test_coverage_report_checks_the_limit(self):
+        with pytest.raises(ValueError, match="grid"):
+            coverage_report(AreaSpec(1e6, 1e6), [Vec2(0.0, 0.0)], 50.0, 40.0, 1e-3, 36)
