@@ -36,6 +36,7 @@ from .dubins import (
     plan_transition,
     sample,
     shortest_path,
+    track,
 )
 from .fleet import (
     CommGraph,

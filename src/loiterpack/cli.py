@@ -19,12 +19,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dubins import plan_pose, plan_transition
+import numpy as np
+
+from .dubins import plan_transition, track
 from .errors import ConfigError, InfeasibleError, PlanningError
 from .fleet import (
     FailureEvent,
     RecoveryOutcome,
     apply_recovery,
+    check_coverage_inputs,
     coverage_report,
     deploy,
     detect_failures,
@@ -221,7 +224,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"table1_mode must be 'exact' or 'paper', got {table1_mode!r}")
         min_turn_formula = _get(raw, "min_turn_formula", kind=str, required=False, default="paper")
         if min_turn_formula not in ("paper", "standard"):
-            raise ConfigError(f"min_turn_formula must be 'paper' or 'standard'")
+            raise ConfigError(
+                f"min_turn_formula must be 'paper' or 'standard', got {min_turn_formula!r}"
+            )
 
         return ScenarioConfig(
             area=area,
@@ -363,6 +368,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     clusters/recovered names, earlier rounds get a round suffix."""
     platform = cfg.require_platform()
     r_c = cfg.coverage_radius()
+    check_coverage_inputs(cfg.area, r_c, cfg.effective_grid_pitch(), cfg.phase_samples)
     events: list[tuple[float, str, str]] = []
 
     state = deploy(
@@ -506,13 +512,11 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     )
     dt = 0.1
     n = max(2, int(math.ceil(plan.arrival_time / dt)) + 1)
+    times = plan.arrival_time * np.arange(n) / (n - 1)
+    xs, ys, headings = track(plan, times, platform.speed)
+    rows = zip(times.tolist(), xs.tolist(), ys.tolist(), headings.tolist())
     lines = ["uav_id,t_s,x_m,y_m,heading_rad"]
-    points = []
-    for i in range(n):
-        t = plan.arrival_time * i / (n - 1) if plan.arrival_time > 0 else 0.0
-        pose = plan_pose(plan, t, platform.speed)
-        points.append(pose.position)
-        lines.append(f"0,{t!r},{pose.position.x!r},{pose.position.y!r},{pose.heading!r}")
+    lines += [f"0,{t!r},{x!r},{y!r},{h!r}" for t, x, y, h in rows]
     out.write_text("path.csv", "\n".join(lines) + "\n")
     break_off = cfg.path_source.point_at(plan.break_off_phase)
     join_in = cfg.path_target.point_at(plan.join_phase)
@@ -521,7 +525,7 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
         render_transition(
             cfg.path_source,
             cfg.path_target,
-            points,
+            list(zip(xs.tolist(), ys.tolist())),
             break_off,
             join_in,
             headings=(plan.break_off_phase + math.pi / 2, plan.join_phase + math.pi / 2),

@@ -7,7 +7,8 @@ can never produce a path that misses the goal pose.
 
 Transitions depart a source loiter circle tangentially and join a target
 circle tangentially at a phase consistent with the fleet-wide synchronized
-phase clock, solved by fixed-point iteration over the arrival time.
+phase clock, solved by fixed-point iteration over the arrival time. ``track``
+evaluates a planned transition (loiter, path, loiter) at an array of times.
 """
 
 from __future__ import annotations
@@ -159,47 +160,63 @@ _SOLVERS = {
 }
 
 
-def _advance(x: float, y: float, th: float, kind: str, length: float, r: float):
-    """End state after one segment; arcs are exact, no integration."""
-    if length <= 0.0:
-        return x, y, th
+def _advance(x, y, th, kind: str, length, r: float, trig=math):
+    """State after ``length`` along one segment from (x, y, th); arcs are
+    exact, no integration. Scalar with ``trig=math``; with ``trig=np`` the
+    start state is scalar and ``length`` an array of lengths."""
     if kind == "S":
-        return x + length * math.cos(th), y + length * math.sin(th), th
+        return x + length * trig.cos(th), y + length * trig.sin(th), th
     phi = length / r
     if kind == "L":
         return (
-            x + r * (math.sin(th + phi) - math.sin(th)),
-            y - r * (math.cos(th + phi) - math.cos(th)),
+            x + r * (trig.sin(th + phi) - trig.sin(th)),
+            y - r * (trig.cos(th + phi) - trig.cos(th)),
             th + phi,
         )
     return (
-        x - r * (math.sin(th - phi) - math.sin(th)),
-        y + r * (math.cos(th - phi) - math.cos(th)),
+        x - r * (trig.sin(th - phi) - trig.sin(th)),
+        y + r * (trig.cos(th - phi) - trig.cos(th)),
         th - phi,
     )
 
 
+def _breakpoints(path: DubinsPath) -> list[tuple[float, float, float]]:
+    """States (x, y, heading) at the start of each segment and at the end."""
+    state = (path.start.position.x, path.start.position.y, path.start.heading)
+    states = [state]
+    for kind, length in zip(path.word.value, path.segment_lengths):
+        if length > 0.0:
+            state = _advance(*state, kind, length, path.turn_radius)
+        states.append(state)
+    return states
+
+
 def path_end(path: DubinsPath) -> Pose:
-    x, y, th = path.start.position.x, path.start.position.y, path.start.heading
-    for kind, length in zip(path.word.value, path.segment_lengths):
-        x, y, th = _advance(x, y, th, kind, length, path.turn_radius)
+    x, y, th = _breakpoints(path)[-1]
     return Pose(Vec2(x, y), th)
 
 
-def sample(path: DubinsPath, s: float) -> Pose:
-    """Pose after arc length ``s`` along the path."""
+def sample(path: DubinsPath, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions and headings (x, y, heading in [0, 2pi)) after the arc
+    lengths ``s`` along the path."""
+    s = np.asarray(s, dtype=float)
     total = path.length
-    if s < -_POSE_EPS or s > total + max(1e-9, 1e-12 * total):
-        raise ValueError(f"arc length {s} outside [0, {total}]")
-    s = min(max(s, 0.0), total)
-    x, y, th = path.start.position.x, path.start.position.y, path.start.heading
-    for kind, length in zip(path.word.value, path.segment_lengths):
-        if s <= length:
-            x, y, th = _advance(x, y, th, kind, s, path.turn_radius)
-            return Pose(Vec2(x, y), th)
-        x, y, th = _advance(x, y, th, kind, length, path.turn_radius)
-        s -= length
-    return Pose(Vec2(x, y), th)
+    outside = (s < -_POSE_EPS) | (s > total + max(1e-9, 1e-12 * total))
+    if outside.any():
+        raise ValueError(f"arc length {s[outside].flat[0]} outside [0, {total}]")
+    rest = np.clip(s, 0.0, total)
+    states = _breakpoints(path)
+    # Lengths that rounding puts past the last segment keep the end state.
+    x, y, th = (np.full(s.shape, value) for value in states[-1])
+    todo = np.ones(s.shape, dtype=bool)
+    for start, kind, length in zip(states, path.word.value, path.segment_lengths):
+        here = todo & (rest <= length)
+        x[here], y[here], th[here] = _advance(
+            *start, kind, rest[here], path.turn_radius, np
+        )
+        todo &= ~here
+        rest = rest - length
+    return x, y, np.mod(th, TWO_PI)
 
 
 def _angle_diff(a: float, b: float) -> float:
@@ -356,37 +373,34 @@ def plan_transition(
     )
 
 
-def plan_pose(plan: TransitionPlan, t: float, v: float) -> Pose:
-    """Pose of a transiting UAV at absolute time ``t`` (loiter-path-loiter)."""
-    omega_src = v / plan.source.radius
-    omega_tgt = v / plan.target.radius
-    if t < plan.depart_delay:
-        phase = plan.start_phase + omega_src * t
-        return loiter_pose(plan.source, phase)
-    if t < plan.arrival_time:
-        return sample(plan.path, min(v * (t - plan.depart_delay), plan.path.length))
-    phase = plan.join_phase + omega_tgt * (t - plan.arrival_time)
-    return loiter_pose(plan.target, phase)
+def _loiter(circle: LoiterCircle, phase: float, dt: np.ndarray, v: float):
+    """(x, y, heading) of a CCW loiterer ``dt`` seconds after it showed ``phase``."""
+    phase = phase + (v / circle.radius) * dt
+    return (
+        circle.center.x + circle.radius * np.cos(phase),
+        circle.center.y + circle.radius * np.sin(phase),
+        np.mod(phase + 0.5 * math.pi, TWO_PI),
+    )
 
 
-def plan_positions(plan: TransitionPlan, times: np.ndarray, v: float) -> np.ndarray:
-    """(n, 2) positions of a transiting UAV at the given absolute times."""
-    out = np.empty((times.size, 2))
-    omega_src = v / plan.source.radius
-    omega_tgt = v / plan.target.radius
-    for i, t in enumerate(times):
-        if t < plan.depart_delay:
-            phase = plan.start_phase + omega_src * t
-            p = plan.source.point_at(phase)
-        elif t < plan.arrival_time:
-            pose = sample(plan.path, min(v * (t - plan.depart_delay), plan.path.length))
-            p = pose.position
-        else:
-            phase = plan.join_phase + omega_tgt * (t - plan.arrival_time)
-            p = plan.target.point_at(phase)
-        out[i, 0] = p.x
-        out[i, 1] = p.y
-    return out
+def track(plan: TransitionPlan, times, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions and headings (x, y, heading) of a transiting UAV at the given
+    absolute times: loiter on the source before ``depart_delay``, fly the
+    Dubins path until ``arrival_time``, then loiter on the target."""
+    times = np.asarray(times, dtype=float)
+    x, y, heading = np.empty_like(times), np.empty_like(times), np.empty_like(times)
+    before = times < plan.depart_delay
+    during = ~before & (times < plan.arrival_time)
+    after = ~before & ~during
+    x[before], y[before], heading[before] = _loiter(
+        plan.source, plan.start_phase, times[before], v
+    )
+    s = np.minimum(v * (times[during] - plan.depart_delay), plan.path.length)
+    x[during], y[during], heading[during] = sample(plan.path, s)
+    x[after], y[after], heading[after] = _loiter(
+        plan.target, plan.join_phase, times[after] - plan.arrival_time, v
+    )
+    return x, y, heading
 
 
 def _timeline(plans, loitering, v: float, dt: float) -> np.ndarray:
@@ -396,23 +410,6 @@ def _timeline(plans, loitering, v: float, dt: float) -> np.ndarray:
         t_end += TWO_PI * max(radii) / v  # one steady-state period past last arrival
     n = max(2, int(math.ceil(t_end / dt)) + 1)
     return np.linspace(0.0, t_end, n)
-
-
-def _all_positions(plans, loitering, v: float, times: np.ndarray):
-    tracks = [plan_positions(p, times, v) for p in plans]
-    for circle, phase in loitering:
-        omega = v / circle.radius
-        phases = phase + omega * times
-        tracks.append(
-            np.stack(
-                [
-                    circle.center.x + circle.radius * np.cos(phases),
-                    circle.center.y + circle.radius * np.sin(phases),
-                ],
-                axis=1,
-            )
-        )
-    return tracks
 
 
 def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
@@ -431,9 +428,12 @@ def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
     if n < 2:
         return math.inf, -1, -1
     times = _timeline(plans, loitering, v, dt)
-    tracks = _all_positions(plans, loitering, v, times)
-    xs = np.stack([trk[:, 0] for trk in tracks])
-    ys = np.stack([trk[:, 1] for trk in tracks])
+    xs = np.empty((n, times.size))
+    ys = np.empty((n, times.size))
+    for k, plan in enumerate(plans):
+        xs[k], ys[k], _ = track(plan, times, v)
+    for k, (circle, phase) in enumerate(loitering, start=len(plans)):
+        xs[k], ys[k], _ = _loiter(circle, phase, times, v)
     best = (math.inf, -1, -1)
     for i in range(n - 1):
         dx = xs[i + 1 :] - xs[i]

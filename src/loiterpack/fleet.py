@@ -39,7 +39,7 @@ from .optimize import (
     revisit_period,
     solve_radius,
 )
-from .packing import PackingLayout, grid_points, pack, uav_count
+from .packing import PackingLayout, grid_points, grid_shape, pack, uav_count
 
 DEFAULT_SEPARATION_THRESHOLD = 2.0  # meters
 DEFAULT_SEPARATION_DT = 0.25  # seconds
@@ -63,17 +63,7 @@ class UavState:
 
 @dataclass(frozen=True)
 class CommGraph:
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def neighbors(self, uav_id: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == uav_id:
-                out.append(j)
-            elif j == uav_id:
-                out.append(i)
-        return sorted(out)
+    edges: frozenset[tuple[int, int]]  # (i, j) with i < j
 
 
 @dataclass(frozen=True)
@@ -146,9 +136,6 @@ class FleetState:
     def alive_ids(self) -> list[int]:
         return [u.id for u in self.uavs if u.alive]
 
-    def uav_by_id(self, uav_id: int) -> UavState:
-        return self.uavs[uav_id]
-
     def position_of(self, uav: UavState) -> Vec2:
         return uav.assigned_circle.point_at(self.phase)
 
@@ -162,7 +149,39 @@ def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> CommGra
         for j in ids[a_pos + 1 :]:
             if ci.dist(circles[j].center) <= reach:
                 edges.add((i, j))
-    return CommGraph(vertices=tuple(ids), edges=frozenset(edges))
+    return CommGraph(edges=frozenset(edges))
+
+
+def _fleet(area, kind, platform, layout, circles, r_com, base, phase, time) -> FleetState:
+    """Fleet of live UAVs loitering on ``circles`` (id -> circle) with every
+    neighbor bit set; the neighbor lists come from one pass over the edges."""
+    comm = _build_comm_graph(circles, r_com)
+    neighbors: dict[int, list[int]] = {i: [] for i in circles}
+    for i, j in comm.edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    uavs = [
+        UavState(
+            id=i,
+            assigned_circle=circles[i],
+            neighbor_ids=sorted(neighbors[i]),
+            neighbor_state=[1] * len(neighbors[i]),
+        )
+        for i in sorted(circles)
+    ]
+    return FleetState(
+        area=area,
+        kind=kind,
+        platform=platform,
+        uavs=uavs,
+        loiter_radius=layout.loiter_radius,
+        phase=phase,
+        time=time,
+        r_com=r_com,
+        base=base,
+        comm=comm,
+        layout=layout,
+    )
 
 
 def deploy(
@@ -204,32 +223,7 @@ def deploy(
     layout = pack(area, radius, kind)
     circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
     r_com = r_com if r_com is not None else min_comm_radius(radius, kind)
-    comm = _build_comm_graph(circles, r_com)
-    uavs = []
-    for i in sorted(circles):
-        neighbor_ids = comm.neighbors(i)
-        uavs.append(
-            UavState(
-                id=i,
-                assigned_circle=circles[i],
-                alive=True,
-                neighbor_ids=neighbor_ids,
-                neighbor_state=[1] * len(neighbor_ids),
-            )
-        )
-    return FleetState(
-        area=area,
-        kind=kind,
-        platform=platform,
-        uavs=uavs,
-        loiter_radius=radius,
-        phase=0.0,
-        time=0.0,
-        r_com=r_com,
-        base=base,
-        comm=comm,
-        layout=layout,
-    )
+    return _fleet(area, kind, platform, layout, circles, r_com, base, phase=0.0, time=0.0)
 
 
 def step(state: FleetState, dt: float) -> FleetState:
@@ -463,33 +457,28 @@ def apply_recovery(state: FleetState, plan: RecoveryPlan) -> FleetState:
         uav_id: LoiterCircle(plan.new_layout.centers[idx], r_new)
         for uav_id, idx in plan.assignment.items()
     }
-    r_com = min_comm_radius(r_new, state.kind)
-    comm = _build_comm_graph(circles, r_com)
-    uavs = []
-    for uav_id in sorted(circles):
-        neighbor_ids = comm.neighbors(uav_id)
-        uavs.append(
-            UavState(
-                id=uav_id,
-                assigned_circle=circles[uav_id],
-                alive=True,
-                neighbor_ids=neighbor_ids,
-                neighbor_state=[1] * len(neighbor_ids),
-            )
-        )
-    return FleetState(
-        area=state.area,
-        kind=state.kind,
-        platform=state.platform,
-        uavs=uavs,
-        loiter_radius=r_new,
+    return _fleet(
+        state.area,
+        state.kind,
+        state.platform,
+        plan.new_layout,
+        circles,
+        min_comm_radius(r_new, state.kind),
+        state.base,
         phase=(state.phase + omega_new * t_end) % TWO_PI,
         time=state.time + t_end,
-        r_com=r_com,
-        base=state.base,
-        comm=comm,
-        layout=plan.new_layout,
     )
+
+
+def check_coverage_inputs(area: AreaSpec, r_c: float, grid_pitch: float, phase_samples: int):
+    """Raise ``ValueError`` on the inputs ``coverage_report`` rejects: a coverage
+    radius that is not positive, fewer than 8 phases or a bad or oversized
+    grid. Allocates nothing, so a command can check before its first output."""
+    if not r_c > 0:
+        raise ValueError(f"coverage radius must be positive, got {r_c}")
+    if phase_samples < 8:
+        raise ValueError(f"phase_samples must be >= 8, got {phase_samples}")
+    grid_shape(area, grid_pitch)
 
 
 def coverage_report(
@@ -507,10 +496,7 @@ def coverage_report(
     ``phase_samples`` evenly spaced common phases, of the points covered at
     that instant by the phase-synchronized CCW fleet.
     """
-    if not r_c > 0:
-        raise ValueError(f"coverage radius must be positive, got {r_c}")
-    if phase_samples < 8:
-        raise ValueError(f"phase_samples must be >= 8, got {phase_samples}")
+    check_coverage_inputs(area, r_c, grid_pitch, phase_samples)
     xs, ys = grid_points(area, grid_pitch)
     centers = list(centers)
     if not centers:

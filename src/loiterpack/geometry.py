@@ -50,9 +50,6 @@ class AreaSpec:
                 f"area extents must be positive, got {self.x_extent} x {self.y_extent}"
             )
 
-    def contains(self, p: Vec2) -> bool:
-        return 0.0 <= p.x <= self.x_extent and 0.0 <= p.y <= self.y_extent
-
 
 @dataclass(frozen=True)
 class SensorModel:

@@ -102,13 +102,10 @@ def uav_count(area: AreaSpec, r_l: float, kind: PackingKind) -> int:
     return sum(len(xs[i % len(xs)]) for i in range(len(ys)))
 
 
-def grid_points(area: AreaSpec, grid_pitch: float) -> tuple[np.ndarray, np.ndarray]:
-    """Axes (xs, ys) of the cell-centered sample grid over the area at roughly
-    the requested pitch; the samples are every (x, y) pair.
-
-    Raises ``ValueError`` before allocating anything when the grid would hold
-    more than ``MAX_GRID_POINTS`` samples.
-    """
+def grid_shape(area: AreaSpec, grid_pitch: float) -> tuple[int, int]:
+    """Sample counts (nx, ny) along the axes of the grid ``grid_points``
+    builds. Raises ``ValueError`` on a pitch that is not positive or gives an
+    unbounded grid, or a grid of more than ``MAX_GRID_POINTS`` samples."""
     if not grid_pitch > 0:
         raise ValueError(f"grid pitch must be positive, got {grid_pitch}")
     cells = (area.x_extent / grid_pitch, area.y_extent / grid_pitch)
@@ -119,6 +116,16 @@ def grid_points(area: AreaSpec, grid_pitch: float) -> tuple[np.ndarray, np.ndarr
         raise ValueError(
             f"a {nx} x {ny} sample grid exceeds the limit of {MAX_GRID_POINTS} points"
         )
+    return nx, ny
+
+
+def grid_points(area: AreaSpec, grid_pitch: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axes (xs, ys) of the cell-centered sample grid over the area at roughly
+    the requested pitch; the samples are every (x, y) pair.
+
+    Raises ``ValueError`` as ``grid_shape`` does, before allocating anything.
+    """
+    nx, ny = grid_shape(area, grid_pitch)
     xs = (np.arange(nx) + 0.5) * (area.x_extent / nx)
     ys = (np.arange(ny) + 0.5) * (area.y_extent / ny)
     return xs, ys

@@ -138,13 +138,14 @@ def render_transition(
     join_in: Vec2,
     headings: tuple[float, float] | None = None,
 ) -> str:
-    """Source/target circles, the transition curve and break-off/join markers."""
+    """Source/target circles, the transition curve (``points``, a sequence of
+    (x, y) pairs) and break-off/join markers."""
     xs = [source.center.x - source.radius, target.center.x - target.radius]
     xs += [source.center.x + source.radius, target.center.x + target.radius]
     ys = [source.center.y - source.radius, target.center.y - target.radius]
     ys += [source.center.y + source.radius, target.center.y + target.radius]
-    xs += [p.x for p in points]
-    ys += [p.y for p in points]
+    xs += [x for x, _ in points]
+    ys += [y for _, y in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
     scene = _Scene(max(xs) - min(xs), max(ys) - min(ys), margin_m=0.15 * span)
     # shift world so min corner sits at origin
@@ -157,7 +158,7 @@ def render_transition(
     scene.add(_circle(scene, LoiterCircle(shift(target.center), target.radius), "#2ca02c", 2.0))
     if len(points) >= 2:
         coords = " ".join(
-            f"{scene.tx(p.x - ox):.2f},{scene.ty(p.y - oy):.2f}" for p in points
+            f"{scene.tx(x - ox):.2f},{scene.ty(y - oy):.2f}" for x, y in points
         )
         scene.add(
             f'<polyline points="{coords}" fill="none" stroke="#d62728" stroke-width="2"/>'

@@ -3,7 +3,7 @@
 Each oracle re-derives its result from first principles with no shared code:
 numeric quadrature for lens areas, a literal marching rule for placement
 counts, a discretized control-space search for shortest bounded-curvature
-paths, per-point coverage predicates and dense points x circles kernels for
+paths, scalar segment walks for transition tracks, per-point coverage predicates and dense points x circles kernels for
 the grid fractions, union-find for clusters and permutation search for
 assignments.
 """
@@ -124,6 +124,68 @@ def dubins_discretized_length(a, b, r: float, n_grid: int = 200_000) -> float:
                 lengths = (t[ok][ok2] + p_mid[ok2] + q_f[ok2]) * r
                 best = min(best, float(lengths.min()))
     return best
+
+
+def _advance_scalar(x, y, th, kind, length, r):
+    """State after one segment of a Dubins path, one scalar at a time."""
+    if length <= 0.0:
+        return x, y, th
+    if kind == "S":
+        return x + length * math.cos(th), y + length * math.sin(th), th
+    phi = length / r
+    if kind == "L":
+        return (
+            x + r * (math.sin(th + phi) - math.sin(th)),
+            y - r * (math.cos(th + phi) - math.cos(th)),
+            th + phi,
+        )
+    return (
+        x - r * (math.sin(th - phi) - math.sin(th)),
+        y + r * (math.cos(th - phi) - math.cos(th)),
+        th - phi,
+    )
+
+
+def path_state_loop(path, s):
+    """(x, y, heading) after arc length ``s`` along a Dubins path, walking the
+    segments one by one; the heading is not reduced."""
+    total = sum(path.segment_lengths)
+    s = min(max(s, 0.0), total)
+    x, y, th = path.start.position.x, path.start.position.y, path.start.heading
+    for kind, length in zip(path.word.value, path.segment_lengths):
+        if s <= length:
+            return _advance_scalar(x, y, th, kind, s, path.turn_radius)
+        x, y, th = _advance_scalar(x, y, th, kind, length, path.turn_radius)
+        s -= length
+    return x, y, th
+
+
+def plan_pose_loop(plan, t, v):
+    """(x, y, heading in [0, 2pi)) of a transiting UAV at absolute time ``t``:
+    source loiter, Dubins path, target loiter, decided one time at a time."""
+    if t < plan.depart_delay:
+        circle, phase = plan.source, plan.start_phase + (v / plan.source.radius) * t
+    elif t < plan.arrival_time:
+        s = min(v * (t - plan.depart_delay), sum(plan.path.segment_lengths))
+        x, y, th = path_state_loop(plan.path, s)
+        return x, y, th % TWO_PI
+    else:
+        circle = plan.target
+        phase = plan.join_phase + (v / plan.target.radius) * (t - plan.arrival_time)
+    x = circle.center.x + circle.radius * math.cos(phase)
+    y = circle.center.y + circle.radius * math.sin(phase)
+    return x, y, ((phase + 0.5 * math.pi) % TWO_PI) % TWO_PI
+
+
+def tracks_loop(plans, loitering, v, times):
+    """(T, 2) position tracks of transiting UAVs, then of loiterers given as
+    (circle, phase at t = 0) pairs, sampled one time at a time."""
+    tracks = [np.array([plan_pose_loop(p, t, v)[:2] for t in times]) for p in plans]
+    for circle, phase in loitering:
+        cx, cy, r = circle.center.x, circle.center.y, circle.radius
+        phases = [phase + (v / r) * t for t in times]
+        tracks.append(np.array([(cx + r * math.cos(a), cy + r * math.sin(a)) for a in phases]))
+    return tracks
 
 
 def covered_over_cycle(p, circle, r_c: float) -> bool:

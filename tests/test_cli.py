@@ -421,6 +421,33 @@ class TestConfigSections:
         assert "exceeds the limit" in capsys.readouterr().err
 
 
+class TestSimulateChecksFirst:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"validation": {"grid_pitch_m": 1e-6}}, "exceeds the limit"),
+            ({"validation": {"phase_samples": 4}}, "phase_samples must be >= 8"),
+            ({"r_c_m": -5.0}, "coverage radius must be positive"),
+        ],
+    )
+    def test_bad_coverage_inputs_exit_2_before_any_artifact(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            deployment={"radius_m": 70.0},
+            failure={"time_s": 60.0, "seed": 42, "loss_count": 18},
+            **overrides,
+        )
+        assert run("simulate", write_config(tmp_path, cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_min_turn_formula_error_names_the_value(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out", deployment={"radius_m": 70.0}, min_turn_formula="steep")
+        assert run("pack", write_config(tmp_path, cfg)) == 2
+        assert "got 'steep'" in capsys.readouterr().err
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         # Only the survivor assignment needs scipy.optimize, and its import

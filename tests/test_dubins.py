@@ -7,19 +7,20 @@ from loiterpack.dubins import (
     DubinsPath,
     DubinsWord,
     Pose,
+    TransitionPlan,
     _SOLVERS,
     closest_approach,
     loiter_pose,
     mod2pi,
     path_end,
-    plan_pose,
     plan_transition,
     sample,
     shortest_path,
+    track,
 )
 from loiterpack.errors import PlanningError
 from loiterpack.geometry import LoiterCircle, Vec2
-from oracles import dubins_discretized_length
+from oracles import dubins_discretized_length, path_state_loop, plan_pose_loop
 
 TWO_PI = 2 * math.pi
 
@@ -92,9 +93,9 @@ class TestShortestPath:
             r = rng.uniform(0.3, 3.0)
             a, b = random_pose(rng), random_pose(rng)
             path = shortest_path(a, b, r)
-            end = sample(path, path.length)
-            assert end.position.dist(b.position) < 1e-6
-            assert abs(mod2pi(end.heading - b.heading + math.pi) - math.pi) < 1e-6
+            x, y, heading = sample(path, path.length)
+            assert Vec2(x, y).dist(b.position) < 1e-6
+            assert abs(mod2pi(heading - b.heading + math.pi) - math.pi) < 1e-6
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(13)
@@ -124,15 +125,15 @@ class TestShortestPath:
 class TestSample:
     def test_start_pose(self):
         path = shortest_path(pose(1, 2, 0.4), pose(5, -1, 2.0), 1.0)
-        start = sample(path, 0.0)
-        assert start.position.dist(Vec2(1, 2)) < 1e-12
-        assert start.heading == pytest.approx(0.4)
+        x, y, heading = sample(path, 0.0)
+        assert Vec2(x, y).dist(Vec2(1, 2)) < 1e-12
+        assert heading == pytest.approx(0.4)
 
     def test_straight_midpoint(self):
         path = shortest_path(pose(0, 0, 0), pose(10, 0, 0), 1.0)
-        mid = sample(path, 5.0)
-        assert mid.position.dist(Vec2(5, 0)) < 1e-12
-        assert mid.heading == pytest.approx(0.0)
+        x, y, heading = sample(path, 5.0)
+        assert Vec2(x, y).dist(Vec2(5, 0)) < 1e-12
+        assert heading == pytest.approx(0.0)
 
     def test_ccc_position_continuity(self):
         # A pure three-arc path: nearby start/goal with flipped heading.
@@ -141,11 +142,8 @@ class TestSample:
         path = shortest_path(a, b, 1.0)
         assert path.word in (DubinsWord.RLR, DubinsWord.LRL)
         ds = path.length / 400
-        prev = sample(path, 0.0).position
-        for i in range(1, 401):
-            cur = sample(path, i * ds).position
-            assert cur.dist(prev) < 2 * ds
-            prev = cur
+        x, y, _ = sample(path, np.arange(401) * ds)
+        assert (np.hypot(np.diff(x), np.diff(y)) < 2 * ds).all()
 
     def test_out_of_range(self):
         path = shortest_path(pose(0, 0, 0), pose(10, 0, 0), 1.0)
@@ -153,6 +151,115 @@ class TestSample:
             sample(path, -0.5)
         with pytest.raises(ValueError):
             sample(path, path.length + 1.0)
+        with pytest.raises(ValueError):
+            sample(path, [0.0, path.length + 1.0])
+
+    def test_every_word_matches_the_segment_walk(self):
+        rng = np.random.default_rng(16)
+        for path in oracle_paths(rng):
+            cuts = np.cumsum(path.segment_lengths)
+            s = np.concatenate(
+                [[0.0], cuts, np.nextafter(cuts, 0.0), rng.uniform(0.0, path.length, 20)]
+            )
+            # Lengths just outside [0, length], within the range check, clamp.
+            s = np.concatenate([np.minimum(s, path.length), [-5e-13, path.length + 5e-10]])
+            x, y, heading = sample(path, s)
+            expected = np.array([path_state_loop(path, si) for si in s])
+            assert np.array_equal(x, expected[:, 0])
+            assert np.array_equal(y, expected[:, 1])
+            assert np.array_equal(heading, expected[:, 2] % TWO_PI)
+
+
+def word_path(rng, word, r):
+    """A DubinsPath of the given word between random nearby poses."""
+    while True:
+        a, b = random_pose(rng, span=2.0 * r), random_pose(rng, span=2.0 * r)
+        dx, dy = b.position.x - a.position.x, b.position.y - a.position.y
+        theta = math.atan2(dy, dx)
+        tpq = _SOLVERS[word](
+            mod2pi(a.heading - theta), mod2pi(b.heading - theta), math.hypot(dx, dy) / r
+        )
+        if tpq is not None:
+            return DubinsPath(word, tuple(seg * r for seg in tpq), r, a)
+
+
+def oracle_paths(rng):
+    """Paths of every word, plus paths with zero-length segments."""
+    paths = []
+    for word in DubinsWord:
+        paths += [word_path(rng, word, rng.uniform(5.0, 15.0)) for _ in range(5)]
+    start = pose(3.0, -4.0, 0.7)
+    paths.append(DubinsPath(DubinsWord.LSL, (0.0, 0.0, 0.0), 10.0, start))
+    paths.append(DubinsPath(DubinsWord.LSL, (0.0, 25.0, 0.0), 10.0, start))
+    paths.append(DubinsPath(DubinsWord.RSR, (4.0, 0.0, 6.0), 10.0, start))
+    paths.append(DubinsPath(DubinsWord.LRL, (0.0, 9.0, 2.0), 10.0, start))
+    return paths
+
+
+class TestTrack:
+    V = 15.0
+
+    def oracle_plans(self, rng):
+        """Plans over every path of ``oracle_paths`` with random loiter circles
+        and delays, and planned transitions with and without a base delay."""
+        plans = []
+        for path in oracle_paths(rng):
+            source = LoiterCircle(Vec2(*rng.uniform(-200, 200, 2)), rng.uniform(40, 90))
+            target = LoiterCircle(Vec2(*rng.uniform(-200, 200, 2)), rng.uniform(40, 90))
+            delay = float(rng.choice([0.0, rng.uniform(0.0, 30.0)]))
+            plans.append(
+                TransitionPlan(
+                    uav_id=len(plans),
+                    source=source,
+                    target=target,
+                    start_phase=rng.uniform(0, TWO_PI),
+                    break_off_phase=rng.uniform(0, TWO_PI),
+                    depart_delay=delay,
+                    path=path,
+                    join_phase=rng.uniform(0, TWO_PI),
+                    arrival_time=delay + path.length / self.V,
+                )
+            )
+        for base_delay in (0.0, 0.0, 17.5, 40.0):
+            src = LoiterCircle(Vec2(*rng.uniform(-200, 200, 2)), rng.uniform(40, 90))
+            tgt = LoiterCircle(Vec2(*rng.uniform(-200, 200, 2)), rng.uniform(40, 90))
+            plans.append(
+                plan_transition(0, src, rng.uniform(0, TWO_PI), tgt, 11.5, self.V, base_delay)
+            )
+        circle = LoiterCircle(Vec2(0, 0), 50.0)
+        plans.append(plan_transition(0, circle, 0.7, circle, 10.0, self.V))  # zero-length path
+        return plans
+
+    def test_matches_the_scalar_pose_oracle(self):
+        rng = np.random.default_rng(17)
+        plans = self.oracle_plans(rng)
+        assert {p.path.word for p in plans} == set(DubinsWord)
+        assert any(p.depart_delay > 0 for p in plans)
+        for plan in plans:
+            t_end = plan.arrival_time + 60.0
+            times = np.concatenate(
+                [
+                    [0.0, plan.depart_delay, plan.arrival_time, t_end],
+                    np.nextafter([plan.depart_delay, plan.arrival_time], 0.0),
+                    plan.depart_delay + np.cumsum(plan.path.segment_lengths) / self.V,
+                    rng.uniform(0.0, t_end, 40),
+                    np.linspace(0.0, t_end, 50),
+                ]
+            )
+            x, y, heading = track(plan, times, self.V)
+            expected = np.array([plan_pose_loop(plan, t, self.V) for t in times])
+            assert np.array_equal(x, expected[:, 0])
+            assert np.array_equal(y, expected[:, 1])
+            assert np.array_equal(heading, expected[:, 2])
+
+    def test_piecewise(self):
+        src = LoiterCircle(Vec2(0, 0), 60.0)
+        tgt = LoiterCircle(Vec2(400, 0), 80.0)
+        v = 15.0
+        plan = plan_transition(0, src, 0.0, tgt, 11.5, v, base_delay=10.0)
+        x, y, _ = track(plan, [1.0, plan.arrival_time + 3.0], v)
+        assert Vec2(x[0], y[0]).dist(src.center) == pytest.approx(src.radius, abs=1e-9)
+        assert Vec2(x[1], y[1]).dist(tgt.center) == pytest.approx(tgt.radius, abs=1e-9)
 
 
 class TestPlanTransition:
@@ -190,10 +297,10 @@ class TestPlanTransition:
         depart = loiter_pose(src, plan.break_off_phase)
         assert plan.path.start.position.dist(depart.position) < 1e-9
         assert abs(plan.path.start.heading - depart.heading) < 1e-9
-        end = sample(plan.path, plan.path.length)
+        x, y, heading = sample(plan.path, plan.path.length)
         join = loiter_pose(tgt, plan.join_phase)
-        assert end.position.dist(join.position) < 1e-6
-        assert abs(mod2pi(end.heading - join.heading + math.pi) - math.pi) < 1e-6
+        assert Vec2(x, y).dist(join.position) < 1e-6
+        assert abs(mod2pi(heading - join.heading + math.pi) - math.pi) < 1e-6
 
     def test_base_delay_keeps_sync(self):
         src = LoiterCircle(Vec2(0, 0), 60.0)
@@ -210,16 +317,6 @@ class TestPlanTransition:
         tgt = LoiterCircle(Vec2(100, 0), 8.0)
         with pytest.raises(PlanningError):
             plan_transition(0, src, 0.0, tgt, 10.0, 15.0)
-
-    def test_plan_pose_piecewise(self):
-        src = LoiterCircle(Vec2(0, 0), 60.0)
-        tgt = LoiterCircle(Vec2(400, 0), 80.0)
-        v = 15.0
-        plan = plan_transition(0, src, 0.0, tgt, 11.5, v, base_delay=10.0)
-        before = plan_pose(plan, 1.0, v)
-        assert before.position.dist(src.center) == pytest.approx(src.radius, abs=1e-9)
-        after = plan_pose(plan, plan.arrival_time + 3.0, v)
-        assert after.position.dist(tgt.center) == pytest.approx(tgt.radius, abs=1e-9)
 
 
 class TestMinSeparation:

@@ -75,6 +75,14 @@ class TestDeploy:
             d = state.uavs[i].assigned_circle.center.dist(state.uavs[j].assigned_circle.center)
             assert d <= reach
 
+    def test_neighbor_lists_are_the_sorted_edge_ends(self):
+        state, _, plan = run_recovery()
+        for fleet in (table2_fleet(), apply_recovery(state, plan)):
+            for uav in fleet.uavs:
+                ends = [j if i == uav.id else i for i, j in fleet.comm.edges if uav.id in (i, j)]
+                assert uav.neighbor_ids == sorted(ends)
+                assert uav.neighbor_state == [1] * len(ends)
+
 
 class TestStep:
     def test_full_period_is_identity(self):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from loiterpack import kernels
-from loiterpack.dubins import _all_positions, _timeline, closest_approach, plan_transition
+from loiterpack import fleet, kernels
+from loiterpack.dubins import _timeline, closest_approach, plan_transition
 from loiterpack.fleet import (
     FailureEvent,
     coverage_report,
@@ -22,6 +22,7 @@ from oracles import (
     dense_cycle_cover_count,
     dense_min_instant_fraction,
     grid_samples,
+    tracks_loop,
 )
 
 TOL = 1e-9
@@ -209,7 +210,8 @@ class TestClosestApproach:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_pair_loop(self, seed):
         # Recovery transitions of the Table II scenario, plus loiterers that
-        # repeat one circle (exact ties) and sit among the transit tracks.
+        # repeat one circle (exact ties) and sit among the transit tracks,
+        # and the untied loiterers alone.
         area, platform = AreaSpec(500.0, 650.0), PlatformModel(speed=15.0, max_bank=0.5)
         state = deploy(area, PackingKind.HEXAGON, platform, radius=70.0)
         inject_failure(state, FailureEvent(seed=seed, loss_count=18))
@@ -222,8 +224,38 @@ class TestClosestApproach:
             (LoiterCircle(Vec2(rng.uniform(0, 500), rng.uniform(0, 650)), 70.0), rng.uniform(0, 6))
             for _ in range(3)
         ]
-        for plans, extra in ((plan.transitions, ()), (plan.transitions, loitering)):
+        cases = ((plan.transitions, ()), (plan.transitions, loitering), ((), loitering[2:]))
+        for plans, extra in cases:
             times = _timeline(plans, extra, 15.0, 0.25)
-            tracks = _all_positions(plans, extra, 15.0, times)
-            expected = closest_pair_loop(tracks)
+            expected = closest_pair_loop(tracks_loop(plans, extra, 15.0, times))
             assert closest_approach(plans, extra, v=15.0, dt=0.25) == expected
+
+    # (area x, area y, UAVs lost, failure seeds) of the perfbench workloads
+    # paper-35 and coverage-1km.
+    @pytest.mark.parametrize(
+        "x, y, loss_count, draws", [(500.0, 650.0, 18, 32), (1000.0, 1000.0, 36, 16)]
+    )
+    def test_matches_the_scalar_track_oracle_on_recoveries(
+        self, monkeypatch, x, y, loss_count, draws
+    ):
+        # Every separation check of every recovery (stagger rounds included)
+        # against the pair loop over tracks sampled one time at a time.
+        area, platform = AreaSpec(x, y), PlatformModel(speed=15.0, max_bank=0.5)
+        calls = []
+
+        def recorded(plans, loitering=(), v=1.0, dt=0.25):
+            result = closest_approach(plans, loitering, v=v, dt=dt)
+            calls.append((list(plans), list(loitering), v, dt, result))
+            return result
+
+        monkeypatch.setattr(fleet, "closest_approach", recorded)
+        for seed in range(draws):
+            state = fleet.step(deploy(area, PackingKind.HEXAGON, platform, radius=70.0), 60.0)
+            inject_failure(state, FailureEvent(time=60.0, seed=seed, loss_count=loss_count))
+            super_agent_recover(
+                detect_failures(state), area, PackingKind.HEXAGON, 80.0, platform, r_l_max=100.0
+            )
+        assert len(calls) >= draws
+        for plans, loitering, v, dt, result in calls:
+            times = _timeline(plans, loitering, v, dt)
+            assert result == closest_pair_loop(tracks_loop(plans, loitering, v, times))
