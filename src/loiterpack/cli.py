@@ -183,24 +183,34 @@ def parse_config(raw: dict) -> ScenarioConfig:
             if (deploy_radius is None) == (deploy_budget is None):
                 raise ConfigError("deployment needs exactly one of 'radius_m' or 'budget_n'")
 
-        def parse_event(f: dict) -> FailureEvent:
+        def parse_event(f: dict, name: str) -> FailureEvent:
             time_s = _get(f, "time_s", required=False, default=0.0)
+            if not (math.isfinite(time_s) and time_s >= 0.0):
+                raise ConfigError(f"{name}: 'time_s' must be finite and >= 0, got {f['time_s']!r}")
             if f.get("lost_ids") is not None:
                 return FailureEvent(time=time_s, lost_ids=frozenset(int(i) for i in f["lost_ids"]))
-            return FailureEvent(
-                time=time_s,
-                seed=_get(f, "seed", kind=int),
-                loss_count=_get(f, "loss_count", kind=int),
-            )
+            seed = _get(f, "seed", kind=int)
+            if seed < 0:
+                raise ConfigError(f"{name}: 'seed' must be >= 0, got {seed}")
+            return FailureEvent(time=time_s, seed=seed, loss_count=_get(f, "loss_count", kind=int))
 
         failure = _section(raw, "failure")
         events = raw.get("failures")
         if failure is not None and events is not None:
             raise ConfigError("specify either 'failure' or 'failures', not both")
-        events = [failure] if failure is not None else events or []
-        if not isinstance(events, list) or not all(isinstance(f, dict) for f in events):
-            raise ConfigError(f"'failures' must be a list of JSON objects, got {events!r}")
-        failures = tuple(parse_event(f) for f in events)
+        if failure is not None:
+            failures = (parse_event(failure, "failure"),)
+        else:
+            events = events or []
+            if not isinstance(events, list) or not all(isinstance(f, dict) for f in events):
+                raise ConfigError(f"'failures' must be a list of JSON objects, got {events!r}")
+            failures = tuple(parse_event(f, f"failures[{k}]") for k, f in enumerate(events))
+            for k in range(1, len(failures)):
+                if not failures[k].time > failures[k - 1].time:
+                    raise ConfigError(
+                        f"failures[{k}]: 'time_s' {failures[k].time} must be later than "
+                        f"failures[{k - 1}] at {failures[k - 1].time}"
+                    )
 
         validation = _section(raw, "validation") or {}
         grid_pitch = _get(validation, "grid_pitch_m", required=False)
@@ -553,6 +563,8 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     if args.table1_mode is not None:
         cfg.table1_mode = args.table1_mode
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seeded = [f for f in cfg.failures if f.seed is not None]
         if not seeded:
             raise ConfigError("--seed needs a seeded failure event in the config")

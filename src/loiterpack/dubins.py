@@ -1,9 +1,10 @@
 """Bounded-curvature shortest paths and phase-synchronized loiter transitions.
 
 Shortest paths are the classical six-word family (LSL, LSR, RSL, RSR, RLR,
-LRL) solved in the radius-normalized frame. Every candidate word is verified
-by forward application before it can win, so a numerically degenerate branch
-can never produce a path that misses the goal pose.
+LRL) solved in the radius-normalized frame. Candidate words are verified by
+forward application, shortest first, and the first that reaches the goal
+wins, so a numerically degenerate branch can never produce a path that misses
+the goal pose.
 
 Transitions depart a source loiter circle tangentially and join a target
 circle tangentially at a phase consistent with the fleet-wide synchronized
@@ -75,7 +76,9 @@ class DubinsPath:
 
     @property
     def length(self) -> float:
-        return sum(self.segment_lengths)
+        # Left to right on purpose: sum() rounds differently from Python 3.12.
+        t, p, q = self.segment_lengths
+        return t + p + q
 
 
 @dataclass(frozen=True)
@@ -92,72 +95,60 @@ class TransitionPlan:
 
 
 # ---------------------------------------------------------------------------
-# word solvers in the normalized frame (unit radius, start at origin heading
-# alpha, goal at (d, 0) heading beta); return (t, p, q) segment lengths.
+# word solutions in the normalized frame (unit radius, start at origin heading
+# alpha, goal at (d, 0) heading beta).
 
 
-def _lsl(alpha: float, beta: float, d: float):
-    p_sq = 2.0 + d * d - 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(alpha) - math.sin(beta))
+def _words(alpha: float, beta: float, d: float):
+    """(t, p, q) segment lengths of each word in ``_WORD_ORDER``, or None
+    where the word does not exist; the trigonometry is shared by all six."""
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    c_ab = math.cos(alpha - beta)
+    dd = d * d
+    # Shared by LSL and LRL, and by RSR and RLR.
+    psi_l = math.atan2(cb - ca, d + sa - sb)
+    psi_r = math.atan2(ca - cb, d - sa + sb)
+
+    p_sq = 2.0 + dd - 2.0 * c_ab + 2.0 * d * (sa - sb)
+    lsl = None if p_sq < 0.0 else (mod2pi(psi_l - alpha), math.sqrt(p_sq), mod2pi(beta - psi_l))
+
+    p_sq = -2.0 + dd + 2.0 * c_ab + 2.0 * d * (sa + sb)
     if p_sq < 0.0:
-        return None
-    psi = math.atan2(math.cos(beta) - math.cos(alpha), d + math.sin(alpha) - math.sin(beta))
-    return mod2pi(psi - alpha), math.sqrt(p_sq), mod2pi(beta - psi)
+        lsr = None
+    else:
+        p = math.sqrt(p_sq)
+        psi = math.atan2(-ca - cb, d + sa + sb) + math.atan2(2.0, p)
+        lsr = (mod2pi(psi - alpha), p, mod2pi(psi - beta))
 
-
-def _rsr(alpha: float, beta: float, d: float):
-    p_sq = 2.0 + d * d - 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(beta) - math.sin(alpha))
+    p_sq = -2.0 + dd + 2.0 * c_ab - 2.0 * d * (sa + sb)
     if p_sq < 0.0:
-        return None
-    psi = math.atan2(math.cos(alpha) - math.cos(beta), d - math.sin(alpha) + math.sin(beta))
-    return mod2pi(alpha - psi), math.sqrt(p_sq), mod2pi(psi - beta)
+        rsl = None
+    else:
+        p = math.sqrt(p_sq)
+        psi = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
+        rsl = (mod2pi(alpha - psi), p, mod2pi(beta - psi))
 
+    p_sq = 2.0 + dd - 2.0 * c_ab + 2.0 * d * (sb - sa)
+    rsr = None if p_sq < 0.0 else (mod2pi(alpha - psi_r), math.sqrt(p_sq), mod2pi(psi_r - beta))
 
-def _lsr(alpha: float, beta: float, d: float):
-    p_sq = -2.0 + d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(alpha) + math.sin(beta))
-    if p_sq < 0.0:
-        return None
-    p = math.sqrt(p_sq)
-    psi = math.atan2(-math.cos(alpha) - math.cos(beta), d + math.sin(alpha) + math.sin(beta)) + math.atan2(2.0, p)
-    return mod2pi(psi - alpha), p, mod2pi(psi - beta)
-
-
-def _rsl(alpha: float, beta: float, d: float):
-    p_sq = -2.0 + d * d + 2.0 * math.cos(alpha - beta) - 2.0 * d * (math.sin(alpha) + math.sin(beta))
-    if p_sq < 0.0:
-        return None
-    p = math.sqrt(p_sq)
-    psi = math.atan2(math.cos(alpha) + math.cos(beta), d - math.sin(alpha) - math.sin(beta)) - math.atan2(2.0, p)
-    return mod2pi(alpha - psi), p, mod2pi(beta - psi)
-
-
-def _rlr(alpha: float, beta: float, d: float):
-    cos_mid = (6.0 - d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(alpha) - math.sin(beta))) / 8.0
+    cos_mid = (6.0 - dd + 2.0 * c_ab + 2.0 * d * (sa - sb)) / 8.0
     if abs(cos_mid) > 1.0:
-        return None
-    p = mod2pi(TWO_PI - math.acos(cos_mid))
-    psi = math.atan2(math.cos(alpha) - math.cos(beta), d - math.sin(alpha) + math.sin(beta))
-    t = mod2pi(alpha - psi + 0.5 * p)
-    return t, p, mod2pi(alpha - beta - t + p)
+        rlr = None
+    else:
+        p = mod2pi(TWO_PI - math.acos(cos_mid))
+        t = mod2pi(alpha - psi_r + 0.5 * p)
+        rlr = (t, p, mod2pi(alpha - beta - t + p))
 
-
-def _lrl(alpha: float, beta: float, d: float):
-    cos_mid = (6.0 - d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(beta) - math.sin(alpha))) / 8.0
+    cos_mid = (6.0 - dd + 2.0 * c_ab + 2.0 * d * (sb - sa)) / 8.0
     if abs(cos_mid) > 1.0:
-        return None
-    p = mod2pi(TWO_PI - math.acos(cos_mid))
-    psi = math.atan2(math.cos(beta) - math.cos(alpha), d + math.sin(alpha) - math.sin(beta))
-    t = mod2pi(psi - alpha + 0.5 * p)
-    return t, p, mod2pi(beta - alpha - t + p)
+        lrl = None
+    else:
+        p = mod2pi(TWO_PI - math.acos(cos_mid))
+        t = mod2pi(psi_l - alpha + 0.5 * p)
+        lrl = (t, p, mod2pi(beta - alpha - t + p))
 
-
-_SOLVERS = {
-    DubinsWord.LSL: _lsl,
-    DubinsWord.LSR: _lsr,
-    DubinsWord.RSL: _rsl,
-    DubinsWord.RSR: _rsr,
-    DubinsWord.RLR: _rlr,
-    DubinsWord.LRL: _lrl,
-}
+    return lsl, lsr, rsl, rsr, rlr, lrl
 
 
 def _advance(x, y, th, kind: str, length, r: float, trig=math):
@@ -239,30 +230,26 @@ def shortest_path(a: Pose, b: Pose, r_turn: float) -> DubinsPath:
     beta = mod2pi(b.heading - theta)
     d = dist / r_turn
 
-    best: DubinsPath | None = None
-    best_len = math.inf
+    # Shortest first, the earlier word on equal lengths: the first candidate
+    # that reaches ``b`` is the shortest verified word.
+    candidates = []
+    for k, tpq in enumerate(_words(alpha, beta, d)):
+        if tpq is not None:
+            t, p, q = tpq[0] * r_turn, tpq[1] * r_turn, tpq[2] * r_turn
+            candidates.append((t + p + q, k, (t, p, q)))
+    candidates.sort()
     tol = 1e-9 * scale
-    for word in _WORD_ORDER:
-        tpq = _SOLVERS[word](alpha, beta, d)
-        if tpq is None:
-            continue
-        lengths = tuple(seg * r_turn for seg in tpq)
-        candidate = DubinsPath(word, lengths, r_turn, a)
-        total = candidate.length
-        if total >= best_len:
-            continue
-        end = path_end(candidate)
+    for _, k, lengths in candidates:
+        candidate = DubinsPath(_WORD_ORDER[k], lengths, r_turn, a)
+        x, y, heading = _breakpoints(candidate)[-1]
         if (
-            end.position.dist(b.position) <= tol
-            and _angle_diff(end.heading, b.heading) <= 1e-9
+            math.hypot(x - b.position.x, y - b.position.y) <= tol
+            and _angle_diff(mod2pi(heading), b.heading) <= 1e-9
         ):
-            best = candidate
-            best_len = total
-    if best is None:
-        # All six closed forms exist for every pose pair; reaching this means
-        # a verification tolerance failure, which is a bug worth surfacing.
-        raise PlanningError(f"no verified Dubins word connects {a} to {b}")
-    return best
+            return candidate
+    # All six closed forms exist for every pose pair; reaching this means
+    # a verification tolerance failure, which is a bug worth surfacing.
+    raise PlanningError(f"no verified Dubins word connects {a} to {b}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +278,17 @@ def plan_transition(
     arrival instant. Solved by fixed-point iteration over the arrival time;
     non-convergent geometries retry with the departure postponed, first by
     one full target period, then by fractional-period offsets.
+
+    For one departure delay the arrival time is a deterministic function of
+    the guessed arrival, so two loops stop early without changing the result:
+
+    - The fixed point stops when an iterate repeats one already seen at this
+      delay. From there the sequence cycles through steps that were checked
+      and did not converge, so it can never converge; the bisection starts.
+    - The bisection stops when the midpoint equals the previous one. That
+      midpoint did not meet the tolerance, and evaluating it again moves the
+      same bracket end to where it already is, so every remaining step would
+      repeat it; the next delay is tried.
     """
     if not v > 0:
         raise ValueError(f"speed must be positive, got {v}")
@@ -335,10 +333,14 @@ def plan_transition(
             return delay + path.length / v, join_phase, path
 
         t = delay
+        seen = set()
         for _ in range(MAX_SYNC_ITERATIONS):
             t_new, join_phase, path = arrival_for(t)
             if abs(t_new - t) < tol:
                 return build_plan(delay, break_phase, join_phase, path, t_new)
+            seen.add(t)
+            if t_new in seen:
+                break  # a cycle: every later step repeats a failed one
             t = t_new
 
         # The plain iteration can oscillate when the goal pose swings the
@@ -357,8 +359,11 @@ def plan_transition(
             t_hi = t_hi + probe_step
             g_hi = arrival_for(t_hi)[0] - t_hi
         if g_hi <= 0.0:
+            t_mid = None
             for _ in range(200):
-                t_mid = 0.5 * (t_lo + t_hi)
+                t_prev, t_mid = t_mid, 0.5 * (t_lo + t_hi)
+                if t_mid == t_prev:
+                    break  # the bracket cannot shrink: every later step repeats this one
                 t_new, join_phase, path = arrival_for(t_mid)
                 g_mid = t_new - t_mid
                 if abs(g_mid) < tol:

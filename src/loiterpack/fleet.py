@@ -141,15 +141,32 @@ class FleetState:
 
 
 def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> CommGraph:
-    ids = sorted(circles)
+    """Edges between circles whose centers are within ``r_com`` (``Vec2.dist``
+    plus the boundary slack). Centers are sorted by x, and each is tested only
+    against the later ones within reach in x."""
     reach = r_com + BOUNDARY_TOL
-    edges = set()
-    for a_pos, i in enumerate(ids):
-        ci = circles[i].center
-        for j in ids[a_pos + 1 :]:
-            if ci.dist(circles[j].center) <= reach:
-                edges.add((i, j))
-    return CommGraph(edges=frozenset(edges))
+    ids = np.array(sorted(circles), dtype=np.int64)
+    x = np.array([circles[i].center.x for i in ids.tolist()])
+    y = np.array([circles[i].center.y for i in ids.tolist()])
+    order = np.argsort(x, kind="stable")
+    ids, x, y = ids[order], x[order], y[order]
+    # The window is a little wider than reach, so rounding of x + reach
+    # cannot drop a pair; the distance test below is exact.
+    slack = 1e-9 * (reach + float(np.abs(x).max(initial=0.0)))
+    ends = np.searchsorted(x, x + (reach + slack), side="right")
+    counts = np.maximum(ends - np.arange(1, ids.size + 1), 0)
+    first = np.repeat(np.arange(ids.size), counts)
+    # Each row's partners run first + 1, first + 2, ... up to its window end.
+    second = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - 1, counts) + first
+    dist = np.hypot(x[second] - x[first], y[second] - y[first])
+    near = np.abs(dist - reach) <= 1e-12 * reach
+    keep = ~near & (dist <= reach)
+    # np.hypot may round differently from math.hypot: decide pairs at the
+    # boundary with the scalar distance the rest of the code uses.
+    for k in np.flatnonzero(near).tolist():
+        keep[k] = math.hypot(x[first[k]] - x[second[k]], y[first[k]] - y[second[k]]) <= reach
+    a, b = ids[first[keep]], ids[second[keep]]
+    return CommGraph(edges=frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())))
 
 
 def _fleet(area, kind, platform, layout, circles, r_com, base, phase, time) -> FleetState:

@@ -1,11 +1,14 @@
 """Independent oracles the tests check the library against.
 
-Each oracle re-derives its result from first principles with no shared code:
-numeric quadrature for lens areas, a literal marching rule for placement
-counts, a discretized control-space search for shortest bounded-curvature
-paths, scalar segment walks for transition tracks, per-point coverage predicates and dense points x circles kernels for
-the grid fractions, union-find for clusters and permutation search for
-assignments.
+Most oracles re-derive their result from first principles with no shared
+code: numeric quadrature for lens areas, a literal marching rule for
+placement counts, a discretized control-space search for shortest
+bounded-curvature paths, scalar segment walks for transition tracks,
+per-point coverage predicates and dense points x circles kernels for the
+grid fractions, union-find for clusters and permutation search for
+assignments. The rest keep an earlier, simpler version of an optimized
+routine (the Dubins and arrival-time solvers, the all-pairs comm graph), so
+a test can require the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,20 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+# The Dubins oracles build the library's path and plan types, so results
+# compare with ``==``.
+from loiterpack.dubins import (
+    _WORD_ORDER,
+    MAX_SYNC_ITERATIONS,
+    SYNC_TOL,
+    DubinsPath,
+    DubinsWord,
+    TransitionPlan,
+    loiter_pose,
+    path_end,
+)
+from loiterpack.errors import PlanningError
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,6 +141,186 @@ def dubins_discretized_length(a, b, r: float, n_grid: int = 200_000) -> float:
                 lengths = (t[ok][ok2] + p_mid[ok2] + q_f[ok2]) * r
                 best = min(best, float(lengths.min()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# The Dubins solver as first written: one function per word, each with its
+# own trigonometry, tried in word order and kept when shorter than the best
+# verified word so far; and the arrival-time solver that runs every loop to
+# its cap. The library must return the same paths and plans, bit for bit.
+
+
+def mod2pi(angle):
+    return angle % TWO_PI
+
+
+def _angle_diff(a, b):
+    return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+def _lsl(alpha, beta, d):
+    p_sq = 2.0 + d * d - 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(alpha) - math.sin(beta))
+    if p_sq < 0.0:
+        return None
+    psi = math.atan2(math.cos(beta) - math.cos(alpha), d + math.sin(alpha) - math.sin(beta))
+    return mod2pi(psi - alpha), math.sqrt(p_sq), mod2pi(beta - psi)
+
+
+def _rsr(alpha, beta, d):
+    p_sq = 2.0 + d * d - 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(beta) - math.sin(alpha))
+    if p_sq < 0.0:
+        return None
+    psi = math.atan2(math.cos(alpha) - math.cos(beta), d - math.sin(alpha) + math.sin(beta))
+    return mod2pi(alpha - psi), math.sqrt(p_sq), mod2pi(psi - beta)
+
+
+def _lsr(alpha, beta, d):
+    p_sq = -2.0 + d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(alpha) + math.sin(beta))
+    if p_sq < 0.0:
+        return None
+    p = math.sqrt(p_sq)
+    psi = math.atan2(-math.cos(alpha) - math.cos(beta), d + math.sin(alpha) + math.sin(beta)) + math.atan2(2.0, p)
+    return mod2pi(psi - alpha), p, mod2pi(psi - beta)
+
+
+def _rsl(alpha, beta, d):
+    p_sq = -2.0 + d * d + 2.0 * math.cos(alpha - beta) - 2.0 * d * (math.sin(alpha) + math.sin(beta))
+    if p_sq < 0.0:
+        return None
+    p = math.sqrt(p_sq)
+    psi = math.atan2(math.cos(alpha) + math.cos(beta), d - math.sin(alpha) - math.sin(beta)) - math.atan2(2.0, p)
+    return mod2pi(alpha - psi), p, mod2pi(beta - psi)
+
+
+def _rlr(alpha, beta, d):
+    cos_mid = (6.0 - d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(alpha) - math.sin(beta))) / 8.0
+    if abs(cos_mid) > 1.0:
+        return None
+    p = mod2pi(TWO_PI - math.acos(cos_mid))
+    psi = math.atan2(math.cos(alpha) - math.cos(beta), d - math.sin(alpha) + math.sin(beta))
+    t = mod2pi(alpha - psi + 0.5 * p)
+    return t, p, mod2pi(alpha - beta - t + p)
+
+
+def _lrl(alpha, beta, d):
+    cos_mid = (6.0 - d * d + 2.0 * math.cos(alpha - beta) + 2.0 * d * (math.sin(beta) - math.sin(alpha))) / 8.0
+    if abs(cos_mid) > 1.0:
+        return None
+    p = mod2pi(TWO_PI - math.acos(cos_mid))
+    psi = math.atan2(math.cos(beta) - math.cos(alpha), d + math.sin(alpha) - math.sin(beta))
+    t = mod2pi(psi - alpha + 0.5 * p)
+    return t, p, mod2pi(beta - alpha - t + p)
+
+
+# One solver per word, in the library's word order (LSL, LSR, RSL, RSR, RLR, LRL).
+WORD_SOLVERS = (_lsl, _lsr, _rsl, _rsr, _rlr, _lrl)
+
+
+def shortest_path_loop(a, b, r_turn):
+    """Shortest verified Dubins path from pose ``a`` to pose ``b``: every word
+    in order, each verified by forward application when shorter than the
+    best so far."""
+    if not r_turn > 0:
+        raise ValueError(f"turn radius must be positive, got {r_turn}")
+    dx = b.position.x - a.position.x
+    dy = b.position.y - a.position.y
+    dist = math.hypot(dx, dy)
+    scale = max(1.0, dist, r_turn)
+    if dist <= 1e-12 * scale and _angle_diff(a.heading, b.heading) <= 1e-12:
+        return DubinsPath(DubinsWord.LSL, (0.0, 0.0, 0.0), r_turn, a)
+    theta = math.atan2(dy, dx)
+    alpha = mod2pi(a.heading - theta)
+    beta = mod2pi(b.heading - theta)
+    d = dist / r_turn
+    best = None
+    best_len = math.inf
+    tol = 1e-9 * scale
+    for word, solver in zip(_WORD_ORDER, WORD_SOLVERS):
+        tpq = solver(alpha, beta, d)
+        if tpq is None:
+            continue
+        lengths = tuple(seg * r_turn for seg in tpq)
+        candidate = DubinsPath(word, lengths, r_turn, a)
+        total = candidate.length
+        if total >= best_len:
+            continue
+        end = path_end(candidate)
+        if end.position.dist(b.position) <= tol and _angle_diff(end.heading, b.heading) <= 1e-9:
+            best = candidate
+            best_len = total
+    if best is None:
+        raise PlanningError(f"no verified Dubins word connects {a} to {b}")
+    return best
+
+
+def plan_transition_loop(uav_id, source, start_phase, target, r_turn, v, base_delay=0.0):
+    """The arrival-time solver with no early exits: 100 fixed-point steps,
+    probes, up to 200 bisection steps, then the next delay offset. Every
+    evaluation is one call of ``shortest_path_loop``."""
+    if not v > 0:
+        raise ValueError(f"speed must be positive, got {v}")
+    if base_delay < 0:
+        raise ValueError(f"base delay must be >= 0, got {base_delay}")
+    if r_turn > min(source.radius, target.radius) + 1e-12:
+        raise PlanningError(f"transit turn radius {r_turn} exceeds a loiter radius")
+    omega_src = v / source.radius
+    omega_tgt = v / target.radius
+    target_period = TWO_PI / omega_tgt
+    tol = min(SYNC_TOL, SYNC_TOL / omega_tgt)
+
+    def build_plan(delay, break_phase, join_phase, path, arrival):
+        return TransitionPlan(
+            uav_id=uav_id,
+            source=source,
+            target=target,
+            start_phase=mod2pi(start_phase),
+            break_off_phase=break_phase,
+            depart_delay=delay,
+            path=path,
+            join_phase=join_phase,
+            arrival_time=arrival,
+        )
+
+    offsets = [0.0, 1.0] + [k / 8.0 for k in range(1, 8)] + [1.0 + k / 8.0 for k in range(1, 8)]
+    for offset in offsets:
+        delay = base_delay + offset * target_period
+        break_phase = mod2pi(start_phase + omega_src * delay)
+        depart = loiter_pose(source, break_phase)
+
+        def arrival_for(t):
+            join_phase = mod2pi(start_phase + omega_tgt * t)
+            path = shortest_path_loop(depart, loiter_pose(target, join_phase), r_turn)
+            return delay + path.length / v, join_phase, path
+
+        t = delay
+        for _ in range(MAX_SYNC_ITERATIONS):
+            t_new, join_phase, path = arrival_for(t)
+            if abs(t_new - t) < tol:
+                return build_plan(delay, break_phase, join_phase, path, t_new)
+            t = t_new
+
+        t_lo = delay
+        g_lo = arrival_for(t_lo)[0] - t_lo
+        t_hi, g_hi = t_lo, g_lo
+        probe_step = target_period / 8.0
+        for _ in range(256):
+            if g_hi <= 0.0:
+                break
+            t_lo, g_lo = t_hi, g_hi
+            t_hi = t_hi + probe_step
+            g_hi = arrival_for(t_hi)[0] - t_hi
+        if g_hi <= 0.0:
+            for _ in range(200):
+                t_mid = 0.5 * (t_lo + t_hi)
+                t_new, join_phase, path = arrival_for(t_mid)
+                g_mid = t_new - t_mid
+                if abs(g_mid) < tol:
+                    return build_plan(delay, break_phase, join_phase, path, t_new)
+                if g_mid > 0.0:
+                    t_lo = t_mid
+                else:
+                    t_hi = t_mid
+    raise PlanningError(f"transition for UAV {uav_id} did not phase-synchronize")
 
 
 def _advance_scalar(x, y, th, kind, length, r):
@@ -294,3 +491,16 @@ def brute_force_assignment(cost: np.ndarray) -> float:
         for cols in itertools.permutations(range(n_cols), n_rows):
             best = min(best, sum(cost[r, c] for r, c in enumerate(cols)))
     return best
+
+
+def comm_edges_loop(circles, r_com):
+    """Comm graph edges (i, j), i < j, testing every pair of circle centers."""
+    ids = sorted(circles)
+    reach = r_com + BOUNDARY_TOL
+    edges = set()
+    for a_pos, i in enumerate(ids):
+        ci = circles[i].center
+        for j in ids[a_pos + 1 :]:
+            if ci.dist(circles[j].center) <= reach:
+                edges.add((i, j))
+    return frozenset(edges)

@@ -442,6 +442,39 @@ class TestSimulateChecksFirst:
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"failure": {"time_s": "nan", "seed": 1, "loss_count": 2}}, "failure: 'time_s'"),
+            ({"failure": {"time_s": -5, "seed": 1, "loss_count": 2}}, "failure: 'time_s'"),
+            (
+                {
+                    "failures": [
+                        {"time_s": 60.0, "seed": 1, "loss_count": 5},
+                        {"time_s": 30.0, "seed": 2, "loss_count": 5},
+                    ]
+                },
+                "failures[1]: 'time_s' 30.0 must be later than failures[0]",
+            ),
+            ({"failure": {"time_s": 10.0, "seed": -1, "loss_count": 2}}, "failure: 'seed' must be >= 0"),
+        ],
+    )
+    def test_bad_failure_entries_exit_2_naming_the_entry(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "out"
+        cfg = base_config(out, deployment={"radius_m": 70.0}, **overrides)
+        assert run("simulate", write_config(tmp_path, cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        cfg = base_config(
+            tmp_path / "out",
+            deployment={"radius_m": 70.0},
+            failure={"time_s": 10.0, "seed": 1, "loss_count": 2},
+        )
+        assert run("simulate", write_config(tmp_path, cfg), "--seed", "-3") == 2
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+
     def test_min_turn_formula_error_names_the_value(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", deployment={"radius_m": 70.0}, min_turn_formula="steep")
         assert run("pack", write_config(tmp_path, cfg)) == 2

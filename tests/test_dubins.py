@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from loiterpack import dubins, fleet
 from loiterpack.dubins import (
     DubinsPath,
     DubinsWord,
     Pose,
     TransitionPlan,
-    _SOLVERS,
+    _WORD_ORDER,
+    _words,
     closest_approach,
     loiter_pose,
     mod2pi,
@@ -19,8 +21,17 @@ from loiterpack.dubins import (
     track,
 )
 from loiterpack.errors import PlanningError
-from loiterpack.geometry import LoiterCircle, Vec2
-from oracles import dubins_discretized_length, path_state_loop, plan_pose_loop
+from loiterpack.fleet import FailureEvent, deploy, detect_failures, inject_failure, super_agent_recover
+from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
+import oracles
+from oracles import (
+    WORD_SOLVERS,
+    dubins_discretized_length,
+    path_state_loop,
+    plan_pose_loop,
+    plan_transition_loop,
+    shortest_path_loop,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -81,8 +92,7 @@ class TestShortestPath:
             alpha = mod2pi(a.heading - theta)
             beta = mod2pi(b.heading - theta)
             d = euclid / r
-            for word, solver in _SOLVERS.items():
-                tpq = solver(alpha, beta, d)
+            for tpq in _words(alpha, beta, d):
                 if tpq is None:
                     continue
                 assert best.length <= sum(tpq) * r + 1e-9
@@ -120,6 +130,118 @@ class TestShortestPath:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             shortest_path(pose(0, 0, 0), pose(1, 1, 0), 0.0)
+
+
+class TestMatchesTheFirstSolver:
+    """The shared-trigonometry solver, its shortest-first forward check and
+    the early exits of the arrival-time solver return exactly what the
+    per-word solvers and the uncapped loops return."""
+
+    def test_words_match_the_per_word_solvers(self):
+        rng = np.random.default_rng(20)
+        for _ in range(10_000):
+            alpha, beta = rng.uniform(0, TWO_PI, 2)
+            d = float(rng.choice([rng.uniform(0, 0.5), rng.uniform(0, 4), rng.uniform(0, 50)]))
+            assert _words(alpha, beta, d) == tuple(f(alpha, beta, d) for f in WORD_SOLVERS)
+
+    def test_random_pose_pairs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10_000):
+            r = rng.uniform(0.3, 3.0)
+            a, b = random_pose(rng), random_pose(rng)
+            assert shortest_path(a, b, r) == shortest_path_loop(a, b, r)
+
+    def test_equal_length_ties(self):
+        # Collinear poses with one heading (LSL, LSR and RSR are all the
+        # straight line), coincident positions with two headings, and
+        # coincident poses; the earlier word must win every tie.
+        pairs = []
+        for r in (0.5, 1.0, 2.5):
+            for length in (0.1, 1.0, 2.0 * r, 4.0 * r, 100.0):
+                for heading, (ux, uy) in ((0.0, (1, 0)), (0.5 * math.pi, (0, 1)), (math.pi, (-1, 0))):
+                    start = pose(1.0, -2.0, heading)
+                    goal = pose(1.0 + length * ux, -2.0 + length * uy, heading)
+                    pairs.append((start, goal, r))
+            for turn in (0.3, math.pi, 5.0):
+                pairs.append((pose(3.0, 4.0, 0.25), pose(3.0, 4.0, 0.25 + turn), r))
+            pairs.append((pose(3.0, 4.0, 0.25), pose(3.0, 4.0, 0.25), r))
+        ties = 0
+        for a, b, r in pairs:
+            path = shortest_path(a, b, r)
+            assert path == shortest_path_loop(a, b, r)
+            theta = math.atan2(b.position.y - a.position.y, b.position.x - a.position.x)
+            lengths = [
+                tpq[0] * r + tpq[1] * r + tpq[2] * r
+                for tpq in _words(
+                    mod2pi(a.heading - theta), mod2pi(b.heading - theta), a.position.dist(b.position) / r
+                )
+                if tpq is not None
+            ]
+            ties += lengths.count(min(lengths)) > 1
+        assert ties >= 20
+
+    # (area x, area y, UAVs lost, failure seeds, whether some recovery
+    # staggers) of the perfbench workloads paper-35 and coverage-1km.
+    @pytest.mark.parametrize(
+        "x, y, loss_count, draws, staggers",
+        [(500.0, 650.0, 18, 32, False), (1000.0, 1000.0, 36, 16, True)],
+    )
+    def test_every_transition_of_the_perfbench_recoveries(
+        self, monkeypatch, x, y, loss_count, draws, staggers
+    ):
+        # Every plan_transition call of every recovery (stagger rounds and
+        # their base delays included) against the loops without early exits;
+        # the recovery is then run on the oracle's plans and must return the
+        # same RecoveryPlan.
+        area, platform = AreaSpec(x, y), PlatformModel(speed=15.0, max_bank=0.5)
+
+        def report(seed):
+            state = fleet.step(deploy(area, PackingKind.HEXAGON, platform, radius=70.0), 60.0)
+            inject_failure(state, FailureEvent(time=60.0, seed=seed, loss_count=loss_count))
+            return detect_failures(state)
+
+        def recover(seed):
+            return super_agent_recover(
+                report(seed), area, PackingKind.HEXAGON, 80.0, platform, r_l_max=100.0
+            )
+
+        expected = [recover(seed) for seed in range(draws)]
+        calls = []
+
+        def checked(*args, **kwargs):
+            plan = plan_transition_loop(*args, **kwargs)
+            calls.append((args, kwargs, plan_transition(*args, **kwargs) == plan))
+            return plan
+
+        monkeypatch.setattr(fleet, "plan_transition", checked)
+        assert [recover(seed) for seed in range(draws)] == expected
+        assert all(same for _, _, same in calls)
+        assert any(kwargs.get("base_delay", 0.0) > 0.0 for _, kwargs, _ in calls) == staggers
+
+    def test_early_exits_fire_and_stay_exact(self, monkeypatch):
+        # A transition of the paper-35 recovery (failure seed 0) whose fixed
+        # point cycles and whose bisection stalls before it tries the next
+        # departure delay.
+        source = LoiterCircle(Vec2(242.4871130596428, 350.0), 70.0)
+        target = LoiterCircle(Vec2(250.0, 336.78765702728174), 96.22504486493763)
+        args = (17, source, 0.2907722427836834, target, 11.46788990825688, 15.0)
+        counts = {"library": 0, "oracle": 0}
+
+        def counting(name, solver):
+            def counted(*a):
+                counts[name] += 1
+                return solver(*a)
+
+            return counted
+
+        monkeypatch.setattr(dubins, "shortest_path", counting("library", dubins.shortest_path))
+        monkeypatch.setattr(
+            oracles, "shortest_path_loop", counting("oracle", oracles.shortest_path_loop)
+        )
+        plan = plan_transition(*args)
+        assert plan == plan_transition_loop(*args)
+        assert plan.depart_delay > 0.0  # the first delay offset failed
+        assert 0 < counts["library"] < counts["oracle"]
 
 
 class TestSample:
@@ -176,9 +298,9 @@ def word_path(rng, word, r):
         a, b = random_pose(rng, span=2.0 * r), random_pose(rng, span=2.0 * r)
         dx, dy = b.position.x - a.position.x, b.position.y - a.position.y
         theta = math.atan2(dy, dx)
-        tpq = _SOLVERS[word](
+        tpq = _words(
             mod2pi(a.heading - theta), mod2pi(b.heading - theta), math.hypot(dx, dy) / r
-        )
+        )[_WORD_ORDER.index(word)]
         if tpq is not None:
             return DubinsPath(word, tuple(seg * r for seg in tpq), r, a)
 

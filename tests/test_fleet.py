@@ -8,6 +8,7 @@ from loiterpack.dubins import TWO_PI, closest_approach
 from loiterpack.errors import InfeasibleError
 from loiterpack.fleet import (
     FailureEvent,
+    _build_comm_graph,
     RecoveryOutcome,
     apply_recovery,
     coverage_report,
@@ -19,9 +20,9 @@ from loiterpack.fleet import (
     step,
     super_agent_recover,
 )
-from loiterpack.geometry import AreaSpec, PackingKind, PlatformModel, Vec2
+from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
 from loiterpack.optimize import Regime
-from oracles import brute_force_assignment, union_find_clusters
+from oracles import brute_force_assignment, comm_edges_loop, union_find_clusters
 
 AREA = AreaSpec(500.0, 650.0)
 HEX = PackingKind.HEXAGON
@@ -82,6 +83,56 @@ class TestDeploy:
                 ends = [j if i == uav.id else i for i, j in fleet.comm.edges if uav.id in (i, j)]
                 assert uav.neighbor_ids == sorted(ends)
                 assert uav.neighbor_state == [1] * len(ends)
+
+
+class TestCommGraph:
+    # (area x, area y, UAVs lost, failure seeds) of the perfbench workloads
+    # paper-35 and coverage-1km.
+    @pytest.mark.parametrize(
+        "x, y, loss_count, draws", [(500.0, 650.0, 18, 32), (1000.0, 1000.0, 36, 16)]
+    )
+    def test_matches_the_pair_loop_on_perfbench_layouts(self, x, y, loss_count, draws):
+        area = AreaSpec(x, y)
+        state = deploy(area, HEX, PLATFORM, radius=70.0)
+        circles = {u.id: u.assigned_circle for u in state.uavs}
+        assert state.comm.edges == comm_edges_loop(circles, state.r_com)
+        for seed in range(draws):
+            state = deploy(area, HEX, PLATFORM, radius=70.0)
+            inject_failure(state, FailureEvent(seed=seed, loss_count=loss_count))
+            survivors = {u.id: u.assigned_circle for u in state.uavs if u.alive}
+            assert state.comm.edges == comm_edges_loop(survivors, state.r_com)
+            recovered = apply_recovery(
+                state,
+                super_agent_recover(detect_failures(state), area, HEX, R_C, PLATFORM, r_l_max=R_L_MAX),
+            )
+            circles = {u.id: u.assigned_circle for u in recovered.uavs}
+            assert recovered.comm.edges == comm_edges_loop(circles, recovered.r_com)
+
+    def test_matches_the_pair_loop_at_the_reach(self):
+        # Random layouts plus partners placed at reach - 1e-12, reach and
+        # reach + 1e-12 in random directions and along the axes (reach is
+        # r_com plus the 1e-9 boundary slack), under shuffled ids.
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            r_com = rng.uniform(1.0, 200.0)
+            reach = r_com + 1e-9
+            points = [tuple(rng.uniform(-500.0, 500.0, 2)) for _ in range(rng.integers(2, 40))]
+            for k in range(len(points)):
+                px, py = points[k]
+                offset = reach + rng.choice([-1e-12, 0.0, 1e-12])
+                angle = rng.choice([rng.uniform(0, TWO_PI), 0.0, 0.5 * math.pi, math.pi])
+                points.append((px + offset * math.cos(angle), py + offset * math.sin(angle)))
+            ids = rng.permutation(3 * len(points))[: len(points)].tolist()
+            circles = {i: LoiterCircle(Vec2(*p), 10.0) for i, p in zip(ids, points)}
+            assert _build_comm_graph(circles, r_com).edges == comm_edges_loop(circles, r_com)
+
+    def test_small_and_degenerate_layouts(self):
+        one = {4: LoiterCircle(Vec2(1.0, 1.0), 5.0)}
+        same = {4: LoiterCircle(Vec2(1.0, 1.0), 5.0), 2: LoiterCircle(Vec2(1.0, 1.0), 5.0)}
+        assert _build_comm_graph({}, 10.0).edges == frozenset()
+        assert _build_comm_graph(one, 10.0).edges == frozenset()
+        assert _build_comm_graph(same, 10.0).edges == frozenset({(2, 4)})
+        assert _build_comm_graph(same, -1.0).edges == comm_edges_loop(same, -1.0) == frozenset()
 
 
 class TestStep:
