@@ -39,7 +39,6 @@ from .dubins import (
     track,
 )
 from .fleet import (
-    CommGraph,
     CoverageReport,
     FailureEvent,
     FleetState,

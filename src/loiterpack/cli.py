@@ -391,7 +391,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
         r_l_max=cfg.r_l_max,
         min_turn_formula=cfg.min_turn_formula,
     )
-    events.append((0.0, "deploy", f"{len(state.uavs)} UAVs at r_l={state.loiter_radius:.4f}"))
+    events.append((0.0, "deploy", f"{len(state.uavs)} UAVs at r_l={state.layout.loiter_radius:.4f}"))
     circles = {u.id: u.assigned_circle for u in state.uavs}
     out.write_text("initial.svg", render_fleet(cfg.area, circles, state.phase, title="initial deployment"))
     out.write_text("initial_layout.csv", layout_csv(state.layout))
@@ -400,7 +400,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
         cov = coverage_report(
             cfg.area,
             [u.assigned_circle.center for u in final_state.uavs if u.alive],
-            final_state.loiter_radius,
+            final_state.layout.loiter_radius,
             r_c,
             cfg.effective_grid_pitch(),
             cfg.phase_samples,
@@ -419,6 +419,11 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
 
     for round_i, event in enumerate(cfg.failures, start=1):
         suffix = "" if round_i == len(cfg.failures) else f"_round{round_i}"
+        if event.time < state.time:
+            raise ConfigError(
+                f"failures[{round_i - 1}]: 'time_s' {event.time} falls inside the recovery "
+                f"from failures[{round_i - 2}], which ends at {state.time:.3f} s"
+            )
         if event.time > state.time:
             step(state, event.time - state.time)
         before = set(state.alive_ids)
@@ -427,15 +432,14 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
         events.append((state.time, "failure", f"lost {len(lost)} UAVs: {' '.join(map(str, lost))}"))
 
         report = detect_failures(state)
-        t_detect = state.time + report.detection_delay
+        t_detect = state.time  # detection advances the clock to its instant
         events.append(
-            (t_detect, "detect", f"{report.survivor_count} survivors in {len(report.clusters)} clusters via {report.detected_by}"),
+            (t_detect, "detect", f"{len(report.circles)} survivors in {len(report.clusters)} clusters via {report.detected_by}"),
         )
-        survivors = {i: report.circles[i] for i in report.survivor_ids}
         dead = {u.id: u.assigned_circle for u in state.uavs if not u.alive}
         out.write_text(
             f"clusters{suffix}.svg",
-            render_fleet(cfg.area, survivors, state.phase, dead=dead, clusters=report.clusters, title="survivor clusters"),
+            render_fleet(cfg.area, report.circles, state.phase, dead=dead, clusters=report.clusters, title="survivor clusters"),
         )
 
         plan = super_agent_recover(
@@ -556,13 +560,14 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.grid_pitch is not None:
+    # Each command registers only the flags it reads; the others are absent.
+    if getattr(args, "grid_pitch", None) is not None:
         cfg.grid_pitch = args.grid_pitch
-    if args.phase_samples is not None:
+    if getattr(args, "phase_samples", None) is not None:
         cfg.phase_samples = args.phase_samples
-    if args.table1_mode is not None:
+    if getattr(args, "table1_mode", None) is not None:
         cfg.table1_mode = args.table1_mode
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         seeded = [f for f in cfg.failures if f.seed is not None]
@@ -593,10 +598,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="failure selection seed override")
-        p.add_argument("--grid-pitch", type=float, default=None, help="validation grid pitch (m)")
-        p.add_argument("--phase-samples", type=int, default=None, help="phase samples for validation")
-        p.add_argument("--table1-mode", choices=("paper", "exact"), default=None)
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None, help="failure selection seed override")
+            p.add_argument("--grid-pitch", type=float, default=None, help="validation grid pitch (m)")
+            p.add_argument("--phase-samples", type=int, default=None, help="phase samples for validation")
+        if name == "pack":
+            p.add_argument("--table1-mode", choices=("paper", "exact"), default=None)
     return parser
 
 

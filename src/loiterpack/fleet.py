@@ -1,9 +1,12 @@
 """Discrete-time fleet simulation and the super-agent recovery workflow.
 
-A deployed fleet loiters phase-synchronized on a packed layout, maintains a
-communication graph and per-UAV neighbor state vectors, and survives seeded
-multi-UAV failure events. Recovery re-optimizes the homogeneous loiter radius
-for the survivor count, packs the new layout, assigns survivors to circles by
+A deployed fleet loiters phase-synchronized on a packed layout. Each
+formation (the deployment, then every recovered layout) has one
+communication graph: the pairs of circles whose centers lie within the
+layout's comm radius. A failure only marks UAVs lost; survivors on an edge
+with one lost end report it, and the edges with two live ends cluster the
+survivors. Recovery re-optimizes the homogeneous loiter radius for the
+survivor count, packs the new layout, assigns survivors to circles by
 minimum-total-distance matching and plans phase-synchronized transitions with
 pairwise-separation staggering. ``coverage_report`` measures the coverage
 fractions of any set of loiter circles.
@@ -12,7 +15,7 @@ fractions of any set of loiter circles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,6 +47,7 @@ from .packing import PackingLayout, grid_points, grid_shape, pack, uav_count
 DEFAULT_SEPARATION_THRESHOLD = 2.0  # meters
 DEFAULT_SEPARATION_DT = 0.25  # seconds
 MAX_STAGGER_ROUNDS = 10
+BASE = Vec2(0.0, 0.0)  # the base station, which hears UAVs within the comm radius
 
 
 class RecoveryOutcome(Enum):
@@ -57,13 +61,6 @@ class UavState:
     id: int
     assigned_circle: LoiterCircle
     alive: bool = True
-    neighbor_ids: list[int] = field(default_factory=list)
-    neighbor_state: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CommGraph:
-    edges: frozenset[tuple[int, int]]  # (i, j) with i < j
 
 
 @dataclass(frozen=True)
@@ -86,13 +83,9 @@ class FailureEvent:
 
 @dataclass(frozen=True)
 class SurvivorReport:
-    survivor_count: int
-    survivor_ids: tuple[int, ...]
-    positions: dict[int, Vec2]
-    circles: dict[int, LoiterCircle]
+    circles: dict[int, LoiterCircle]  # survivor id -> circle, ids ascending
     clusters: tuple[frozenset[int], ...]
     phase: float
-    loiter_radius: float
     detected_by: str  # "neighbor-report" | "base-timeout"
     detection_delay: float
 
@@ -120,27 +113,25 @@ class RecoveryPlan:
 
 @dataclass
 class FleetState:
-    area: AreaSpec
-    kind: PackingKind
+    """UAVs (ascending ids) of one formation, its comm graph and the clock."""
+
     platform: PlatformModel
+    layout: PackingLayout
     uavs: list[UavState]
-    loiter_radius: float
+    edges: frozenset[tuple[int, int]]  # comm graph of the formation, (i, j) with i < j
     phase: float
     time: float
-    r_com: float
-    base: Vec2
-    comm: CommGraph
-    layout: PackingLayout
 
     @property
     def alive_ids(self) -> list[int]:
         return [u.id for u in self.uavs if u.alive]
 
-    def position_of(self, uav: UavState) -> Vec2:
-        return uav.assigned_circle.point_at(self.phase)
+    @property
+    def r_com(self) -> float:
+        return min_comm_radius(self.layout.loiter_radius, self.layout.kind)
 
 
-def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> CommGraph:
+def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> frozenset[tuple[int, int]]:
     """Edges between circles whose centers are within ``r_com`` (``Vec2.dist``
     plus the boundary slack). Centers are sorted by x, and each is tested only
     against the later ones within reach in x."""
@@ -166,39 +157,15 @@ def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> CommGra
     for k in np.flatnonzero(near).tolist():
         keep[k] = math.hypot(x[first[k]] - x[second[k]], y[first[k]] - y[second[k]]) <= reach
     a, b = ids[first[keep]], ids[second[keep]]
-    return CommGraph(edges=frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())))
+    return frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _fleet(area, kind, platform, layout, circles, r_com, base, phase, time) -> FleetState:
-    """Fleet of live UAVs loitering on ``circles`` (id -> circle) with every
-    neighbor bit set; the neighbor lists come from one pass over the edges."""
-    comm = _build_comm_graph(circles, r_com)
-    neighbors: dict[int, list[int]] = {i: [] for i in circles}
-    for i, j in comm.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    uavs = [
-        UavState(
-            id=i,
-            assigned_circle=circles[i],
-            neighbor_ids=sorted(neighbors[i]),
-            neighbor_state=[1] * len(neighbors[i]),
-        )
-        for i in sorted(circles)
-    ]
-    return FleetState(
-        area=area,
-        kind=kind,
-        platform=platform,
-        uavs=uavs,
-        loiter_radius=layout.loiter_radius,
-        phase=phase,
-        time=time,
-        r_com=r_com,
-        base=base,
-        comm=comm,
-        layout=layout,
-    )
+def _fleet(platform, layout, circles, phase, time) -> FleetState:
+    """Fleet of live UAVs loitering on ``circles`` (id -> circle) of ``layout``,
+    with the formation's comm graph."""
+    uavs = [UavState(id=i, assigned_circle=circles[i]) for i in sorted(circles)]
+    edges = _build_comm_graph(circles, min_comm_radius(layout.loiter_radius, layout.kind))
+    return FleetState(platform, layout, uavs, edges, phase, time)
 
 
 def deploy(
@@ -209,8 +176,6 @@ def deploy(
     budget: int | None = None,
     r_c: float | None = None,
     r_l_max: float | None = None,
-    base: Vec2 = Vec2(0.0, 0.0),
-    r_com: float | None = None,
     min_turn_formula: str = "paper",
 ) -> FleetState:
     """Deploy a synchronized fleet, radius-driven or budget-driven.
@@ -239,23 +204,22 @@ def deploy(
         radius = sol.loiter_radius
     layout = pack(area, radius, kind)
     circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
-    r_com = r_com if r_com is not None else min_comm_radius(radius, kind)
-    return _fleet(area, kind, platform, layout, circles, r_com, base, phase=0.0, time=0.0)
+    return _fleet(platform, layout, circles, phase=0.0, time=0.0)
 
 
 def step(state: FleetState, dt: float) -> FleetState:
     """Advance the synchronized loiter phase by omega * dt."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    omega = state.platform.speed / state.loiter_radius
+    omega = state.platform.speed / state.layout.loiter_radius
     state.phase = (state.phase + omega * dt) % TWO_PI
     state.time += dt
     return state
 
 
 def inject_failure(state: FleetState, event: FailureEvent) -> FleetState:
-    """Mark the event's UAVs as lost and rebuild the survivor comm graph."""
-    alive = sorted(state.alive_ids)
+    """Mark the event's UAVs as lost. The comm graph stays the formation's."""
+    alive = state.alive_ids
     if event.lost_ids is not None:
         lost = set(event.lost_ids)
         unknown = lost - set(alive)
@@ -269,8 +233,6 @@ def inject_failure(state: FleetState, event: FailureEvent) -> FleetState:
     for uav in state.uavs:
         if uav.id in lost:
             uav.alive = False
-    survivors = {u.id: u.assigned_circle for u in state.uavs if u.alive}
-    state.comm = _build_comm_graph(survivors, state.r_com)
     return state
 
 
@@ -297,47 +259,43 @@ def _connected_components(vertices, edges) -> list[frozenset]:
 
 
 def detect_failures(state: FleetState) -> SurvivorReport:
-    """Flip neighbor-state bits for lost neighbors and cluster the survivors.
+    """Report the losses to the base and cluster the survivors.
 
-    The failure message reaches the base through the comm graph when some
-    survivor in the base's component borders a loss; otherwise the base
-    detects the outage by itself after one loiter period without heartbeats.
+    A survivor on a formation edge whose other end is lost detects the loss;
+    the edges with two live ends cluster the survivors. The report reaches the
+    base through the comm graph when some detector shares a cluster with a
+    survivor in the base's comm radius. Otherwise the base detects the outage
+    by itself after one loiter period without heartbeats, and the clock
+    advances to that instant (a whole period leaves the phase unchanged).
     """
-    alive = {u.id for u in state.uavs if u.alive}
-    detectors = set()
-    for uav in state.uavs:
-        if not uav.alive:
-            continue
-        for k, nid in enumerate(uav.neighbor_ids):
-            if nid not in alive and uav.neighbor_state[k] == 1:
-                uav.neighbor_state[k] = 0
-            if nid not in alive:
-                detectors.add(uav.id)
     survivors = {u.id: u.assigned_circle for u in state.uavs if u.alive}
-    clusters = _connected_components(sorted(survivors), state.comm.edges)
+    detectors, links = set(), []
+    for i, j in state.edges:
+        if i in survivors and j in survivors:
+            links.append((i, j))
+        elif i in survivors or j in survivors:
+            detectors.add(i if i in survivors else j)
+    clusters = _connected_components(survivors, links)
 
     base_reach = state.r_com + BOUNDARY_TOL
     base_component: set[int] = set()
     for comp in clusters:
-        if any(survivors[i].center.dist(state.base) <= base_reach for i in comp):
+        if any(survivors[i].center.dist(BASE) <= base_reach for i in comp):
             base_component |= comp
-    any_loss = len(alive) < len(state.uavs)
+    any_loss = len(survivors) < len(state.uavs)
     if any_loss and base_component & detectors:
         detected_by = "neighbor-report"
         detection_delay = 0.0
     else:
         detected_by = "base-timeout"
         detection_delay = (
-            revisit_period(state.loiter_radius, state.platform.speed) if any_loss else 0.0
+            revisit_period(state.layout.loiter_radius, state.platform.speed) if any_loss else 0.0
         )
+    state.time += detection_delay
     return SurvivorReport(
-        survivor_count=len(survivors),
-        survivor_ids=tuple(sorted(survivors)),
-        positions={i: survivors[i].center for i in sorted(survivors)},
-        circles=dict(survivors),
+        circles=survivors,
         clusters=tuple(clusters),
         phase=state.phase,
-        loiter_radius=state.loiter_radius,
         detected_by=detected_by,
         detection_delay=detection_delay,
     )
@@ -356,9 +314,9 @@ def _assign_survivors(report: SurvivorReport, centers) -> tuple[dict[int, int], 
 
     With more survivors than circles, the unmatched ones become spares.
     """
-    ids = list(report.survivor_ids)
+    ids = list(report.circles)
     cost = np.array(
-        [[report.positions[i].dist(c) for c in centers] for i in ids], dtype=np.float64
+        [[report.circles[i].center.dist(c) for c in centers] for i in ids], dtype=np.float64
     )
     rows, cols = linear_sum_assignment(cost)
     assignment = {ids[r]: int(c) for r, c in zip(rows, cols)}
@@ -374,12 +332,10 @@ def super_agent_recover(
     platform: PlatformModel,
     r_l_max: float | None = None,
     r_turn: float | None = None,
-    separation_threshold: float = DEFAULT_SEPARATION_THRESHOLD,
-    separation_dt: float = DEFAULT_SEPARATION_DT,
     min_turn_formula: str = "paper",
 ) -> RecoveryPlan:
     """Compute the survivors' new radius, layout, assignment and transitions."""
-    n_new = report.survivor_count
+    n_new = len(report.circles)
 
     def failed(reason: str, solution: RadiusSolution | None = None, deficit=None) -> RecoveryPlan:
         solution = solution or RadiusSolution(None, 0, 0, Regime.INFEASIBLE)
@@ -423,8 +379,8 @@ def super_agent_recover(
     sep = math.inf
     for _ in range(MAX_STAGGER_ROUNDS):
         track = [plans[i] for i in ordered]
-        sep, i, j = closest_approach(track, v=v, dt=separation_dt)
-        if sep >= separation_threshold:
+        sep, i, j = closest_approach(track, v=v, dt=DEFAULT_SEPARATION_DT)
+        if sep >= DEFAULT_SEPARATION_THRESHOLD:
             break
         pair = sorted((ordered[i], ordered[j]), key=lambda u: (plans[u].depart_delay, u))
         late = pair[-1]
@@ -460,7 +416,8 @@ def super_agent_recover(
 
 def apply_recovery(state: FleetState, plan: RecoveryPlan) -> FleetState:
     """Fleet state after all transitions complete: survivors loiter on the new
-    layout with the synchronized phase clock advanced to the last arrival.
+    layout, and the clock (at the detection instant, where the transitions
+    start) and the synchronized phase advance to the last arrival.
 
     Spare survivors (more survivors than circles) are retired to the base and
     leave the active fleet.
@@ -470,18 +427,12 @@ def apply_recovery(state: FleetState, plan: RecoveryPlan) -> FleetState:
     r_new = plan.solution.loiter_radius
     t_end = max((p.arrival_time for p in plan.transitions), default=0.0)
     omega_new = state.platform.speed / r_new
-    circles = {
-        uav_id: LoiterCircle(plan.new_layout.centers[idx], r_new)
-        for uav_id, idx in plan.assignment.items()
-    }
+    centers = plan.new_layout.centers
+    circles = {uav_id: LoiterCircle(centers[idx], r_new) for uav_id, idx in plan.assignment.items()}
     return _fleet(
-        state.area,
-        state.kind,
         state.platform,
         plan.new_layout,
         circles,
-        min_comm_radius(r_new, state.kind),
-        state.base,
         phase=(state.phase + omega_new * t_end) % TWO_PI,
         time=state.time + t_end,
     )

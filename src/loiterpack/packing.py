@@ -26,6 +26,9 @@ SPAN_TOL = 1e-9
 # Most samples a coverage grid may hold (64 Mi points).
 MAX_GRID_POINTS = 1 << 26
 
+# Most circles a layout may hold (1 Mi circles).
+MAX_LAYOUT_CIRCLES = 1 << 20
+
 
 @dataclass(frozen=True)
 class PackingLayout:
@@ -73,18 +76,28 @@ def axis_march(area: AreaSpec, r_l: float, kind: PackingKind) -> tuple[list[list
     boundary, with vertical pitch 1.5*r_l and a footprint reaching one vertex
     height (r_l) above each row; square rows share one template with pitch
     sqrt(2)*r_l in both directions.
+
+    Raises ``ValueError``, before marching, when the closed-form bound of
+    floor(extent / pitch) + 2 circles per axis exceeds ``MAX_LAYOUT_CIRCLES``.
     """
     if not r_l > 0:
         raise ValueError(f"loiter radius must be positive, got {r_l}")
-    if kind is PackingKind.HEXAGON:
-        x_pitch = SQRT3 * r_l
+    hexagon = kind is PackingKind.HEXAGON
+    x_pitch = (SQRT3 if hexagon else SQRT2) * r_l
+    y_pitch = 1.5 * r_l if hexagon else x_pitch
+    bound = (area.x_extent // x_pitch + 2) * (area.y_extent // y_pitch + 2)
+    if not bound <= MAX_LAYOUT_CIRCLES:
+        raise ValueError(
+            f"a {kind.value} layout at r_l={r_l!r} m may hold up to {bound:.3g} circles, "
+            f"over the limit of {MAX_LAYOUT_CIRCLES}"
+        )
+    if hexagon:
         templates = ((0.5 * x_pitch, 0.5 * x_pitch), (0.0, 0.5 * x_pitch))
-        ys = _march(0.5 * r_l, 1.5 * r_l, area.y_extent, r_l)
+        ys = _march(0.5 * r_l, y_pitch, area.y_extent, r_l)
     else:
-        x_pitch = SQRT2 * r_l
         half = r_l / SQRT2
         templates = ((half, half),)
-        ys = _march(half, x_pitch, area.y_extent, half)
+        ys = _march(half, y_pitch, area.y_extent, half)
     xs = [_march(first, x_pitch, area.x_extent, half_span) for first, half_span in templates]
     return xs, ys
 

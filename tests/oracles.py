@@ -459,6 +459,17 @@ def closest_pair_loop(tracks):
 def union_find_clusters(ids, positions, reach: float):
     """Connected components of the distance graph via union-find."""
     ids = list(ids)
+    edges = [
+        (i, j)
+        for i, j in itertools.combinations(ids, 2)
+        if math.hypot(positions[i][0] - positions[j][0], positions[i][1] - positions[j][1]) <= reach
+    ]
+    return edge_components(ids, edges)
+
+
+def edge_components(ids, edges):
+    """Connected components (a set of frozensets) of a graph via union-find."""
+    ids = list(ids)
     parent = {i: i for i in ids}
 
     def find(i):
@@ -467,13 +478,10 @@ def union_find_clusters(ids, positions, reach: float):
             i = parent[i]
         return i
 
-    for i, j in itertools.combinations(ids, 2):
-        dx = positions[i][0] - positions[j][0]
-        dy = positions[i][1] - positions[j][1]
-        if math.hypot(dx, dy) <= reach:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups: dict = {}
     for i in ids:
         groups.setdefault(find(i), set()).add(i)

@@ -83,7 +83,7 @@ def test_criterion_4_end_to_end_recovery():
         assert len(state.uavs) == 35
         inject_failure(state, FailureEvent(time=60.0, seed=42, loss_count=18))
         report = detect_failures(state)
-        assert report.survivor_count == 17
+        assert len(report.circles) == 17
         plan = super_agent_recover(report, AREA, HEX, R_C, PLATFORM, r_l_max=R_L_MAX)
         assert plan.outcome is RecoveryOutcome.FULL_RESTORED
         assert plan.solution.loiter_radius == pytest.approx(96.22, abs=0.01)
@@ -92,7 +92,7 @@ def test_criterion_4_end_to_end_recovery():
         cov = coverage_report(
             AREA,
             [u.assigned_circle.center for u in recovered.uavs],
-            recovered.loiter_radius,
+            recovered.layout.loiter_radius,
             R_C,
             grid_pitch=R_C / 20.0,
             phase_samples=36,

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from loiterpack import cli
 from loiterpack.cli import main
+from loiterpack.fleet import apply_recovery
 from loiterpack.geometry import AreaSpec, PackingKind, Vec2
-from loiterpack.packing import PackingLayout, pack
+from loiterpack.packing import MAX_LAYOUT_CIRCLES, PackingLayout, pack
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -479,6 +481,70 @@ class TestSimulateChecksFirst:
         cfg = base_config(tmp_path / "out", deployment={"radius_m": 70.0}, min_turn_formula="steep")
         assert run("pack", write_config(tmp_path, cfg)) == 2
         assert "got 'steep'" in capsys.readouterr().err
+
+
+class TestScenarioClock:
+    # Losing these ids cuts the base off, so detection waits one loiter
+    # period (10 s + 29.322 s) and the last transition ends at 82.298 s.
+    FIRST = {"time_s": 10.0, "lost_ids": [0, 2, 4, 10, 12, 14, 20, 22, 24, 30, 32, 34]}
+
+    def config(self, tmp_path, second_time):
+        second = {"time_s": second_time, "seed": 1, "loss_count": 2}
+        cfg = base_config(tmp_path / "out", deployment={"radius_m": 70.0}, failures=[self.FIRST, second])
+        return write_config(tmp_path, cfg)
+
+    def test_failure_inside_a_recovery_exits_2(self, tmp_path, capsys):
+        assert run("simulate", self.config(tmp_path, 60.0)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: failures[1]: 'time_s' 60.0")
+        assert "ends at 82.298 s" in err
+
+    def test_state_clock_matches_the_log(self, tmp_path, monkeypatch):
+        times = []
+
+        def recording(state, plan):
+            recovered = apply_recovery(state, plan)
+            times.append(recovered.time)
+            return recovered
+
+        monkeypatch.setattr(cli, "apply_recovery", recording)
+        assert run("simulate", self.config(tmp_path, 500.0)) == 0
+        rows = read_rows(tmp_path / "out" / "events.log")
+        detect = [r["t_s"] for r in rows if r["event"] == "detect"]
+        ends = [float(r["t_s"]) for r in rows if r["event"] == "transition_end"]
+        assert detect == ["39.322", "500.000"]
+        assert f"{max(t for t in ends if t < 500.0):.3f}" == f"{times[0]:.3f}" == "82.298"
+
+
+class TestLayoutLimit:
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("pack", {"deployment": {"radius_m": 1e-6}}),
+            # A 1 m/s platform turns at 5 cm, which leaves the radius unbounded.
+            (
+                "simulate",
+                {"deployment": {"budget_n": 10**12}, "platform": {"speed_mps": 1.0, "max_bank_rad": 0.5}},
+            ),
+            ("sweep", {"sweep": {"r_init_m": [1e-6], "loss_fractions": [0.0]}}),
+        ],
+    )
+    def test_oversized_layout_exits_2(self, tmp_path, capsys, command, overrides):
+        cfg = base_config(tmp_path / "out", **overrides)
+        assert run(command, write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"over the limit of {MAX_LAYOUT_CIRCLES}" in err
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize(
+        "command, flag", [("pack", ("--seed", "3")), ("optimize", ("--phase-samples", "12"))]
+    )
+    def test_flag_of_another_command_exits_2(self, tmp_path, command, flag):
+        cfg = base_config(tmp_path / "out", deployment={"radius_m": 70.0})
+        with pytest.raises(SystemExit) as exc:
+            run(command, write_config(tmp_path, cfg), *flag)
+        assert exc.value.code == 2
 
 
 class TestImport:

@@ -22,7 +22,7 @@ from loiterpack.fleet import (
 )
 from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
 from loiterpack.optimize import Regime
-from oracles import brute_force_assignment, comm_edges_loop, union_find_clusters
+from oracles import brute_force_assignment, comm_edges_loop, edge_components, union_find_clusters
 
 AREA = AreaSpec(500.0, 650.0)
 HEX = PackingKind.HEXAGON
@@ -35,7 +35,7 @@ def fleet_coverage(state, grid_pitch, phase_samples):
     """Coverage fractions of the UAVs still alive, as ``simulate`` reports them."""
     centers = [u.assigned_circle.center for u in state.uavs if u.alive]
     return coverage_report(
-        state.area, centers, state.loiter_radius, R_C, grid_pitch, phase_samples
+        state.layout.area, centers, state.layout.loiter_radius, R_C, grid_pitch, phase_samples
     )
 
 
@@ -48,17 +48,17 @@ class TestDeploy:
         state = table2_fleet()
         assert len(state.uavs) == 35
         assert all(u.alive for u in state.uavs)
-        assert all(all(b == 1 for b in u.neighbor_state) for u in state.uavs)
         assert state.phase == 0.0
 
     def test_interior_uav_has_six_neighbors(self):
         state = table2_fleet()
-        assert max(len(u.neighbor_ids) for u in state.uavs) == 6
+        degree = np.bincount(np.array(sorted(state.edges)).ravel())
+        assert degree.max() == 6
 
     def test_budget_driven(self, table2):
         state = deploy(AREA, HEX, PLATFORM, budget=17, r_c=R_C, r_l_max=R_L_MAX)
         assert len(state.uavs) == 17
-        assert state.loiter_radius == pytest.approx(table2["r_new"], abs=0.01)
+        assert state.layout.loiter_radius == pytest.approx(table2["r_new"], abs=0.01)
 
     def test_zero_budget_fails(self):
         with pytest.raises(InfeasibleError):
@@ -72,17 +72,9 @@ class TestDeploy:
     def test_comm_graph_edges_are_packed_neighbors(self):
         state = table2_fleet()
         reach = state.r_com + 1e-6
-        for i, j in state.comm.edges:
+        for i, j in state.edges:
             d = state.uavs[i].assigned_circle.center.dist(state.uavs[j].assigned_circle.center)
             assert d <= reach
-
-    def test_neighbor_lists_are_the_sorted_edge_ends(self):
-        state, _, plan = run_recovery()
-        for fleet in (table2_fleet(), apply_recovery(state, plan)):
-            for uav in fleet.uavs:
-                ends = [j if i == uav.id else i for i, j in fleet.comm.edges if uav.id in (i, j)]
-                assert uav.neighbor_ids == sorted(ends)
-                assert uav.neighbor_state == [1] * len(ends)
 
 
 class TestCommGraph:
@@ -95,18 +87,21 @@ class TestCommGraph:
         area = AreaSpec(x, y)
         state = deploy(area, HEX, PLATFORM, radius=70.0)
         circles = {u.id: u.assigned_circle for u in state.uavs}
-        assert state.comm.edges == comm_edges_loop(circles, state.r_com)
+        assert state.edges == comm_edges_loop(circles, state.r_com)
         for seed in range(draws):
             state = deploy(area, HEX, PLATFORM, radius=70.0)
             inject_failure(state, FailureEvent(seed=seed, loss_count=loss_count))
+            # The formation keeps its graph; the survivors' clusters are the
+            # components of the graph rebuilt on the survivors alone.
             survivors = {u.id: u.assigned_circle for u in state.uavs if u.alive}
-            assert state.comm.edges == comm_edges_loop(survivors, state.r_com)
+            report = detect_failures(state)
+            rebuilt = comm_edges_loop(survivors, state.r_com)
+            assert set(report.clusters) == edge_components(survivors, rebuilt)
             recovered = apply_recovery(
-                state,
-                super_agent_recover(detect_failures(state), area, HEX, R_C, PLATFORM, r_l_max=R_L_MAX),
+                state, super_agent_recover(report, area, HEX, R_C, PLATFORM, r_l_max=R_L_MAX)
             )
             circles = {u.id: u.assigned_circle for u in recovered.uavs}
-            assert recovered.comm.edges == comm_edges_loop(circles, recovered.r_com)
+            assert recovered.edges == comm_edges_loop(circles, recovered.r_com)
 
     def test_matches_the_pair_loop_at_the_reach(self):
         # Random layouts plus partners placed at reach - 1e-12, reach and
@@ -124,29 +119,30 @@ class TestCommGraph:
                 points.append((px + offset * math.cos(angle), py + offset * math.sin(angle)))
             ids = rng.permutation(3 * len(points))[: len(points)].tolist()
             circles = {i: LoiterCircle(Vec2(*p), 10.0) for i, p in zip(ids, points)}
-            assert _build_comm_graph(circles, r_com).edges == comm_edges_loop(circles, r_com)
+            assert _build_comm_graph(circles, r_com) == comm_edges_loop(circles, r_com)
 
     def test_small_and_degenerate_layouts(self):
         one = {4: LoiterCircle(Vec2(1.0, 1.0), 5.0)}
         same = {4: LoiterCircle(Vec2(1.0, 1.0), 5.0), 2: LoiterCircle(Vec2(1.0, 1.0), 5.0)}
-        assert _build_comm_graph({}, 10.0).edges == frozenset()
-        assert _build_comm_graph(one, 10.0).edges == frozenset()
-        assert _build_comm_graph(same, 10.0).edges == frozenset({(2, 4)})
-        assert _build_comm_graph(same, -1.0).edges == comm_edges_loop(same, -1.0) == frozenset()
+        assert _build_comm_graph({}, 10.0) == frozenset()
+        assert _build_comm_graph(one, 10.0) == frozenset()
+        assert _build_comm_graph(same, 10.0) == frozenset({(2, 4)})
+        assert _build_comm_graph(same, -1.0) == comm_edges_loop(same, -1.0) == frozenset()
 
 
 class TestStep:
     def test_full_period_is_identity(self):
         state = table2_fleet()
-        period = TWO_PI * state.loiter_radius / PLATFORM.speed
-        p0 = state.position_of(state.uavs[0])
+        period = TWO_PI * state.layout.loiter_radius / PLATFORM.speed
+        circle = state.uavs[0].assigned_circle
+        p0 = circle.point_at(state.phase)
         step(state, period)
-        p1 = state.position_of(state.uavs[0])
+        p1 = circle.point_at(state.phase)
         assert p0.dist(p1) < 1e-6
 
     def test_quarter_period(self):
         state = table2_fleet()
-        period = TWO_PI * state.loiter_radius / PLATFORM.speed
+        period = TWO_PI * state.layout.loiter_radius / PLATFORM.speed
         step(state, period / 4)
         assert state.phase == pytest.approx(math.pi / 2)
 
@@ -154,9 +150,9 @@ class TestStep:
         state = table2_fleet()
         for _ in range(5):
             step(state, 3.7)
-        for uav in state.uavs:
-            expected = uav.assigned_circle.point_at(state.phase)
-            assert state.position_of(uav).dist(expected) == 0.0
+        omega = PLATFORM.speed / state.layout.loiter_radius
+        assert state.time == pytest.approx(18.5)
+        assert state.phase == pytest.approx((omega * 18.5) % TWO_PI, abs=1e-12)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -195,20 +191,11 @@ class TestInjectFailure:
 
 
 class TestDetectFailures:
-    def test_neighbor_bits_flip(self):
-        state = table2_fleet()
-        interior = next(u for u in state.uavs if len(u.neighbor_ids) == 6)
-        third = interior.neighbor_ids[2]
-        inject_failure(state, FailureEvent(lost_ids=frozenset({third})))
-        detect_failures(state)
-        assert interior.neighbor_state == [1, 1, 0, 1, 1, 1]
-
     def test_no_losses(self):
         state = table2_fleet()
         report = detect_failures(state)
-        assert report.survivor_count == 35
+        assert len(report.circles) == 35
         assert len(report.clusters) == 1
-        assert all(all(b == 1 for b in u.neighbor_state) for u in state.uavs)
 
     def test_two_cluster_split(self):
         state = table2_fleet()
@@ -217,7 +204,7 @@ class TestDetectFailures:
         inject_failure(state, FailureEvent(lost_ids=lost))
         report = detect_failures(state)
         assert len(report.clusters) == 2
-        assert set().union(*report.clusters) == set(report.survivor_ids)
+        assert set().union(*report.clusters) == set(report.circles)
 
     def test_clusters_match_union_find_oracle(self):
         rng = np.random.default_rng(20)
@@ -226,10 +213,8 @@ class TestDetectFailures:
             k = int(rng.integers(1, 25))
             inject_failure(state, FailureEvent(seed=int(rng.integers(0, 2**32)), loss_count=k))
             report = detect_failures(state)
-            positions = {
-                i: (report.positions[i].x, report.positions[i].y) for i in report.survivor_ids
-            }
-            expected = union_find_clusters(report.survivor_ids, positions, state.r_com + 1e-9)
+            positions = {i: (c.center.x, c.center.y) for i, c in report.circles.items()}
+            expected = union_find_clusters(list(report.circles), positions, state.r_com + 1e-9)
             assert set(report.clusters) == expected
 
     def test_detection_reaches_base_through_neighbors(self):
@@ -266,7 +251,7 @@ class TestSuperAgentRecover:
 
     def test_assignment_is_a_bijection(self):
         _, report, plan = run_recovery()
-        assert sorted(plan.assignment) == list(report.survivor_ids)
+        assert sorted(plan.assignment) == list(report.circles)
         assert sorted(plan.assignment.values()) == list(range(plan.new_layout.count))
         assert plan.spare_ids == ()
 
@@ -308,12 +293,9 @@ class TestSuperAgentRecover:
         plan = super_agent_recover(report, AreaSpec(300.0, 220.0), HEX, R_C, PLATFORM, r_l_max=R_L_MAX)
         assert plan.outcome is not RecoveryOutcome.RECOVERY_FAILED
         centers = plan.new_layout.centers
-        cost = np.array(
-            [[report.positions[i].dist(c) for c in centers] for i in report.survivor_ids]
-        )
-        total = sum(
-            report.positions[i].dist(centers[j]) for i, j in plan.assignment.items()
-        )
+        positions = {i: c.center for i, c in report.circles.items()}
+        cost = np.array([[positions[i].dist(c) for c in centers] for i in positions])
+        total = sum(positions[i].dist(centers[j]) for i, j in plan.assignment.items())
         assert total == pytest.approx(brute_force_assignment(cost), rel=1e-12)
 
     def test_transitions_keep_separation(self):
