@@ -420,6 +420,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     for round_i, event in enumerate(cfg.failures, start=1):
         suffix = "" if round_i == len(cfg.failures) else f"_round{round_i}"
         if event.time < state.time:
+            out.write_manifest()  # of the artifacts the earlier rounds wrote
             raise ConfigError(
                 f"failures[{round_i - 1}]: 'time_s' {event.time} falls inside the recovery "
                 f"from failures[{round_i - 2}], which ends at {state.time:.3f} s"

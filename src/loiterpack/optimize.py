@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .geometry import BOUNDARY_TOL, SQRT2, SQRT3, AreaSpec, PackingKind, max_loiter_radius
-from .packing import axis_march, uav_count
+from .packing import axis_march, check_layout_size, min_layout_radius, uav_count
 
 # Lower bound on any solved radius (meters): prevents degenerate zero-radius
 # layouts when the budget is effectively unlimited.
@@ -141,10 +141,14 @@ def solve_radius(
         return infeasible(uav_count(area, r_cap, kind))
 
     # The layout needs at least area / (cell area) circles, so radii below
-    # the continuous tiling bound are always infeasible; skip them.
+    # the continuous tiling bound are always infeasible; skip them. Radii
+    # below the layout limit cannot be placed; skip them too.
     cell = SQRT3 * 1.5 if kind is PackingKind.HEXAGON else 2.0
     r_inf = math.sqrt(area.x_extent * area.y_extent / (cell * n))
     cand_lo = max(lo, r_inf * (1.0 - 1e-9))
+    r_placeable = min_layout_radius(area, kind)
+    clipped = cand_lo < r_placeable
+    cand_lo = max(cand_lo, r_placeable)
     candidates = _binding_radii(area, kind, cand_lo, r_cap) + [r_cap]
     if lo >= cand_lo:
         candidates.append(lo)
@@ -158,6 +162,10 @@ def solve_radius(
         else:
             lo_i = mid + 1
     r_best = candidates[hi_i]
+    if clipped and hi_i == 0:
+        # The smallest placeable candidate fits the budget, so a smaller
+        # radius might too: report the layout limit just below it.
+        check_layout_size(area, math.nextafter(r_placeable, 0.0), kind)
 
     xs, ys = axis_march(area, r_best, kind)
     return RadiusSolution(

@@ -68,6 +68,44 @@ def _march(first: float, pitch: float, extent: float, half_span: float) -> list[
     return xs
 
 
+def _pitches(r_l: float, kind: PackingKind) -> tuple[float, float]:
+    """(x, y) pitches of the centres at loiter radius ``r_l``."""
+    x_pitch = (SQRT3 if kind is PackingKind.HEXAGON else SQRT2) * r_l
+    return x_pitch, 1.5 * r_l if kind is PackingKind.HEXAGON else x_pitch
+
+
+def _circle_bound(area: AreaSpec, r_l: float, kind: PackingKind) -> float:
+    """Closed-form bound on the circles of a layout: floor(extent / pitch) + 2
+    per axis. It does not grow with ``r_l``; it is 4 from one extent up."""
+    x_pitch, y_pitch = _pitches(r_l, kind)
+    return (area.x_extent // x_pitch + 2) * (area.y_extent // y_pitch + 2)
+
+
+def check_layout_size(area: AreaSpec, r_l: float, kind: PackingKind) -> None:
+    """Raises ``ValueError`` when the closed-form bound exceeds
+    ``MAX_LAYOUT_CIRCLES`` or is NaN."""
+    bound = _circle_bound(area, r_l, kind)
+    if not bound <= MAX_LAYOUT_CIRCLES:
+        raise ValueError(
+            f"a {kind.value} layout at r_l={r_l!r} m may hold up to {bound:.3g} circles, "
+            f"over the limit of {MAX_LAYOUT_CIRCLES}"
+        )
+
+
+def min_layout_radius(area: AreaSpec, kind: PackingKind) -> float:
+    """Smallest loiter radius whose closed-form bound fits
+    ``MAX_LAYOUT_CIRCLES``, by bisection down to adjacent floats."""
+    lo, hi = 0.0, max(area.x_extent, area.y_extent)
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if _circle_bound(area, mid, kind) <= MAX_LAYOUT_CIRCLES:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 def axis_march(area: AreaSpec, r_l: float, kind: PackingKind) -> tuple[list[list[float]], list[float]]:
     """(x coordinates of each row template, y coordinates of the rows).
 
@@ -77,20 +115,13 @@ def axis_march(area: AreaSpec, r_l: float, kind: PackingKind) -> tuple[list[list
     height (r_l) above each row; square rows share one template with pitch
     sqrt(2)*r_l in both directions.
 
-    Raises ``ValueError``, before marching, when the closed-form bound of
-    floor(extent / pitch) + 2 circles per axis exceeds ``MAX_LAYOUT_CIRCLES``.
+    Raises ``ValueError`` as ``check_layout_size`` does, before marching.
     """
     if not r_l > 0:
         raise ValueError(f"loiter radius must be positive, got {r_l}")
+    check_layout_size(area, r_l, kind)
     hexagon = kind is PackingKind.HEXAGON
-    x_pitch = (SQRT3 if hexagon else SQRT2) * r_l
-    y_pitch = 1.5 * r_l if hexagon else x_pitch
-    bound = (area.x_extent // x_pitch + 2) * (area.y_extent // y_pitch + 2)
-    if not bound <= MAX_LAYOUT_CIRCLES:
-        raise ValueError(
-            f"a {kind.value} layout at r_l={r_l!r} m may hold up to {bound:.3g} circles, "
-            f"over the limit of {MAX_LAYOUT_CIRCLES}"
-        )
+    x_pitch, y_pitch = _pitches(r_l, kind)
     if hexagon:
         templates = ((0.5 * x_pitch, 0.5 * x_pitch), (0.0, 0.5 * x_pitch))
         ys = _march(0.5 * r_l, y_pitch, area.y_extent, r_l)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -498,6 +499,14 @@ class TestScenarioClock:
         err = capsys.readouterr().err
         assert err.startswith("config error: failures[1]: 'time_s' 60.0")
         assert "ends at 82.298 s" in err
+        # The first round's artifacts stay, each listed in the manifest.
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert "recovered_round1.svg" in written
+        assert [m["file"] for m in manifest] == written
+        for m in manifest:
+            assert hashlib.sha256((out / m["file"]).read_bytes()).hexdigest() == m["sha256"]
 
     def test_state_clock_matches_the_log(self, tmp_path, monkeypatch):
         times = []
@@ -527,6 +536,11 @@ class TestLayoutLimit:
                 {"deployment": {"budget_n": 10**12}, "platform": {"speed_mps": 1.0, "max_bank_rad": 0.5}},
             ),
             ("sweep", {"sweep": {"r_init_m": [1e-6], "loss_fractions": [0.0]}}),
+            # No turn radius: the optimum lies below the smallest placeable radius.
+            (
+                "optimize",
+                {"deployment": {"budget_n": 10**12}, "platform": None, "r_min_turn_m": 0.0},
+            ),
         ],
     )
     def test_oversized_layout_exits_2(self, tmp_path, capsys, command, overrides):

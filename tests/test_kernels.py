@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,14 +146,47 @@ class TestStampedMatchesDense:
             assert_matches_dense(rows, axis, row, c, r_l, r_c, np.array([math.pi / 2]), tol=0.0)
 
     def test_phase_blocks_and_row_chunks(self, monkeypatch):
-        # Budgets small enough that every phase gets its own mask block and
-        # every stamp is split into several row chunks.
-        monkeypatch.setattr(kernels, "_MASK_ELEMENTS", 1)
+        # Budgets small enough that every phase gets its own block of runs
+        # and every cycle stamp is split into several row chunks.
+        monkeypatch.setattr(kernels, "_RUN_ENTRIES", 1)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 64)
         xs, ys = grid_points(AreaSpec(90.0, 70.0), 1.5)
         rng = np.random.default_rng(7)
         cx, cy = rng.uniform(-10.0, 100.0, size=6), rng.uniform(-10.0, 80.0, size=6)
-        assert_matches_dense(xs, ys, cx, cy, 14.0, 11.0, np.arange(12) * (math.pi / 6))
+        phases = np.arange(12) * (math.pi / 6)
+        # Every phase first once, so that no block can borrow the first one's.
+        for k in range(phases.size):
+            assert_matches_dense(xs, ys, cx, cy, 14.0, 11.0, np.roll(phases, -k))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_crowded_layouts(self, seed):
+        # r_c many times the spacing of the centres, some centres repeated:
+        # the runs of one row nest, overlap, touch and coincide.
+        rng = np.random.default_rng(100 + seed)
+        area = AreaSpec(rng.uniform(20.0, 60.0), rng.uniform(20.0, 60.0))
+        xs, ys = grid_points(area, rng.uniform(0.4, 2.0))
+        n = int(rng.integers(8, 40))
+        cx = rng.uniform(0.0, area.x_extent, size=n)
+        cy = rng.uniform(0.0, area.y_extent, size=n)
+        cx[: n // 4], cy[: n // 4] = cx[-(n // 4) :], cy[-(n // 4) :]
+        r_l, r_c = rng.uniform(0.5, 5.0), rng.uniform(8.0, 40.0)
+        phases = np.arange(16) * (math.pi / 8)
+        assert_matches_dense(xs, ys, cx, cy, r_l, r_c, phases)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fine_pitch_and_centres_outside(self, seed):
+        # Pitch at most 0.05 m, radii of a few pitches to a few metres, and
+        # centres up to one reach outside the area on every side.
+        rng = np.random.default_rng(200 + seed)
+        area = AreaSpec(rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0))
+        xs, ys = grid_points(area, rng.uniform(0.01, 0.05))
+        r_l, r_c = rng.uniform(0.02, 2.0), rng.uniform(0.02, 2.0)
+        margin = r_l + r_c
+        n = int(rng.integers(1, 10))
+        cx = rng.uniform(-margin, area.x_extent + margin, size=n)
+        cy = rng.uniform(-margin, area.y_extent + margin, size=n)
+        phases = np.arange(8) * (math.pi / 4)
+        assert_matches_dense(xs, ys, cx, cy, r_l, r_c, phases, tol=TOL if seed % 2 else 0.0)
 
 
 class TestRecoveredLayoutFractions:
@@ -173,6 +207,47 @@ class TestRecoveredLayoutFractions:
         report = coverage_report(area, layout.centers, r_l, 80.0, 4.0, 36)
         assert report.cycle_fraction == 1.0
         assert report.instant_min_fraction == instant
+
+
+class TestRowRuns:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_settle_from_any_bracketing_seeds(self, seed):
+        # Seeds a <= m <= b around the sample m nearest each UAV, up to ten
+        # samples off, step to the exact run of the predicate, empty or not.
+        rng = np.random.default_rng(300 + seed)
+        xs = (np.arange(40) + 0.5) * rng.uniform(0.05, 3.0)
+        xp = np.concatenate(([-np.inf], xs, [np.inf]))
+        x = rng.uniform(xs[0] - 5.0, xs[-1] + 5.0, size=500)
+        reach2 = rng.uniform(0.0, 10.0) ** 2
+        dy2 = reach2 * rng.uniform(0.0, 1.2, size=x.size)
+        m = np.searchsorted(xp, x, "left")
+        a = np.maximum(m - rng.integers(0, 10, size=x.size), 1)
+        b = np.minimum(m + rng.integers(0, 10, size=x.size), xs.size + 1)
+        kernels._settle(xp, reach2, a, b, x, dy2)
+        hold = (xs[None, :] - x[:, None]) ** 2 + dy2[:, None] <= reach2
+        for i in range(x.size):
+            (k,) = np.nonzero(hold[i])
+            run = (k[0] + 1, k[-1] + 2) if k.size else (a[i], a[i])
+            assert (a[i], b[i]) == run
+            assert k.size == 0 or np.array_equal(k, np.arange(k[0], k[-1] + 1))
+
+    def test_instant_kernel_memory(self):
+        # The coverage-1km check (49 circles, 4 m grid, 36 phases) stays
+        # under 3 MiB of Python-visible allocations; a (phases, ny, nx) mask
+        # block took 4.7 MiB.
+        area = AreaSpec(1000.0, 1000.0)
+        centers = pack(area, 95.23809523809523, PackingKind.HEXAGON).centers
+        cx = np.array([c.x for c in centers])
+        cy = np.array([c.y for c in centers])
+        xs, ys = grid_points(area, 4.0)
+        phases = np.arange(36) * (2.0 * math.pi / 36)
+        tracemalloc.start()
+        try:
+            kernels.min_instant_fraction(xs, ys, cx, cy, 95.23809523809523, 80.0, phases, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 def loiterers(*xs):

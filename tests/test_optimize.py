@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from loiterpack import optimize
 from loiterpack.geometry import AreaSpec, PackingKind
 from loiterpack.optimize import (
     RADIUS_FLOOR,
@@ -13,7 +14,7 @@ from loiterpack.optimize import (
     revisit_period,
     solve_radius,
 )
-from loiterpack.packing import pack, uav_count
+from loiterpack.packing import MAX_LAYOUT_CIRCLES, min_layout_radius, pack, uav_count
 
 AREA = AreaSpec(500.0, 650.0)
 HEX = PackingKind.HEXAGON
@@ -58,6 +59,32 @@ class TestSolveRadius:
             FleetBudget(10**6), AreaSpec(1.0, 1.0), HEX, r_c=1.0, r_min_turn=0.0
         )
         assert sol.loiter_radius == RADIUS_FLOOR
+
+    def test_radii_below_the_layout_limit_are_not_listed(self, monkeypatch):
+        lengths = []
+        binding_radii = optimize._binding_radii
+
+        def counted(*args):
+            radii = binding_radii(*args)
+            lengths.append(len(radii))
+            return radii
+
+        monkeypatch.setattr(optimize, "_binding_radii", counted)
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_LAYOUT_CIRCLES}"):
+            solve(10**12, r_min=0.0)
+        assert lengths and max(lengths) < 5000
+
+    @pytest.mark.parametrize("scale", [1.001, 1.1, 2.0])
+    def test_answers_just_above_the_layout_limit(self, scale):
+        # Budgets whose left edge lies just above the smallest placeable
+        # radius: the answer is still the exact left edge.
+        r_min = min_layout_radius(AREA, HEX)
+        n = uav_count(AREA, scale * r_min, HEX)
+        r = solve(n, r_min=0.0).loiter_radius
+        assert r_min <= r <= scale * r_min
+        assert uav_count(AREA, r, HEX) <= n
+        probe = r * (1.0 - 1e-6)
+        assert probe < r_min or uav_count(AREA, probe, HEX) > n
 
     def test_solution_is_left_edge_of_feasible_set(self):
         rng = np.random.default_rng(8)
