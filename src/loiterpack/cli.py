@@ -57,6 +57,9 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_PLANNING = 4
 
+# Most samples ``path`` writes (29 hours of flight at its 0.1 s step).
+MAX_PATH_SAMPLES = 1 << 20
+
 
 @dataclass
 class ScenarioConfig:
@@ -420,7 +423,6 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     for round_i, event in enumerate(cfg.failures, start=1):
         suffix = "" if round_i == len(cfg.failures) else f"_round{round_i}"
         if event.time < state.time:
-            out.write_manifest()  # of the artifacts the earlier rounds wrote
             raise ConfigError(
                 f"failures[{round_i - 1}]: 'time_s' {event.time} falls inside the recovery "
                 f"from failures[{round_i - 2}], which ends at {state.time:.3f} s"
@@ -526,9 +528,14 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
         0, cfg.path_source, 0.0, cfg.path_target, r_turn, platform.speed
     )
     dt = 0.1
+    if not plan.arrival_time / dt < MAX_PATH_SAMPLES:
+        raise ConfigError(
+            f"the transition takes {plan.arrival_time} s: over {MAX_PATH_SAMPLES} samples "
+            f"at {dt} s (is the speed right?)"
+        )
     n = max(2, int(math.ceil(plan.arrival_time / dt)) + 1)
     times = plan.arrival_time * np.arange(n) / (n - 1)
-    xs, ys, headings = track(plan, times, platform.speed)
+    xs, ys, headings = (a[0] for a in track([plan], times, platform.speed))
     rows = zip(times.tolist(), xs.tolist(), ys.tolist(), headings.tolist())
     lines = ["uav_id,t_s,x_m,y_m,heading_rad"]
     lines += [f"0,{t!r},{x!r},{y!r},{h!r}" for t, x, y, h in rows]
@@ -622,7 +629,12 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         out = ArtifactWriter(Path(cfg.out_dir))
-        return _COMMANDS[args.command](cfg, out)
+        try:
+            return _COMMANDS[args.command](cfg, out)
+        except (InfeasibleError, PlanningError, ValueError):
+            if out.written:
+                out.write_manifest()  # of the artifacts written before the error
+            raise
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -6,10 +6,21 @@ forward application, shortest first, and the first that reaches the goal
 wins, so a numerically degenerate branch can never produce a path that misses
 the goal pose.
 
-Transitions depart a source loiter circle tangentially and join a target
-circle tangentially at a phase consistent with the fleet-wide synchronized
-phase clock, solved by fixed-point iteration over the arrival time. ``track``
-evaluates a planned transition (loiter, path, loiter) at an array of times.
+``_shortest`` is that solve as a float kernel: poses in as (x, y, heading)
+floats, the word index and the segment lengths out, with the forward walk
+inlined. ``shortest_path`` is the object boundary around it (checks, then
+the kernel, then a ``DubinsPath``). Transitions depart a source loiter
+circle tangentially and join a target circle tangentially at a phase
+consistent with the fleet-wide synchronized phase clock, solved by
+fixed-point iteration over the arrival time; ``plan_transition`` iterates
+the kernel on floats and builds the plan's one ``DubinsPath`` through
+``shortest_path`` from the converged poses.
+
+``track`` evaluates N planned transitions (loiter, path, loiter) at one
+sorted array of times in one pass: each plan's three parts are index ranges
+of the times, the loiter arcs are evaluated over blocks of plans and the
+Dubins legs only at the in-flight samples, in one segment walk (``_walk``)
+that ``sample`` shares.
 """
 
 from __future__ import annotations
@@ -31,6 +42,16 @@ SYNC_TOL = 1e-6
 MAX_SYNC_ITERATIONS = 100
 
 _POSE_EPS = 1e-12
+
+# Most (UAV, sample) entries one separation check may hold: its position
+# arrays are (UAVs, samples), and a crawling speed stretches the timeline.
+MAX_SEPARATION_ENTRIES = 1 << 24
+
+# At most this many (plan, time) entries per block of ``track`` (a block
+# holds at least one plan), so its (plans, times) temporaries stay at 64 KB
+# each. On the coverage-1km separation checks 2**13 was as fast as 2**14 and
+# 2**15 at a lower tracemalloc peak (1.07 against 1.63 and 2.04 MiB median).
+_TRACK_ENTRIES = 2**13
 
 
 def mod2pi(angle: float) -> float:
@@ -54,6 +75,12 @@ _WORD_ORDER = (
     DubinsWord.RLR,
     DubinsWord.LRL,
 )
+
+# The segment kinds of each word, looked up without the enum in the kernel.
+_WORD_KINDS = tuple(word.value for word in _WORD_ORDER)
+
+# Turn sign of each segment kind: +1 left (CCW), -1 right, 0 straight.
+_TURN = {"L": 1.0, "S": 0.0, "R": -1.0}
 
 
 @dataclass(frozen=True)
@@ -101,7 +128,8 @@ class TransitionPlan:
 
 def _words(alpha: float, beta: float, d: float):
     """(t, p, q) segment lengths of each word in ``_WORD_ORDER``, or None
-    where the word does not exist; the trigonometry is shared by all six."""
+    where the word does not exist; the trigonometry is shared by all six.
+    Angles are reduced with ``% TWO_PI`` inline, as ``mod2pi`` does."""
     sa, ca = math.sin(alpha), math.cos(alpha)
     sb, cb = math.sin(beta), math.cos(beta)
     c_ab = math.cos(alpha - beta)
@@ -111,7 +139,7 @@ def _words(alpha: float, beta: float, d: float):
     psi_r = math.atan2(ca - cb, d - sa + sb)
 
     p_sq = 2.0 + dd - 2.0 * c_ab + 2.0 * d * (sa - sb)
-    lsl = None if p_sq < 0.0 else (mod2pi(psi_l - alpha), math.sqrt(p_sq), mod2pi(beta - psi_l))
+    lsl = None if p_sq < 0.0 else ((psi_l - alpha) % TWO_PI, math.sqrt(p_sq), (beta - psi_l) % TWO_PI)
 
     p_sq = -2.0 + dd + 2.0 * c_ab + 2.0 * d * (sa + sb)
     if p_sq < 0.0:
@@ -119,7 +147,7 @@ def _words(alpha: float, beta: float, d: float):
     else:
         p = math.sqrt(p_sq)
         psi = math.atan2(-ca - cb, d + sa + sb) + math.atan2(2.0, p)
-        lsr = (mod2pi(psi - alpha), p, mod2pi(psi - beta))
+        lsr = ((psi - alpha) % TWO_PI, p, (psi - beta) % TWO_PI)
 
     p_sq = -2.0 + dd + 2.0 * c_ab - 2.0 * d * (sa + sb)
     if p_sq < 0.0:
@@ -127,46 +155,45 @@ def _words(alpha: float, beta: float, d: float):
     else:
         p = math.sqrt(p_sq)
         psi = math.atan2(ca + cb, d - sa - sb) - math.atan2(2.0, p)
-        rsl = (mod2pi(alpha - psi), p, mod2pi(beta - psi))
+        rsl = ((alpha - psi) % TWO_PI, p, (beta - psi) % TWO_PI)
 
     p_sq = 2.0 + dd - 2.0 * c_ab + 2.0 * d * (sb - sa)
-    rsr = None if p_sq < 0.0 else (mod2pi(alpha - psi_r), math.sqrt(p_sq), mod2pi(psi_r - beta))
+    rsr = None if p_sq < 0.0 else ((alpha - psi_r) % TWO_PI, math.sqrt(p_sq), (psi_r - beta) % TWO_PI)
 
     cos_mid = (6.0 - dd + 2.0 * c_ab + 2.0 * d * (sa - sb)) / 8.0
     if abs(cos_mid) > 1.0:
         rlr = None
     else:
-        p = mod2pi(TWO_PI - math.acos(cos_mid))
-        t = mod2pi(alpha - psi_r + 0.5 * p)
-        rlr = (t, p, mod2pi(alpha - beta - t + p))
+        p = (TWO_PI - math.acos(cos_mid)) % TWO_PI
+        t = (alpha - psi_r + 0.5 * p) % TWO_PI
+        rlr = (t, p, (alpha - beta - t + p) % TWO_PI)
 
     cos_mid = (6.0 - dd + 2.0 * c_ab + 2.0 * d * (sb - sa)) / 8.0
     if abs(cos_mid) > 1.0:
         lrl = None
     else:
-        p = mod2pi(TWO_PI - math.acos(cos_mid))
-        t = mod2pi(psi_l - alpha + 0.5 * p)
-        lrl = (t, p, mod2pi(beta - alpha - t + p))
+        p = (TWO_PI - math.acos(cos_mid)) % TWO_PI
+        t = (psi_l - alpha + 0.5 * p) % TWO_PI
+        lrl = (t, p, (beta - alpha - t + p) % TWO_PI)
 
     return lsl, lsr, rsl, rsr, rlr, lrl
 
 
-def _advance(x, y, th, kind: str, length, r: float, trig=math):
+def _advance(x, y, th, kind: str, length, r: float):
     """State after ``length`` along one segment from (x, y, th); arcs are
-    exact, no integration. Scalar with ``trig=math``; with ``trig=np`` the
-    start state is scalar and ``length`` an array of lengths."""
+    exact, no integration."""
     if kind == "S":
-        return x + length * trig.cos(th), y + length * trig.sin(th), th
+        return x + length * math.cos(th), y + length * math.sin(th), th
     phi = length / r
     if kind == "L":
         return (
-            x + r * (trig.sin(th + phi) - trig.sin(th)),
-            y - r * (trig.cos(th + phi) - trig.cos(th)),
+            x + r * (math.sin(th + phi) - math.sin(th)),
+            y - r * (math.cos(th + phi) - math.cos(th)),
             th + phi,
         )
     return (
-        x - r * (trig.sin(th - phi) - trig.sin(th)),
-        y + r * (trig.cos(th - phi) - trig.cos(th)),
+        x - r * (math.sin(th - phi) - math.sin(th)),
+        y + r * (math.cos(th - phi) - math.cos(th)),
         th - phi,
     )
 
@@ -187,6 +214,52 @@ def path_end(path: DubinsPath) -> Pose:
     return Pose(Vec2(x, y), th)
 
 
+def _walk(paths, owner: np.ndarray, s: np.ndarray):
+    """(x, y, heading in [0, 2pi)) after the arc lengths ``s`` (each in
+    [0, length]) along the paths ``paths[owner]``.
+
+    A length goes to the first segment it does not exceed, counting it down
+    segment by segment, and is applied from that segment's start state with
+    the arithmetic of ``_advance``; a length that rounding puts past the last
+    segment keeps the end state. Left and right arcs share one expression:
+    negating ``r`` and ``phi`` is exact, so ``x + (-r) * d`` is ``x - r * d``
+    bit for bit.
+    """
+    states = np.array([_breakpoints(path) for path in paths], dtype=float).reshape(-1, 3)
+    # One turn sign per breakpoint; the end state (index 3) never advances.
+    turns = np.array([[_TURN[kind] for kind in path.word.value] + [0.0] for path in paths])
+    lengths = np.array([path.segment_lengths for path in paths], dtype=float)
+    radius = np.array([path.turn_radius for path in paths], dtype=float)
+
+    segment = np.full(s.shape, 3)
+    along = np.zeros_like(s)
+    rest = s
+    for k in range(3):
+        length = lengths[owner, k]
+        here = (segment == 3) & (rest <= length)
+        segment[here] = k
+        along[here] = rest[here]
+        rest = rest - length
+    at = owner * 4 + segment
+    x, y, th = states[at, 0], states[at, 1], states[at, 2]
+    cos_th, sin_th = np.cos(states[:, 2])[at], np.sin(states[:, 2])[at]
+    turn = turns.ravel()[at]
+
+    line = np.flatnonzero((turn == 0.0) & (segment < 3))
+    x[line] = x[line] + along[line] * cos_th[line]
+    y[line] = y[line] + along[line] * sin_th[line]
+
+    arc = np.flatnonzero(turn != 0.0)
+    r = radius[owner[arc]]
+    phi = along[arc] / r
+    heading = th[arc] + turn[arc] * phi
+    signed_r = turn[arc] * r
+    x[arc] = x[arc] + signed_r * (np.sin(heading) - sin_th[arc])
+    y[arc] = y[arc] - signed_r * (np.cos(heading) - cos_th[arc])
+    th[arc] = heading
+    return x, y, np.mod(th, TWO_PI)
+
+
 def sample(path: DubinsPath, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions and headings (x, y, heading in [0, 2pi)) after the arc
     lengths ``s`` along the path."""
@@ -195,61 +268,74 @@ def sample(path: DubinsPath, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     outside = (s < -_POSE_EPS) | (s > total + max(1e-9, 1e-12 * total))
     if outside.any():
         raise ValueError(f"arc length {s[outside].flat[0]} outside [0, {total}]")
-    rest = np.clip(s, 0.0, total)
-    states = _breakpoints(path)
-    # Lengths that rounding puts past the last segment keep the end state.
-    x, y, th = (np.full(s.shape, value) for value in states[-1])
-    todo = np.ones(s.shape, dtype=bool)
-    for start, kind, length in zip(states, path.word.value, path.segment_lengths):
-        here = todo & (rest <= length)
-        x[here], y[here], th[here] = _advance(
-            *start, kind, rest[here], path.turn_radius, np
-        )
-        todo &= ~here
-        rest = rest - length
-    return x, y, np.mod(th, TWO_PI)
+    rest = np.clip(s, 0.0, total).ravel()
+    x, y, heading = _walk([path], np.zeros(rest.shape, dtype=np.intp), rest)
+    return x.reshape(s.shape), y.reshape(s.shape), heading.reshape(s.shape)
 
 
-def _angle_diff(a: float, b: float) -> float:
-    return abs((a - b + math.pi) % TWO_PI - math.pi)
+def _unverified(a: Pose, b: Pose) -> PlanningError:
+    # All six closed forms exist for every pose pair; reaching this means
+    # a verification tolerance failure, which is a bug worth surfacing.
+    return PlanningError(f"no verified Dubins word connects {a} to {b}")
+
+
+def _shortest(ax, ay, ah, bx, by, bh, r_turn):
+    """(index into ``_WORD_ORDER``, (t, p, q) segment lengths) of the
+    minimum-length path from pose (ax, ay, ah) to pose (bx, by, bh), headings
+    in [0, 2pi) and ``r_turn`` > 0, or None when no word verifies.
+
+    Shortest first, the earlier word on equal lengths: the first candidate
+    whose forward walk (``_breakpoints`` inlined, one sine and cosine per
+    turn) reaches the goal is the shortest verified word."""
+    dx = bx - ax
+    dy = by - ay
+    dist = math.hypot(dx, dy)
+    scale = max(1.0, dist, r_turn)
+    if dist <= _POSE_EPS * scale and abs((ah - bh + math.pi) % TWO_PI - math.pi) <= 1e-12:
+        return 0, (0.0, 0.0, 0.0)
+
+    theta = math.atan2(dy, dx)
+    candidates = []
+    words = _words((ah - theta) % TWO_PI, (bh - theta) % TWO_PI, dist / r_turn)
+    for k, tpq in enumerate(words):
+        if tpq is not None:
+            t, p, q = tpq[0] * r_turn, tpq[1] * r_turn, tpq[2] * r_turn
+            candidates.append((t + p + q, k, (t, p, q)))
+    candidates.sort()
+    tol = 1e-9 * scale
+    sin0, cos0 = math.sin(ah), math.cos(ah)
+    for _, k, lengths in candidates:
+        x, y, th, sin_th, cos_th = ax, ay, ah, sin0, cos0
+        for kind, length in zip(_WORD_KINDS[k], lengths):
+            if length > 0.0:
+                if kind == "S":
+                    x, y = x + length * cos_th, y + length * sin_th
+                    continue
+                end = th + length / r_turn if kind == "L" else th - length / r_turn
+                sin_end, cos_end = math.sin(end), math.cos(end)
+                if kind == "L":
+                    x, y = x + r_turn * (sin_end - sin_th), y - r_turn * (cos_end - cos_th)
+                else:
+                    x, y = x - r_turn * (sin_end - sin_th), y + r_turn * (cos_end - cos_th)
+                th, sin_th, cos_th = end, sin_end, cos_end
+        if (
+            math.hypot(x - bx, y - by) <= tol
+            and abs((th % TWO_PI - bh + math.pi) % TWO_PI - math.pi) <= 1e-9
+        ):
+            return k, lengths
+    return None
 
 
 def shortest_path(a: Pose, b: Pose, r_turn: float) -> DubinsPath:
     """Minimum-length bounded-curvature path from ``a`` to ``b``."""
     if not r_turn > 0:
         raise ValueError(f"turn radius must be positive, got {r_turn}")
-    dx = b.position.x - a.position.x
-    dy = b.position.y - a.position.y
-    dist = math.hypot(dx, dy)
-    scale = max(1.0, dist, r_turn)
-    if dist <= _POSE_EPS * scale and _angle_diff(a.heading, b.heading) <= 1e-12:
-        return DubinsPath(DubinsWord.LSL, (0.0, 0.0, 0.0), r_turn, a)
-
-    theta = math.atan2(dy, dx)
-    alpha = mod2pi(a.heading - theta)
-    beta = mod2pi(b.heading - theta)
-    d = dist / r_turn
-
-    # Shortest first, the earlier word on equal lengths: the first candidate
-    # that reaches ``b`` is the shortest verified word.
-    candidates = []
-    for k, tpq in enumerate(_words(alpha, beta, d)):
-        if tpq is not None:
-            t, p, q = tpq[0] * r_turn, tpq[1] * r_turn, tpq[2] * r_turn
-            candidates.append((t + p + q, k, (t, p, q)))
-    candidates.sort()
-    tol = 1e-9 * scale
-    for _, k, lengths in candidates:
-        candidate = DubinsPath(_WORD_ORDER[k], lengths, r_turn, a)
-        x, y, heading = _breakpoints(candidate)[-1]
-        if (
-            math.hypot(x - b.position.x, y - b.position.y) <= tol
-            and _angle_diff(mod2pi(heading), b.heading) <= 1e-9
-        ):
-            return candidate
-    # All six closed forms exist for every pose pair; reaching this means
-    # a verification tolerance failure, which is a bug worth surfacing.
-    raise PlanningError(f"no verified Dubins word connects {a} to {b}")
+    found = _shortest(
+        a.position.x, a.position.y, a.heading, b.position.x, b.position.y, b.heading, r_turn
+    )
+    if found is None:
+        raise _unverified(a, b)
+    return DubinsPath(_WORD_ORDER[found[0]], found[1], r_turn, a)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +365,17 @@ def plan_transition(
     non-convergent geometries retry with the departure postponed, first by
     one full target period, then by fractional-period offsets.
 
+    Each evaluation is one ``_shortest`` call on floats; the goal pose is
+    ``loiter_pose``'s arithmetic inlined, so the converged poses rebuilt as
+    ``Pose`` objects give ``shortest_path`` the same path.
+
     For one departure delay the arrival time is a deterministic function of
     the guessed arrival, so two loops stop early without changing the result:
 
     - The fixed point stops when an iterate repeats one already seen at this
       delay. From there the sequence cycles through steps that were checked
-      and did not converge, so it can never converge; the bisection starts.
+      and did not converge, so it can never converge; the bisection starts,
+      from the fixed point's first evaluation, which was at the same delay.
     - The bisection stops when the midpoint equals the previous one. That
       midpoint did not meet the tolerance, and evaluating it again moves the
       same bracket end to where it already is, so every remaining step would
@@ -299,23 +390,13 @@ def plan_transition(
             f"transit turn radius {r_turn} exceeds a loiter radius "
             f"(source {source.radius}, target {target.radius})"
         )
+    if not r_turn > 0:
+        raise ValueError(f"turn radius must be positive, got {r_turn}")
     omega_src = v / source.radius
     omega_tgt = v / target.radius
     target_period = TWO_PI / omega_tgt
     tol = min(SYNC_TOL, SYNC_TOL / omega_tgt)
-
-    def build_plan(delay, break_phase, join_phase, path, arrival):
-        return TransitionPlan(
-            uav_id=uav_id,
-            source=source,
-            target=target,
-            start_phase=mod2pi(start_phase),
-            break_off_phase=break_phase,
-            depart_delay=delay,
-            path=path,
-            join_phase=join_phase,
-            arrival_time=arrival,
-        )
+    cx, cy, radius = target.center.x, target.center.y, target.radius
 
     # Attempt schedule: the nominal delay, the one-period extension, then
     # fractional-period jitters. The jitters matter when the arrival-time
@@ -326,18 +407,48 @@ def plan_transition(
         delay = base_delay + offset * target_period
         break_phase = mod2pi(start_phase + omega_src * delay)
         depart = loiter_pose(source, break_phase)
+        ax, ay, ah = depart.position.x, depart.position.y, depart.heading
 
         def arrival_for(t):
-            join_phase = mod2pi(start_phase + omega_tgt * t)
+            """(arrival time, join phase) for the guessed arrival ``t``."""
+            join_phase = (start_phase + omega_tgt * t) % TWO_PI
+            found = _shortest(
+                ax,
+                ay,
+                ah,
+                cx + radius * math.cos(join_phase),
+                cy + radius * math.sin(join_phase),
+                (join_phase + 0.5 * math.pi) % TWO_PI,
+                r_turn,
+            )
+            if found is None:
+                raise _unverified(depart, loiter_pose(target, join_phase))
+            t_seg, p_seg, q_seg = found[1]
+            return delay + (t_seg + p_seg + q_seg) / v, join_phase
+
+        def build_plan(join_phase, arrival):
             path = shortest_path(depart, loiter_pose(target, join_phase), r_turn)
-            return delay + path.length / v, join_phase, path
+            return TransitionPlan(
+                uav_id=uav_id,
+                source=source,
+                target=target,
+                start_phase=mod2pi(start_phase),
+                break_off_phase=break_phase,
+                depart_delay=delay,
+                path=path,
+                join_phase=join_phase,
+                arrival_time=arrival,
+            )
 
         t = delay
+        g_delay = None
         seen = set()
         for _ in range(MAX_SYNC_ITERATIONS):
-            t_new, join_phase, path = arrival_for(t)
+            t_new, join_phase = arrival_for(t)
             if abs(t_new - t) < tol:
-                return build_plan(delay, break_phase, join_phase, path, t_new)
+                return build_plan(join_phase, t_new)
+            if g_delay is None:
+                g_delay = t_new - t  # g(delay): the bisection starts there
             seen.add(t)
             if t_new in seen:
                 break  # a cycle: every later step repeats a failed one
@@ -348,14 +459,13 @@ def plan_transition(
         # the same arrival-time equation g(t) = arrival_for(t) - t, which
         # starts non-negative at t = delay and goes negative once t exceeds
         # every reachable path time.
-        t_lo = delay
-        g_lo = arrival_for(t_lo)[0] - t_lo
-        t_hi, g_hi = t_lo, g_lo
+        t_lo = t_hi = delay
+        g_hi = g_delay
         probe_step = target_period / 8.0
         for _ in range(256):
             if g_hi <= 0.0:
                 break
-            t_lo, g_lo = t_hi, g_hi
+            t_lo = t_hi
             t_hi = t_hi + probe_step
             g_hi = arrival_for(t_hi)[0] - t_hi
         if g_hi <= 0.0:
@@ -364,10 +474,10 @@ def plan_transition(
                 t_prev, t_mid = t_mid, 0.5 * (t_lo + t_hi)
                 if t_mid == t_prev:
                     break  # the bracket cannot shrink: every later step repeats this one
-                t_new, join_phase, path = arrival_for(t_mid)
+                t_new, join_phase = arrival_for(t_mid)
                 g_mid = t_new - t_mid
                 if abs(g_mid) < tol:
-                    return build_plan(delay, break_phase, join_phase, path, t_new)
+                    return build_plan(join_phase, t_new)
                 if g_mid > 0.0:
                     t_lo = t_mid
                 else:
@@ -378,41 +488,106 @@ def plan_transition(
     )
 
 
-def _loiter(circle: LoiterCircle, phase: float, dt: np.ndarray, v: float):
-    """(x, y, heading) of a CCW loiterer ``dt`` seconds after it showed ``phase``."""
-    phase = phase + (v / circle.radius) * dt
+def _loiter(cx, cy, radius, phase, dt, v: float):
+    """(x, y, heading) of a CCW loiterer on the circle (cx, cy, radius)
+    ``dt`` seconds after it showed ``phase``; arrays broadcast."""
+    phase = phase + (v / radius) * dt
     return (
-        circle.center.x + circle.radius * np.cos(phase),
-        circle.center.y + circle.radius * np.sin(phase),
+        cx + radius * np.cos(phase),
+        cy + radius * np.sin(phase),
         np.mod(phase + 0.5 * math.pi, TWO_PI),
     )
 
 
-def track(plan: TransitionPlan, times, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions and headings (x, y, heading) of a transiting UAV at the given
-    absolute times: loiter on the source before ``depart_delay``, fly the
-    Dubins path until ``arrival_time``, then loiter on the target."""
+def track(plans, times, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, T) positions and headings (x, y, heading) of N transiting UAVs at
+    the sorted absolute times ``times``: each loiters on its source before
+    ``depart_delay``, flies its Dubins path until ``arrival_time``, then
+    loiters on its target.
+
+    Times are sorted, so each plan's three parts are index ranges. Plans go
+    in blocks of at most ``_TRACK_ENTRIES`` (plan, time) entries: the loiter
+    arcs of a block are one array expression over the whole block, and the
+    Dubins legs of the block are one ``_walk`` over its in-flight samples.
+    """
+    plans = list(plans)
     times = np.asarray(times, dtype=float)
-    x, y, heading = np.empty_like(times), np.empty_like(times), np.empty_like(times)
-    before = times < plan.depart_delay
-    during = ~before & (times < plan.arrival_time)
-    after = ~before & ~during
-    x[before], y[before], heading[before] = _loiter(
-        plan.source, plan.start_phase, times[before], v
+    if times.ndim != 1 or (np.diff(times) < 0.0).any():
+        raise ValueError("track needs a sorted 1-D array of times")
+    shape = (len(plans), times.size)
+    x, y, heading = np.empty(shape), np.empty(shape), np.empty(shape)
+    _track_into(plans, times, v, x, y, heading)
+    return x, y, heading
+
+
+def _track_into(plans, times: np.ndarray, v: float, x, y, heading=None) -> None:
+    """``track`` written into the (N, T) arrays ``x``, ``y`` and, unless it
+    is None, ``heading``; the only full-size arrays are the caller's."""
+    rows = max(1, _TRACK_ENTRIES // max(1, times.size))
+    for first in range(0, len(plans), rows):
+        block = slice(first, first + rows)
+        bx, by, bh = _track_block(plans[block], times, v)
+        x[block], y[block] = bx, by
+        if heading is not None:
+            heading[block] = bh
+
+
+def _track_block(plans, times: np.ndarray, v: float):
+    """``track`` of one block of plans."""
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    depart = column([p.depart_delay for p in plans])
+    arrive = column([p.arrival_time for p in plans])
+    # Samples [0, leave) are on the source, [leave, join) in flight, the rest
+    # on the target.
+    leave = np.searchsorted(times, depart[:, 0])
+    join = np.maximum(leave, np.searchsorted(times, arrive[:, 0]))
+    on_source = np.arange(times.size) < leave[:, None]
+
+    def per_entry(source_value, target_value):
+        """The source's value before departure, the target's after."""
+        return np.where(
+            on_source, column([source_value(p) for p in plans]), column([target_value(p) for p in plans])
+        )
+
+    x, y, heading = _loiter(
+        per_entry(lambda p: p.source.center.x, lambda p: p.target.center.x),
+        per_entry(lambda p: p.source.center.y, lambda p: p.target.center.y),
+        per_entry(lambda p: p.source.radius, lambda p: p.target.radius),
+        per_entry(lambda p: p.start_phase, lambda p: p.join_phase),
+        np.where(on_source, times, times - arrive),
+        v,
     )
-    s = np.minimum(v * (times[during] - plan.depart_delay), plan.path.length)
-    x[during], y[during], heading[during] = sample(plan.path, s)
-    x[after], y[after], heading[after] = _loiter(
-        plan.target, plan.join_phase, times[after] - plan.arrival_time, v
-    )
+
+    counts = join - leave
+    owner = np.repeat(np.arange(len(plans)), counts)
+    if owner.size:
+        starts = np.cumsum(counts) - counts
+        cols = np.arange(owner.size) - np.repeat(starts - leave, counts)
+        lengths = np.array([p.path.length for p in plans])
+        s = np.minimum(v * (times[cols] - depart[owner, 0]), lengths[owner])
+        x[owner, cols], y[owner, cols], heading[owner, cols] = _walk(
+            [p.path for p in plans], owner, s
+        )
     return x, y, heading
 
 
 def _timeline(plans, loitering, v: float, dt: float) -> np.ndarray:
+    """Sample times of ``closest_approach``; raises ``ValueError`` before
+    allocating when the (UAVs, samples) arrays would exceed
+    ``MAX_SEPARATION_ENTRIES`` (or the timeline is not finite)."""
     t_end = max((p.arrival_time for p in plans), default=0.0)
     radii = [p.target.radius for p in plans] + [c.radius for c, _ in loitering]
     if radii:
         t_end += TWO_PI * max(radii) / v  # one steady-state period past last arrival
+    entries = len(radii) * (t_end / dt + 2.0)
+    if not entries <= MAX_SEPARATION_ENTRIES:
+        raise ValueError(
+            f"a separation check of {len(radii)} UAVs over {t_end} s at dt {dt} s exceeds "
+            f"the limit of {MAX_SEPARATION_ENTRIES} (UAV, sample) entries"
+        )
     n = max(2, int(math.ceil(t_end / dt)) + 1)
     return np.linspace(0.0, t_end, n)
 
@@ -433,18 +608,22 @@ def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
     if n < 2:
         return math.inf, -1, -1
     times = _timeline(plans, loitering, v, dt)
-    xs = np.empty((n, times.size))
-    ys = np.empty((n, times.size))
-    for k, plan in enumerate(plans):
-        xs[k], ys[k], _ = track(plan, times, v)
-    for k, (circle, phase) in enumerate(loitering, start=len(plans)):
-        xs[k], ys[k], _ = _loiter(circle, phase, times, v)
+    xs, ys = np.empty((n, times.size)), np.empty((n, times.size))
+    _track_into(plans, times, v, xs[: len(plans)], ys[: len(plans)])
+    for k, (c, phase) in enumerate(loitering, start=len(plans)):
+        xs[k], ys[k], _ = _loiter(c.center.x, c.center.y, c.radius, phase, times, v)
     best = (math.inf, -1, -1)
+    # Row i's squared distances are computed in place in rows i.. of two
+    # buffers allocated once.
+    dx_buf, dy_buf = np.empty((n - 1, times.size)), np.empty((n - 1, times.size))
     for i in range(n - 1):
-        dx = xs[i + 1 :] - xs[i]
-        dy = ys[i + 1 :] - ys[i]
+        dx = np.subtract(xs[i + 1 :], xs[i], out=dx_buf[i:])
+        dy = np.subtract(ys[i + 1 :], ys[i], out=dy_buf[i:])
+        dx *= dx
+        dy *= dy
+        dx += dy
         # Per-pair minima against every j > i; argmin keeps the first j on ties.
-        d_min = np.sqrt((dx * dx + dy * dy).min(axis=1))
+        d_min = np.sqrt(dx.min(axis=1))
         k = int(d_min.argmin())
         if d_min[k] < best[0]:
             best = (float(d_min[k]), i, i + 1 + k)

@@ -12,7 +12,7 @@ import pytest
 
 from loiterpack import cli
 from loiterpack.cli import main
-from loiterpack.fleet import apply_recovery
+from loiterpack.fleet import MAX_PHASE_SAMPLES, apply_recovery
 from loiterpack.geometry import AreaSpec, PackingKind, Vec2
 from loiterpack.packing import MAX_LAYOUT_CIRCLES, PackingLayout, pack
 
@@ -303,6 +303,20 @@ class TestPathCommand:
         )
         assert run("path", write_config(tmp_path, cfg)) == 4
 
+    def test_crawling_speed_exits_2_before_sampling(self, tmp_path, capsys):
+        # 1e-4 m/s takes 1.9e6 s over this transition: 1.9e7 samples at 0.1 s.
+        cfg = base_config(
+            tmp_path / "out",
+            platform={"speed_mps": 1e-4, "max_bank_rad": 0.5},
+            path={
+                "source": {"x_m": 0.0, "y_m": 0.0, "radius_m": 50.0},
+                "target": {"x_m": 300.0, "y_m": 0.0, "radius_m": 60.0},
+            },
+        )
+        assert run("path", write_config(tmp_path, cfg)) == 2
+        assert f"over {cli.MAX_PATH_SAMPLES} samples" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "path.csv").exists()
+
 
 class TestManifest:
     def test_hashes_are_stable_across_runs(self, tmp_path):
@@ -431,6 +445,7 @@ class TestSimulateChecksFirst:
             ({"validation": {"grid_pitch_m": 1e-6}}, "exceeds the limit"),
             ({"validation": {"phase_samples": 4}}, "phase_samples must be >= 8"),
             ({"r_c_m": -5.0}, "coverage radius must be positive"),
+            ({"validation": {"phase_samples": 10**9}}, f"phase_samples must be <= {MAX_PHASE_SAMPLES}"),
         ],
     )
     def test_bad_coverage_inputs_exit_2_before_any_artifact(self, tmp_path, capsys, overrides, message):
@@ -482,6 +497,27 @@ class TestSimulateChecksFirst:
         cfg = base_config(tmp_path / "out", deployment={"radius_m": 70.0}, min_turn_formula="steep")
         assert run("pack", write_config(tmp_path, cfg)) == 2
         assert "got 'steep'" in capsys.readouterr().err
+
+
+class TestCrawlingSpeed:
+    def test_separation_check_over_the_limit_exits_2(self, tmp_path, capsys):
+        # At 1e-5 m/s one loiter period is 3.8e7 s: the separation check of
+        # the 10 survivors would need 1.5e9 (UAV, sample) entries.
+        cfg = base_config(
+            tmp_path / "out",
+            area={"x_extent_m": 300.0, "y_extent_m": 300.0},
+            platform={"speed_mps": 1e-5, "max_bank_rad": 0.5},
+            deployment={"radius_m": 60.0},
+            failure={"time_s": 10.0, "seed": 1, "loss_count": 3},
+            validation={"grid_pitch_m": 10.0, "phase_samples": 8},
+        )
+        assert run("simulate", write_config(tmp_path, cfg)) == 2
+        assert "(UAV, sample) entries" in capsys.readouterr().err
+        # The artifacts written before the error are listed in the manifest.
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {entry["file"] for entry in manifest} == {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert "initial.svg" in {entry["file"] for entry in manifest}
 
 
 class TestScenarioClock:
@@ -563,15 +599,34 @@ class TestCommandFlags:
 
 class TestImport:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # Only the survivor assignment needs scipy.optimize, and its import
-        # alone costs more than most commands.
+        # Only the survivor assignment needs scipy, and the import of
+        # scipy.optimize alone costs more than most commands.
+        out = self.run_python("import sys, loiterpack.cli; print('scipy.optimize' in sys.modules)")
+        assert out.strip() == "False"
+
+    def test_a_recovery_loads_only_the_assignment_module(self, tmp_path):
+        # The survivor assignment loads scipy's solver module alone, so a
+        # whole simulate run with a recovery loads no other scipy module.
+        cfg = base_config(
+            tmp_path / "out",
+            deployment={"radius_m": 70.0},
+            failure={"time_s": 60.0, "seed": 42, "loss_count": 18},
+            validation={"grid_pitch_m": 20.0, "phase_samples": 8},
+        )
+        code = (
+            "import sys; from loiterpack.cli import main; "
+            f"assert main(['simulate', '--config', {write_config(tmp_path, cfg)!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert self.run_python(code).strip().splitlines()[-1] == "['scipy.optimize._lsap']"
+
+    @staticmethod
+    def run_python(code):
         paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        code = "import sys, loiterpack.cli; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out.strip() == "False"
 
 
 def readme_scenario():
@@ -599,3 +654,156 @@ class TestReadmeConfig:
         out = tmp_path / "out"
         assert run("simulate", write_config(tmp_path, cfg), "--out", str(out)) == 0
         assert float(read_rows(out / "coverage.csv")[0]["grid_pitch_m"]) == cfg["r_c_m"] / 20.0
+
+
+def random_config(rng, command, out_dir):
+    """A scenario for ``command`` on a small area whose fields are each
+    valid most of the time and otherwise malformed, out of range or extreme
+    (crawling speeds, huge budgets, tiny radii that the layout limit
+    rejects). Valid radii stay at 30 m and up, so no layout is large."""
+
+    def maybe(valid, bad, p_bad=0.05):
+        return rng.choice(bad) if rng.random() < p_bad else valid()
+
+    def num(lo, hi):
+        return lambda: round(rng.uniform(lo, hi), 3)
+
+    bad_num = [0, -1.0, 1e-9, "x", None, [], {}, math.nan, math.inf, True]
+    cfg = {
+        "area": maybe(
+            lambda: {"x_extent_m": num(60, 250)(), "y_extent_m": num(60, 250)()},
+            [None, [], {"x_extent_m": 100.0}, {"x_extent_m": 100.0, "y_extent_m": -1.0}],
+            0.03,
+        ),
+        "output_dir": str(out_dir),
+    }
+    if rng.random() < 0.9:
+        cfg["packing"] = maybe(lambda: rng.choice(["hexagon", "square"]), ["circle", 3])
+    if rng.random() < 0.1:
+        cfg["sensor"] = maybe(
+            lambda: {"fov_half_angle_rad": num(0.4, 1.2)(), "altitude_m": num(40, 120)()},
+            [{}, {"fov_half_angle_rad": 2.0, "altitude_m": 50.0}, 5],
+        )
+    if "sensor" not in cfg or rng.random() < 0.05:
+        cfg["r_c_m"] = maybe(num(40, 120), bad_num + [1e-6])
+    if rng.random() < 0.9:
+        cfg["platform"] = maybe(
+            lambda: {"speed_mps": num(8, 30)(), "max_bank_rad": num(0.2, 0.9)()},
+            [
+                {"speed_mps": speed, "max_bank_rad": 0.5}
+                for speed in (0.0, -3.0, 1e-4, 1e-300, 1e9, math.inf)
+            ]
+            + [{"speed_mps": 15.0, "max_bank_rad": 2.0}, {"speed_mps": 15.0}, "fast"],
+            0.1,
+        )
+    elif rng.random() < 0.5:
+        cfg["r_min_turn_m"] = maybe(num(0, 20), bad_num)
+    want = {"pack": "radius_m", "optimize": "budget_n"}.get(command)
+    if rng.random() < 0.9:
+        radius = {"radius_m": num(30, 110)()}
+        budget = {"budget_n": rng.randint(1, 60)}
+        choice = {"radius_m": radius, "budget_n": budget}.get(want) or rng.choice([radius, budget])
+        cfg["deployment"] = maybe(
+            lambda: choice,
+            [{}, {"radius_m": 50.0, "budget_n": 4}, {"radius_m": 1e-9}, {"radius_m": -2.0},
+             {"budget_n": -3}, {"budget_n": 10**9}, {"budget_n": "x"}],
+            0.1,
+        )
+    if rng.random() < 0.5:
+        cfg["r_l_max_m"] = maybe(num(40, 160), bad_num)
+
+    def event(time_s):
+        if rng.random() < 0.3:
+            ids = maybe(lambda: sorted(rng.sample(range(12), rng.randint(0, 5))), [[-1], ["a"], 5, [10**6]])
+            return {"time_s": time_s, "lost_ids": ids}
+        seed = maybe(lambda: rng.randint(0, 99), [-1, "s", 2.5])
+        return {"time_s": time_s, "seed": seed, "loss_count": maybe(lambda: rng.randint(0, 12), [-1, 10**6, "x"])}
+
+    r = rng.random()
+    if r < 0.4:
+        cfg["failure"] = event(maybe(num(0, 120), [-5.0, math.nan, "t", None]))
+    elif r < 0.65:
+        times = sorted(round(rng.uniform(0, 200), 2) for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.15:
+            times.reverse()
+        cfg["failures"] = [event(t) for t in times]
+    if rng.random() < 0.6:
+        cfg["validation"] = {
+            "grid_pitch_m": maybe(num(5, 15), [0, -1.0, 1e-7, "g", math.nan]),
+            "phase_samples": maybe(lambda: rng.randint(8, 24), [0, 7, -3, "p", 10**9]),
+        }
+    if rng.random() < (0.9 if command == "sweep" else 0.2):
+        cfg["sweep"] = maybe(
+            lambda: {
+                "r_init_m": [num(40, 110)() for _ in range(rng.randint(1, 2))],
+                "loss_fractions": [num(0, 0.9)() for _ in range(rng.randint(1, 3))],
+            },
+            [{"r_init_m": [], "loss_fractions": [0.2]}, {"r_init_m": [60.0], "loss_fractions": [1.5]},
+             {"r_init_m": [60.0], "loss_fractions": [-0.2]}, {"r_init_m": "a"},
+             {"r_init_m": [0.0], "loss_fractions": [0.2]}],
+        )
+    if rng.random() < (0.9 if command == "path" else 0.2):
+        def circle():
+            return {"x_m": num(-200, 200)(), "y_m": num(-200, 200)(), "radius_m": num(20, 120)()}
+
+        cfg["path"] = maybe(
+            lambda: {"source": circle(), "target": circle()},
+            [{"source": circle()}, {"source": {"x_m": 0, "y_m": 0, "radius_m": 0}, "target": circle()},
+             {"source": 3, "target": circle()}],
+        )
+    if rng.random() < 0.2:
+        cfg["turn_radius_m"] = maybe(num(2, 40), bad_num)
+    if rng.random() < 0.1:
+        cfg["table1_mode"] = rng.choice(["exact", "paper", "other"])
+    if rng.random() < 0.1:
+        cfg["min_turn_formula"] = rng.choice(["paper", "standard", "other"])
+    return cfg
+
+
+def random_flags(rng, command, cfg):
+    flags = []
+    if command == "simulate":
+        if ("failure" in cfg or "failures" in cfg) and rng.random() < 0.2:
+            flags += ["--seed", str(rng.choice([0, 3, 17, -1]))]
+        if rng.random() < 0.2:
+            flags += ["--grid-pitch", str(rng.choice([6.0, 9.5, 0.0, -2.0]))]
+        if rng.random() < 0.2:
+            flags += ["--phase-samples", str(rng.choice([8, 12, 4, 0]))]
+    if command == "pack" and rng.random() < 0.2:
+        flags += ["--table1-mode", rng.choice(["paper", "exact"])]
+    return flags
+
+
+class TestRandomConfigs:
+    """Seeded random scenarios for every command: each exits with a
+    documented code (0 ok, 2 config, 3 infeasible, 4 planning) and a
+    message, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["pack", "optimize", "simulate", "sweep", "path"])
+    def test_exit_codes(self, tmp_path, capsys, command):
+        import random
+
+        codes = []
+        for seed in range(RANDOM_CONFIGS):
+            rng = random.Random(f"{command}-{seed}")
+            out_dir = tmp_path / str(seed)
+            cfg = random_config(rng, command, out_dir)
+            path = write_config(tmp_path, cfg, f"{seed}.json")
+            try:
+                code = main([command, "--config", path, *random_flags(rng, command, cfg)])
+            except SystemExit as exc:  # argparse rejects a flag value
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (seed, cfg)
+            assert "Traceback" not in err, (seed, cfg)
+            # Whatever the exit, every written artifact is in the manifest.
+            written = {p.name for p in out_dir.iterdir()} if out_dir.exists() else set()
+            if code == 0 or written:
+                manifest = json.loads((out_dir / "manifest.json").read_text())
+                assert {entry["file"] for entry in manifest} == written - {"manifest.json"}
+            codes.append(code)
+        # A good share of the scenarios gets past the config checks.
+        assert codes.count(0) + codes.count(3) + codes.count(4) >= RANDOM_CONFIGS // 4, codes
+
+
+RANDOM_CONFIGS = 100

@@ -10,6 +10,7 @@ from loiterpack.dubins import (
     Pose,
     TransitionPlan,
     _WORD_ORDER,
+    _shortest,
     _words,
     closest_approach,
     loiter_pose,
@@ -31,6 +32,7 @@ from oracles import (
     plan_pose_loop,
     plan_transition_loop,
     shortest_path_loop,
+    tracks_loop,
 )
 
 TWO_PI = 2 * math.pi
@@ -132,6 +134,31 @@ class TestShortestPath:
             shortest_path(pose(0, 0, 0), pose(1, 1, 0), 0.0)
 
 
+def kernel(a, b, r):
+    """The float kernel's answer as a DubinsPath, or None."""
+    found = _shortest(
+        a.position.x, a.position.y, a.heading, b.position.x, b.position.y, b.heading, r
+    )
+    return None if found is None else DubinsPath(_WORD_ORDER[found[0]], found[1], r, a)
+
+
+def tie_pairs():
+    """Collinear poses with one heading (LSL, LSR and RSR are all the
+    straight line), coincident positions with two headings, and coincident
+    poses; the earlier word must win every tie."""
+    pairs = []
+    for r in (0.5, 1.0, 2.5):
+        for length in (0.1, 1.0, 2.0 * r, 4.0 * r, 100.0):
+            for heading, (ux, uy) in ((0.0, (1, 0)), (0.5 * math.pi, (0, 1)), (math.pi, (-1, 0))):
+                start = pose(1.0, -2.0, heading)
+                goal = pose(1.0 + length * ux, -2.0 + length * uy, heading)
+                pairs.append((start, goal, r))
+        for turn in (0.3, math.pi, 5.0):
+            pairs.append((pose(3.0, 4.0, 0.25), pose(3.0, 4.0, 0.25 + turn), r))
+        pairs.append((pose(3.0, 4.0, 0.25), pose(3.0, 4.0, 0.25), r))
+    return pairs
+
+
 class TestMatchesTheFirstSolver:
     """The shared-trigonometry solver, its shortest-first forward check and
     the early exits of the arrival-time solver return exactly what the
@@ -151,22 +178,21 @@ class TestMatchesTheFirstSolver:
             a, b = random_pose(rng), random_pose(rng)
             assert shortest_path(a, b, r) == shortest_path_loop(a, b, r)
 
+    def test_float_kernel_on_the_random_pose_pairs(self):
+        # The same 10k pairs straight into the float kernel.
+        rng = np.random.default_rng(21)
+        for _ in range(10_000):
+            r = rng.uniform(0.3, 3.0)
+            a, b = random_pose(rng), random_pose(rng)
+            assert kernel(a, b, r) == shortest_path_loop(a, b, r)
+
+    def test_float_kernel_on_the_ties(self):
+        for a, b, r in tie_pairs():
+            assert kernel(a, b, r) == shortest_path_loop(a, b, r)
+
     def test_equal_length_ties(self):
-        # Collinear poses with one heading (LSL, LSR and RSR are all the
-        # straight line), coincident positions with two headings, and
-        # coincident poses; the earlier word must win every tie.
-        pairs = []
-        for r in (0.5, 1.0, 2.5):
-            for length in (0.1, 1.0, 2.0 * r, 4.0 * r, 100.0):
-                for heading, (ux, uy) in ((0.0, (1, 0)), (0.5 * math.pi, (0, 1)), (math.pi, (-1, 0))):
-                    start = pose(1.0, -2.0, heading)
-                    goal = pose(1.0 + length * ux, -2.0 + length * uy, heading)
-                    pairs.append((start, goal, r))
-            for turn in (0.3, math.pi, 5.0):
-                pairs.append((pose(3.0, 4.0, 0.25), pose(3.0, 4.0, 0.25 + turn), r))
-            pairs.append((pose(3.0, 4.0, 0.25), pose(3.0, 4.0, 0.25), r))
         ties = 0
-        for a, b, r in pairs:
+        for a, b, r in tie_pairs():
             path = shortest_path(a, b, r)
             assert path == shortest_path_loop(a, b, r)
             theta = math.atan2(b.position.y - a.position.y, b.position.x - a.position.x)
@@ -234,7 +260,8 @@ class TestMatchesTheFirstSolver:
 
             return counted
 
-        monkeypatch.setattr(dubins, "shortest_path", counting("library", dubins.shortest_path))
+        # Every evaluation of the library's solver is one float kernel call.
+        monkeypatch.setattr(dubins, "_shortest", counting("library", dubins._shortest))
         monkeypatch.setattr(
             oracles, "shortest_path_loop", counting("oracle", oracles.shortest_path_loop)
         )
@@ -359,16 +386,18 @@ class TestTrack:
         assert any(p.depart_delay > 0 for p in plans)
         for plan in plans:
             t_end = plan.arrival_time + 60.0
-            times = np.concatenate(
-                [
-                    [0.0, plan.depart_delay, plan.arrival_time, t_end],
-                    np.nextafter([plan.depart_delay, plan.arrival_time], 0.0),
-                    plan.depart_delay + np.cumsum(plan.path.segment_lengths) / self.V,
-                    rng.uniform(0.0, t_end, 40),
-                    np.linspace(0.0, t_end, 50),
-                ]
+            times = np.sort(
+                np.concatenate(
+                    [
+                        [0.0, plan.depart_delay, plan.arrival_time, t_end],
+                        np.nextafter([plan.depart_delay, plan.arrival_time], 0.0),
+                        plan.depart_delay + np.cumsum(plan.path.segment_lengths) / self.V,
+                        rng.uniform(0.0, t_end, 40),
+                        np.linspace(0.0, t_end, 50),
+                    ]
+                )
             )
-            x, y, heading = track(plan, times, self.V)
+            x, y, heading = (a[0] for a in track([plan], times, self.V))
             expected = np.array([plan_pose_loop(plan, t, self.V) for t in times])
             assert np.array_equal(x, expected[:, 0])
             assert np.array_equal(y, expected[:, 1])
@@ -379,9 +408,69 @@ class TestTrack:
         tgt = LoiterCircle(Vec2(400, 0), 80.0)
         v = 15.0
         plan = plan_transition(0, src, 0.0, tgt, 11.5, v, base_delay=10.0)
-        x, y, _ = track(plan, [1.0, plan.arrival_time + 3.0], v)
-        assert Vec2(x[0], y[0]).dist(src.center) == pytest.approx(src.radius, abs=1e-9)
-        assert Vec2(x[1], y[1]).dist(tgt.center) == pytest.approx(tgt.radius, abs=1e-9)
+        x, y, _ = track([plan], [1.0, plan.arrival_time + 3.0], v)
+        assert Vec2(x[0, 0], y[0, 0]).dist(src.center) == pytest.approx(src.radius, abs=1e-9)
+        assert Vec2(x[0, 1], y[0, 1]).dist(tgt.center) == pytest.approx(tgt.radius, abs=1e-9)
+
+    def fleet_times(self, rng, plans):
+        """Sorted times from before the first departure to past the last
+        arrival, with every plan's departure, arrival and segment ends and
+        the floats just below them."""
+        t_end = max(p.arrival_time for p in plans) + 60.0
+        marks = [[p.depart_delay, p.arrival_time] for p in plans]
+        marks += [p.depart_delay + np.cumsum(p.path.segment_lengths) / self.V for p in plans]
+        marks = np.concatenate(marks)
+        return np.sort(
+            np.concatenate(
+                [[0.0, t_end], marks, np.nextafter(marks, 0.0), rng.uniform(0.0, t_end, 200)]
+            )
+        )
+
+    def check_fleet(self, plans, times):
+        x, y, heading = track(plans, times, self.V)
+        assert x.shape == y.shape == heading.shape == (len(plans), times.size)
+        positions = tracks_loop(plans, (), self.V, times)
+        headings = np.array([[plan_pose_loop(p, t, self.V)[2] for t in times] for p in plans])
+        assert np.array_equal(x, np.array([xy[:, 0] for xy in positions]))
+        assert np.array_equal(y, np.array([xy[:, 1] for xy in positions]))
+        assert np.array_equal(heading, headings)
+
+    def test_fleet_wide_matches_the_loops(self):
+        # Mixed plans in one pass: departure delays, zero-length segments
+        # and a zero-length path, at times before every departure, in
+        # flight and past every arrival.
+        rng = np.random.default_rng(18)
+        plans = self.oracle_plans(rng)
+        times = self.fleet_times(rng, plans)
+        assert times[0] < min(p.depart_delay for p in plans if p.depart_delay > 0)
+        assert times[-1] > max(p.arrival_time for p in plans)
+        self.check_fleet(plans, times)
+
+    def test_one_plan(self):
+        rng = np.random.default_rng(19)
+        for plan in self.oracle_plans(rng):
+            self.check_fleet([plan], self.fleet_times(rng, [plan]))
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_block_boundaries(self, monkeypatch, rows):
+        # Blocks of 1, 2 and 7 plans over the same times.
+        rng = np.random.default_rng(20)
+        plans = self.oracle_plans(rng)
+        times = self.fleet_times(rng, plans)
+        monkeypatch.setattr(dubins, "_TRACK_ENTRIES", rows * times.size + rows - 1)
+        self.check_fleet(plans, times)
+
+    def test_no_plans_and_no_times(self):
+        x, y, heading = track([], np.linspace(0.0, 1.0, 5), self.V)
+        assert x.shape == y.shape == heading.shape == (0, 5)
+        rng = np.random.default_rng(21)
+        x, y, heading = track(self.oracle_plans(rng)[:3], [], self.V)
+        assert x.shape == (3, 0)
+
+    def test_rejects_unsorted_times(self):
+        plan = self.oracle_plans(np.random.default_rng(22))[0]
+        with pytest.raises(ValueError):
+            track([plan], [2.0, 1.0], self.V)
 
 
 class TestPlanTransition:
@@ -457,3 +546,17 @@ class TestMinSeparation:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             closest_approach([], loitering=[], v=1.0, dt=0.0)
+
+    def test_entry_limit(self, monkeypatch):
+        # Two loiterers over one 14.66 s period at dt 0.25 s: 60 samples each.
+        circle = LoiterCircle(Vec2(0, 0), 35.0)
+        loitering = [(circle, 0.0), (circle, math.pi)]
+        monkeypatch.setattr(dubins, "MAX_SEPARATION_ENTRIES", 124)
+        assert closest_approach([], loitering=loitering, v=15.0)[0] == pytest.approx(70.0)
+        monkeypatch.setattr(dubins, "MAX_SEPARATION_ENTRIES", 119)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            closest_approach([], loitering=loitering, v=15.0)
+        # A timeline that is not finite fails the same check.
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            closest_approach([], loitering=loitering, v=1e-320)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from loiterpack import fleet
 from loiterpack.dubins import TWO_PI, closest_approach
 from loiterpack.errors import InfeasibleError
 from loiterpack.fleet import (
@@ -400,3 +401,20 @@ class TestScipyAssignmentOracle:
             cost = rng.uniform(0, 100, size=(n, m))
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].sum() == pytest.approx(brute_force_assignment(cost))
+
+
+class TestAssignment:
+    """``fleet.linear_sum_assignment`` is scipy's solver, loaded alone."""
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(22)
+        for shape in ((1, 1), (3, 3), (4, 7), (7, 4), (40, 38)):
+            for cost in (rng.uniform(0, 100, size=shape), rng.integers(0, 3, size=shape) * 1.0):
+                rows, cols = fleet.linear_sum_assignment(cost)
+                expected_rows, expected_cols = linear_sum_assignment(cost)
+                assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
+
+    def test_falls_back_to_the_package_import(self, monkeypatch):
+        monkeypatch.setattr(fleet.importlib.util, "find_spec", lambda name: None)
+        module = fleet._lsap.__wrapped__()
+        assert module.linear_sum_assignment is linear_sum_assignment

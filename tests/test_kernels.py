@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loiterpack import fleet, kernels
+from loiterpack import dubins, fleet, kernels
 from loiterpack.dubins import _timeline, closest_approach, plan_transition
 from loiterpack.fleet import (
     FailureEvent,
@@ -304,6 +304,22 @@ class TestClosestApproach:
             times = _timeline(plans, extra, 15.0, 0.25)
             expected = closest_pair_loop(tracks_loop(plans, extra, 15.0, times))
             assert closest_approach(plans, extra, v=15.0, dt=0.25) == expected
+
+    @pytest.mark.parametrize("entries", [1, 700, 5000])
+    def test_track_blocks_beside_loiterers(self, monkeypatch, entries):
+        # The plans' rows are written in blocks of one, two and about
+        # fourteen plans (about 355 samples each), ahead of the loiterers' rows.
+        monkeypatch.setattr(dubins, "_TRACK_ENTRIES", entries)
+        area, platform = AreaSpec(500.0, 650.0), PlatformModel(speed=15.0, max_bank=0.5)
+        state = deploy(area, PackingKind.HEXAGON, platform, radius=70.0)
+        inject_failure(state, FailureEvent(seed=5, loss_count=18))
+        plans = super_agent_recover(
+            detect_failures(state), area, PackingKind.HEXAGON, 80.0, platform, r_l_max=100.0
+        ).transitions
+        loitering = [(LoiterCircle(Vec2(90.0 * k, 300.0), 70.0), 0.7 * k) for k in range(4)]
+        times = _timeline(plans, loitering, 15.0, 0.25)
+        expected = closest_pair_loop(tracks_loop(plans, loitering, 15.0, times))
+        assert closest_approach(plans, loitering, v=15.0, dt=0.25) == expected
 
     # (area x, area y, UAVs lost, failure seeds) of the perfbench workloads
     # paper-35 and coverage-1km.
