@@ -462,8 +462,14 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
             events.append((t_detect, "recover_failed", detail))
             return finish(state, failed_detail=detail)
 
+        # Time to restore: from the failure, through detection, to the last arrival.
+        restore_s = report.detection_delay + max((tr.arrival_time for tr in plan.transitions), default=0.0)
         events.append(
-            (t_detect, "recover", f"r_l_new={plan.solution.loiter_radius:.4f} outcome={plan.outcome.value}"),
+            (
+                t_detect,
+                "recover",
+                f"r_l_new={plan.solution.loiter_radius:.4f} outcome={plan.outcome.value} restore_s={restore_s:.3f}",
+            ),
         )
         for tr in plan.transitions:
             events.append((t_detect + tr.depart_delay, "transition_start", f"uav {tr.uav_id}"))

@@ -11,10 +11,11 @@ floats, the word index and the segment lengths out, with the forward walk
 inlined. ``shortest_path`` is the object boundary around it (checks, then
 the kernel, then a ``DubinsPath``). Transitions depart a source loiter
 circle tangentially and join a target circle tangentially at a phase
-consistent with the fleet-wide synchronized phase clock, solved by
-fixed-point iteration over the arrival time; ``plan_transition`` iterates
-the kernel on floats and builds the plan's one ``DubinsPath`` through
-``shortest_path`` from the converged poses.
+consistent with the fleet-wide synchronized phase clock: ``plan_transition``
+takes the earliest root of the arrival-time equation that a forward scan
+with Illinois refinement verifies (``_earliest_root``), evaluating the kernel
+on floats, and builds the plan's one ``DubinsPath`` through
+``shortest_path`` from the root's poses.
 
 ``track`` evaluates N planned transitions (loiter, path, loiter) at one
 sorted array of times in one pass: each plan's three parts are index ranges
@@ -36,10 +37,18 @@ from .geometry import LoiterCircle, Vec2
 
 TWO_PI = 2.0 * math.pi
 
-# Convergence target for the arrival-time fixed point (seconds); also caps
-# the join-phase residual via the target angular rate.
+# Tolerance on the arrival-time residual g(t) = arrival(t) - t (seconds); also
+# caps the join-phase residual via the target angular rate.
 SYNC_TOL = 1e-6
-MAX_SYNC_ITERATIONS = 100
+
+# A bracket [a, b] of the arrival-time residual is skipped as a jump of the
+# path length when |g(a)| + |g(b)| > JUMP_SLOPE * (b - a), in seconds of g per
+# second of t: no continuous g that steep crosses zero inside it. The test can
+# only skip a root, never accept one (acceptance is |g| < tolerance).
+JUMP_SLOPE = 100.0
+
+# Departure delays tried, in target periods after the base delay, in order.
+DELAY_OFFSETS = tuple(k / 8.0 for k in range(16))
 
 _POSE_EPS = 1e-12
 
@@ -347,6 +356,62 @@ def loiter_pose(circle: LoiterCircle, phase: float) -> Pose:
     return Pose(circle.point_at(phase), mod2pi(phase + 0.5 * math.pi))
 
 
+def _earliest_root(arrival, t0: float, t_max: float, step: float, tol: float):
+    """(c, arrival(c)) at the earliest verified root of g(t) = arrival(t) - t
+    on [t0, t_max] that the scan finds, or None.
+
+    g is scanned at t0 + k * step until a point at or past ``t_max``; a point
+    with |g| < ``tol`` is the root. Each sign change between neighbouring
+    points is refined by the Illinois method (Dowell & Jarratt 1971), a
+    regula falsi that halves the function value of an end kept twice in a
+    row, and accepted only at |g| < ``tol``. A bracket whose true g values
+    fail the ``JUMP_SLOPE`` test straddles a jump of the path length and is
+    skipped; so is one that cannot shrink in floating point. The scan then
+    goes on from the end of that bracket.
+    """
+    a, arr_a = t0, arrival(t0)
+    k = 0
+    while abs(arr_a - a) >= tol:
+        if a >= t_max:
+            return None
+        k += 1
+        b = t0 + k * step
+        arr_b = arrival(b)
+        g_a, g_b = arr_a - a, arr_b - b
+        if abs(g_b) >= tol and (g_a < 0.0) != (g_b < 0.0):
+            root = _illinois(arrival, a, g_a, b, g_b, tol)
+            if root is not None:
+                return root
+        a, arr_a = b, arr_b
+    return a, arr_a
+
+
+def _illinois(arrival, a: float, g_a: float, b: float, g_b: float, tol: float):
+    """(c, arrival(c)) with |g(c)| < ``tol`` inside the sign-change bracket
+    (a, b) of g(t) = arrival(t) - t, or None at a jump."""
+    f_a, f_b = g_a, g_b  # g at the ends, halved where Illinois keeps an end
+    kept = 0  # +1 when a moved last, -1 when b moved last
+    while abs(g_a) + abs(g_b) <= JUMP_SLOPE * (b - a):
+        c = b - f_b * (b - a) / (f_b - f_a)
+        if not a < c < b:
+            return None  # the bracket cannot shrink
+        arr_c = arrival(c)
+        g_c = arr_c - c
+        if abs(g_c) < tol:
+            return c, arr_c
+        if (g_c < 0.0) == (g_b < 0.0):
+            b, g_b, f_b = c, g_c, g_c
+            if kept == -1:
+                f_a *= 0.5
+            kept = -1
+        else:
+            a, g_a, f_a = c, g_c, g_c
+            if kept == 1:
+                f_b *= 0.5
+            kept = 1
+    return None
+
+
 def plan_transition(
     uav_id: int,
     source: LoiterCircle,
@@ -358,28 +423,28 @@ def plan_transition(
 ) -> TransitionPlan:
     """Plan a tangential break-off/join-in transfer between loiter circles.
 
-    The UAV loiters on the source through ``base_delay`` seconds, departs
+    The UAV loiters on the source through a departure delay, departs
     tangentially, and must arrive tangentially on the target at the phase the
     synchronized fleet clock (advancing at the target rate) will show at the
-    arrival instant. Solved by fixed-point iteration over the arrival time;
-    non-convergent geometries retry with the departure postponed, first by
-    one full target period, then by fractional-period offsets.
+    arrival instant: a root of g(t) = delay + L(t) / v - t, where L(t) is the
+    shortest path to the join pose the clock shows at t.
+
+    For each delay, ``base_delay`` plus ``DELAY_OFFSETS`` target periods in
+    increasing order, the earliest root is sought by ``_earliest_root`` at a
+    pitch of one eighth of the target period, up to the horizon past which no
+    root exists: a CSC path of at most |c_src - c_tgt| + r_src + r_tgt +
+    (2 + 4 pi) r_turn joins any pose of one circle to any pose of the other,
+    so g < 0 beyond delay plus that length over v. The first delay with a
+    root gives the plan. At the root c the join phase is the clock's at c and
+    the arrival time is delay + L(c) / v, within the tolerance of c.
+
+    A delay can have no root only where g jumps across zero at a
+    discontinuity of the path length; the jump recurs every lap for one
+    delay, so only a delay shift helps.
 
     Each evaluation is one ``_shortest`` call on floats; the goal pose is
-    ``loiter_pose``'s arithmetic inlined, so the converged poses rebuilt as
+    ``loiter_pose``'s arithmetic inlined, so the root's poses rebuilt as
     ``Pose`` objects give ``shortest_path`` the same path.
-
-    For one departure delay the arrival time is a deterministic function of
-    the guessed arrival, so two loops stop early without changing the result:
-
-    - The fixed point stops when an iterate repeats one already seen at this
-      delay. From there the sequence cycles through steps that were checked
-      and did not converge, so it can never converge; the bisection starts,
-      from the fixed point's first evaluation, which was at the same delay.
-    - The bisection stops when the midpoint equals the previous one. That
-      midpoint did not meet the tolerance, and evaluating it again moves the
-      same bracket end to where it already is, so every remaining step would
-      repeat it; the next delay is tried.
     """
     if not v > 0:
         raise ValueError(f"speed must be positive, got {v}")
@@ -397,20 +462,16 @@ def plan_transition(
     target_period = TWO_PI / omega_tgt
     tol = min(SYNC_TOL, SYNC_TOL / omega_tgt)
     cx, cy, radius = target.center.x, target.center.y, target.radius
+    reach = source.center.dist(target.center) + source.radius + radius + (2.0 + 4.0 * math.pi) * r_turn
 
-    # Attempt schedule: the nominal delay, the one-period extension, then
-    # fractional-period jitters. The jitters matter when the arrival-time
-    # equation jumps across zero at a discontinuity of the path length (the
-    # jump recurs every lap for a fixed delay, so only a delay shift helps).
-    offsets = [0.0, 1.0] + [k / 8.0 for k in range(1, 8)] + [1.0 + k / 8.0 for k in range(1, 8)]
-    for offset in offsets:
+    for offset in DELAY_OFFSETS:
         delay = base_delay + offset * target_period
         break_phase = mod2pi(start_phase + omega_src * delay)
         depart = loiter_pose(source, break_phase)
         ax, ay, ah = depart.position.x, depart.position.y, depart.heading
 
         def arrival_for(t):
-            """(arrival time, join phase) for the guessed arrival ``t``."""
+            """Arrival time for the guessed arrival ``t``."""
             join_phase = (start_phase + omega_tgt * t) % TWO_PI
             found = _shortest(
                 ax,
@@ -424,10 +485,12 @@ def plan_transition(
             if found is None:
                 raise _unverified(depart, loiter_pose(target, join_phase))
             t_seg, p_seg, q_seg = found[1]
-            return delay + (t_seg + p_seg + q_seg) / v, join_phase
+            return delay + (t_seg + p_seg + q_seg) / v
 
-        def build_plan(join_phase, arrival):
-            path = shortest_path(depart, loiter_pose(target, join_phase), r_turn)
+        root = _earliest_root(arrival_for, delay, delay + reach / v, target_period / 8.0, tol)
+        if root is not None:
+            c, arrival = root
+            join_phase = (start_phase + omega_tgt * c) % TWO_PI
             return TransitionPlan(
                 uav_id=uav_id,
                 source=source,
@@ -435,56 +498,13 @@ def plan_transition(
                 start_phase=mod2pi(start_phase),
                 break_off_phase=break_phase,
                 depart_delay=delay,
-                path=path,
+                path=shortest_path(depart, loiter_pose(target, join_phase), r_turn),
                 join_phase=join_phase,
                 arrival_time=arrival,
             )
-
-        t = delay
-        g_delay = None
-        seen = set()
-        for _ in range(MAX_SYNC_ITERATIONS):
-            t_new, join_phase = arrival_for(t)
-            if abs(t_new - t) < tol:
-                return build_plan(join_phase, t_new)
-            if g_delay is None:
-                g_delay = t_new - t  # g(delay): the bisection starts there
-            seen.add(t)
-            if t_new in seen:
-                break  # a cycle: every later step repeats a failed one
-            t = t_new
-
-        # The plain iteration can oscillate when the goal pose swings the
-        # path length faster than the phase clock; fall back to bisecting
-        # the same arrival-time equation g(t) = arrival_for(t) - t, which
-        # starts non-negative at t = delay and goes negative once t exceeds
-        # every reachable path time.
-        t_lo = t_hi = delay
-        g_hi = g_delay
-        probe_step = target_period / 8.0
-        for _ in range(256):
-            if g_hi <= 0.0:
-                break
-            t_lo = t_hi
-            t_hi = t_hi + probe_step
-            g_hi = arrival_for(t_hi)[0] - t_hi
-        if g_hi <= 0.0:
-            t_mid = None
-            for _ in range(200):
-                t_prev, t_mid = t_mid, 0.5 * (t_lo + t_hi)
-                if t_mid == t_prev:
-                    break  # the bracket cannot shrink: every later step repeats this one
-                t_new, join_phase = arrival_for(t_mid)
-                g_mid = t_new - t_mid
-                if abs(g_mid) < tol:
-                    return build_plan(join_phase, t_new)
-                if g_mid > 0.0:
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
     raise PlanningError(
-        f"transition for UAV {uav_id} did not phase-synchronize within "
-        f"{MAX_SYNC_ITERATIONS} iterations over {len(offsets)} departure delays"
+        f"transition for UAV {uav_id} did not phase-synchronize over "
+        f"{len(DELAY_OFFSETS)} departure delays"
     )
 
 

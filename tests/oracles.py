@@ -7,8 +7,10 @@ bounded-curvature paths, scalar segment walks for transition tracks,
 per-point coverage predicates and dense points x circles kernels for the
 grid fractions, union-find for clusters and permutation search for
 assignments. The rest keep an earlier, simpler version of an optimized
-routine (the Dubins and arrival-time solvers, the all-pairs comm graph), so
-a test can require the same result bit for bit.
+routine (the Dubins solver, the all-pairs comm graph), so a test can require
+the same result bit for bit. The arrival-time oracle is a plain fine-pitch
+scan with bisection, for the earliest root the library's coarser scan should
+find.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.integrate import quad
 # compare with ``==``.
 from loiterpack.dubins import (
     _WORD_ORDER,
-    MAX_SYNC_ITERATIONS,
+    DELAY_OFFSETS,
     SYNC_TOL,
     DubinsPath,
     DubinsWord,
@@ -253,73 +255,95 @@ def shortest_path_loop(a, b, r_turn):
     return best
 
 
-def plan_transition_loop(uav_id, source, start_phase, target, r_turn, v, base_delay=0.0):
-    """The arrival-time solver with no early exits: 100 fixed-point steps,
-    probes, up to 200 bisection steps, then the next delay offset. Every
-    evaluation is one call of ``shortest_path_loop``."""
-    if not v > 0:
-        raise ValueError(f"speed must be positive, got {v}")
-    if base_delay < 0:
-        raise ValueError(f"base delay must be >= 0, got {base_delay}")
-    if r_turn > min(source.radius, target.radius) + 1e-12:
-        raise PlanningError(f"transit turn radius {r_turn} exceeds a loiter radius")
-    omega_src = v / source.radius
+def arrival_function(source, start_phase, target, r_turn, v, delay):
+    """(break-off phase, departure pose, arrival(t)) at one departure delay:
+    arrival(t) is the arrival time for the guessed arrival ``t``, each
+    evaluation one ``shortest_path_loop`` call."""
+    break_phase = mod2pi(start_phase + (v / source.radius) * delay)
+    depart = loiter_pose(source, break_phase)
+    omega_tgt = v / target.radius
+
+    def arrival(t):
+        join = loiter_pose(target, mod2pi(start_phase + omega_tgt * t))
+        return delay + shortest_path_loop(depart, join, r_turn).length / v
+
+    return break_phase, depart, arrival
+
+
+def arrival_horizon(source, target, r_turn, v):
+    """Seconds after departure past which every path is shorter than the
+    wait: a CSC path has two arcs of at most a full turn and a straight of at
+    most the pose distance plus two turn radii."""
+    reach = source.center.dist(target.center) + source.radius + target.radius
+    return (reach + (2.0 + 4.0 * math.pi) * r_turn) / v
+
+
+def arrival_tolerance(target, v):
+    return min(SYNC_TOL, SYNC_TOL / (v / target.radius))
+
+
+def bisect_root(arrival, a, b, tol):
+    """(c, arrival(c)) with |arrival(c) - c| < tol found by bisecting the
+    sign change of g(t) = arrival(t) - t on [a, b], or None when the bracket
+    collapses to neighbouring floats first (g jumps across zero)."""
+    g_a = arrival(a) - a
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return None
+        arr = arrival(mid)
+        if abs(arr - mid) < tol:
+            return mid, arr
+        if (arr - mid < 0.0) == (g_a < 0.0):
+            a, g_a = mid, arr - mid
+        else:
+            b = mid
+
+
+def scan_root(arrival, t0, t_end, step, tol):
+    """Earliest root of g(t) = arrival(t) - t on [t0, t_end] by a scan at
+    ``step`` and a bisection of each sign change: (c, arrival(c)) or None."""
+    a, arr_a = t0, arrival(t0)
+    k = 0
+    while abs(arr_a - a) >= tol:
+        if a >= t_end:
+            return None
+        k += 1
+        b = t0 + k * step
+        arr_b = arrival(b)
+        if abs(arr_b - b) >= tol and (arr_a - a < 0.0) != (arr_b - b < 0.0):
+            root = bisect_root(arrival, a, b, tol)
+            if root is not None:
+                return root
+        a, arr_a = b, arr_b
+    return a, arr_a
+
+
+def plan_transition_scan(uav_id, source, start_phase, target, r_turn, v, base_delay=0.0, pitch=1 / 64):
+    """The arrival-time solver as a plain scan: at each delay offset in
+    order, the earliest root ``scan_root`` finds at ``pitch`` target periods,
+    every evaluation one ``shortest_path_loop`` call."""
     omega_tgt = v / target.radius
     target_period = TWO_PI / omega_tgt
-    tol = min(SYNC_TOL, SYNC_TOL / omega_tgt)
-
-    def build_plan(delay, break_phase, join_phase, path, arrival):
-        return TransitionPlan(
-            uav_id=uav_id,
-            source=source,
-            target=target,
-            start_phase=mod2pi(start_phase),
-            break_off_phase=break_phase,
-            depart_delay=delay,
-            path=path,
-            join_phase=join_phase,
-            arrival_time=arrival,
-        )
-
-    offsets = [0.0, 1.0] + [k / 8.0 for k in range(1, 8)] + [1.0 + k / 8.0 for k in range(1, 8)]
-    for offset in offsets:
+    tol = arrival_tolerance(target, v)
+    for offset in DELAY_OFFSETS:
         delay = base_delay + offset * target_period
-        break_phase = mod2pi(start_phase + omega_src * delay)
-        depart = loiter_pose(source, break_phase)
-
-        def arrival_for(t):
-            join_phase = mod2pi(start_phase + omega_tgt * t)
-            path = shortest_path_loop(depart, loiter_pose(target, join_phase), r_turn)
-            return delay + path.length / v, join_phase, path
-
-        t = delay
-        for _ in range(MAX_SYNC_ITERATIONS):
-            t_new, join_phase, path = arrival_for(t)
-            if abs(t_new - t) < tol:
-                return build_plan(delay, break_phase, join_phase, path, t_new)
-            t = t_new
-
-        t_lo = delay
-        g_lo = arrival_for(t_lo)[0] - t_lo
-        t_hi, g_hi = t_lo, g_lo
-        probe_step = target_period / 8.0
-        for _ in range(256):
-            if g_hi <= 0.0:
-                break
-            t_lo, g_lo = t_hi, g_hi
-            t_hi = t_hi + probe_step
-            g_hi = arrival_for(t_hi)[0] - t_hi
-        if g_hi <= 0.0:
-            for _ in range(200):
-                t_mid = 0.5 * (t_lo + t_hi)
-                t_new, join_phase, path = arrival_for(t_mid)
-                g_mid = t_new - t_mid
-                if abs(g_mid) < tol:
-                    return build_plan(delay, break_phase, join_phase, path, t_new)
-                if g_mid > 0.0:
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
+        break_phase, depart, arrival = arrival_function(source, start_phase, target, r_turn, v, delay)
+        t_end = delay + arrival_horizon(source, target, r_turn, v)
+        root = scan_root(arrival, delay, t_end, pitch * target_period, tol)
+        if root is not None:
+            join_phase = mod2pi(start_phase + omega_tgt * root[0])
+            return TransitionPlan(
+                uav_id=uav_id,
+                source=source,
+                target=target,
+                start_phase=mod2pi(start_phase),
+                break_off_phase=break_phase,
+                depart_delay=delay,
+                path=shortest_path_loop(depart, loiter_pose(target, join_phase), r_turn),
+                join_phase=join_phase,
+                arrival_time=root[1],
+            )
     raise PlanningError(f"transition for UAV {uav_id} did not phase-synchronize")
 
 

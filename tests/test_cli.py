@@ -522,7 +522,7 @@ class TestCrawlingSpeed:
 
 class TestScenarioClock:
     # Losing these ids cuts the base off, so detection waits one loiter
-    # period (10 s + 29.322 s) and the last transition ends at 82.298 s.
+    # period (10 s + 29.322 s) and the last transition ends at 68.632 s.
     FIRST = {"time_s": 10.0, "lost_ids": [0, 2, 4, 10, 12, 14, 20, 22, 24, 30, 32, 34]}
 
     def config(self, tmp_path, second_time):
@@ -534,7 +534,7 @@ class TestScenarioClock:
         assert run("simulate", self.config(tmp_path, 60.0)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: failures[1]: 'time_s' 60.0")
-        assert "ends at 82.298 s" in err
+        assert "ends at 68.632 s" in err
         # The first round's artifacts stay, each listed in the manifest.
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
@@ -558,7 +558,7 @@ class TestScenarioClock:
         detect = [r["t_s"] for r in rows if r["event"] == "detect"]
         ends = [float(r["t_s"]) for r in rows if r["event"] == "transition_end"]
         assert detect == ["39.322", "500.000"]
-        assert f"{max(t for t in ends if t < 500.0):.3f}" == f"{times[0]:.3f}" == "82.298"
+        assert f"{max(t for t in ends if t < 500.0):.3f}" == f"{times[0]:.3f}" == "68.632"
 
 
 class TestLayoutLimit:

@@ -24,13 +24,17 @@ from loiterpack.dubins import (
 from loiterpack.errors import PlanningError
 from loiterpack.fleet import FailureEvent, deploy, detect_failures, inject_failure, super_agent_recover
 from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
-import oracles
 from oracles import (
     WORD_SOLVERS,
+    arrival_function,
+    arrival_horizon,
+    arrival_tolerance,
+    bisect_root,
     dubins_discretized_length,
     path_state_loop,
     plan_pose_loop,
-    plan_transition_loop,
+    plan_transition_scan,
+    scan_root,
     shortest_path_loop,
     tracks_loop,
 )
@@ -160,9 +164,8 @@ def tie_pairs():
 
 
 class TestMatchesTheFirstSolver:
-    """The shared-trigonometry solver, its shortest-first forward check and
-    the early exits of the arrival-time solver return exactly what the
-    per-word solvers and the uncapped loops return."""
+    """The shared-trigonometry solver and its shortest-first forward check
+    return exactly what the per-word solvers and the loop return."""
 
     def test_words_match_the_per_word_solvers(self):
         rng = np.random.default_rng(20)
@@ -206,69 +209,191 @@ class TestMatchesTheFirstSolver:
             ties += lengths.count(min(lengths)) > 1
         assert ties >= 20
 
-    # (area x, area y, UAVs lost, failure seeds, whether some recovery
-    # staggers) of the perfbench workloads paper-35 and coverage-1km.
+
+def perfbench_recoveries(x, y, loss_count, draws):
+    """Run the recovery of each failure draw of a perfbench workload (hexagon
+    at 70 m, failure at 60 s, r_c 80 m, r_l at most 100 m)."""
+    area, platform = AreaSpec(x, y), PlatformModel(speed=15.0, max_bank=0.5)
+    for seed in range(draws):
+        state = fleet.step(deploy(area, PackingKind.HEXAGON, platform, radius=70.0), 60.0)
+        inject_failure(state, FailureEvent(time=60.0, seed=seed, loss_count=loss_count))
+        super_agent_recover(detect_failures(state), area, PackingKind.HEXAGON, 80.0, platform, r_l_max=100.0)
+
+
+def angle_gap(a, b):
+    """|a - b| reduced to [0, pi]."""
+    gap = (a - b) % TWO_PI
+    return min(gap, TWO_PI - gap)
+
+
+class TestEarliestRoot:
+    """The arrival-time solver returns a verified, phase-synchronized plan at
+    the earliest root its scan can find: no earlier delay offset and no
+    earlier bracket of its scan grid holds a root, only jumps of the path
+    length, and a scan at an eighth of the pitch finds the same root."""
+
+    @staticmethod
+    def assert_no_root_before(arrival, delay, t_end, step, tol, until=math.inf):
+        """No point of the scan grid (delay + k * step up to the first at or
+        past ``t_end``) before ``until`` meets the tolerance, and every sign
+        change of g(t) = arrival(t) - t between two such points is a jump: a
+        bisection finds no root in it."""
+        a, g_a = delay, arrival(delay) - delay
+        k = 0
+        while a < t_end:
+            if a < until:
+                assert abs(g_a) >= tol
+            k += 1
+            b = delay + k * step
+            if not b < until:
+                return
+            g_b = arrival(b) - b
+            if (g_a < 0.0) != (g_b < 0.0):
+                assert bisect_root(arrival, a, b, tol) is None
+            a, g_a = b, g_b
+
+    # (area x, area y, UAVs lost, failure seeds, most solver evaluations) of
+    # the perfbench workloads; the old fixed-point solver took 23,789 and
+    # 39,333 evaluations here.
     @pytest.mark.parametrize(
-        "x, y, loss_count, draws, staggers",
-        [(500.0, 650.0, 18, 32, False), (1000.0, 1000.0, 36, 16, True)],
+        "x, y, loss_count, draws, max_evaluations",
+        [
+            pytest.param(500.0, 650.0, 18, 32, 10_000, id="paper-35"),
+            pytest.param(1000.0, 1000.0, 36, 16, 15_000, id="coverage-1km"),
+        ],
     )
     def test_every_transition_of_the_perfbench_recoveries(
-        self, monkeypatch, x, y, loss_count, draws, staggers
+        self, monkeypatch, x, y, loss_count, draws, max_evaluations
     ):
-        # Every plan_transition call of every recovery (stagger rounds and
-        # their base delays included) against the loops without early exits;
-        # the recovery is then run on the oracle's plans and must return the
-        # same RecoveryPlan.
-        area, platform = AreaSpec(x, y), PlatformModel(speed=15.0, max_bank=0.5)
-
-        def report(seed):
-            state = fleet.step(deploy(area, PackingKind.HEXAGON, platform, radius=70.0), 60.0)
-            inject_failure(state, FailureEvent(time=60.0, seed=seed, loss_count=loss_count))
-            return detect_failures(state)
-
-        def recover(seed):
-            return super_agent_recover(
-                report(seed), area, PackingKind.HEXAGON, 80.0, platform, r_l_max=100.0
-            )
-
-        expected = [recover(seed) for seed in range(draws)]
         calls = []
+        evaluations = 0
+        shortest = dubins._shortest
 
-        def checked(*args, **kwargs):
-            plan = plan_transition_loop(*args, **kwargs)
-            calls.append((args, kwargs, plan_transition(*args, **kwargs) == plan))
+        def recording(*args, **kwargs):
+            plan = plan_transition(*args, **kwargs)
+            calls.append((args, kwargs.get("base_delay", 0.0), plan))
             return plan
 
-        monkeypatch.setattr(fleet, "plan_transition", checked)
-        assert [recover(seed) for seed in range(draws)] == expected
-        assert all(same for _, _, same in calls)
-        assert any(kwargs.get("base_delay", 0.0) > 0.0 for _, kwargs, _ in calls) == staggers
+        def counted(*a):
+            nonlocal evaluations
+            evaluations += 1
+            return shortest(*a)
 
-    def test_early_exits_fire_and_stay_exact(self, monkeypatch):
-        # A transition of the paper-35 recovery (failure seed 0) whose fixed
-        # point cycles and whose bisection stalls before it tries the next
-        # departure delay.
+        monkeypatch.setattr(fleet, "plan_transition", recording)
+        monkeypatch.setattr(dubins, "_shortest", counted)
+        perfbench_recoveries(x, y, loss_count, draws)
+        assert evaluations <= max_evaluations  # plan builds included
+        monkeypatch.undo()
+
+        for args, base_delay, plan in calls:
+            _, source, start_phase, target, r_turn, v = args
+            tol = arrival_tolerance(target, v)
+            period = TWO_PI / (v / target.radius)  # as the library computes it
+            step = period / 8.0
+            delays = [base_delay + offset * period for offset in dubins.DELAY_OFFSETS]
+            chosen = delays.index(plan.depart_delay)
+            # The word verifies, and the arrival is within tolerance of the
+            # guess the join phase was taken at.
+            depart = loiter_pose(source, plan.break_off_phase)
+            assert plan.path == shortest_path_loop(depart, loiter_pose(target, plan.join_phase), r_turn)
+            assert plan.arrival_time == plan.depart_delay + plan.path.length / v
+            omega = v / target.radius
+            assert angle_gap(start_phase + omega * plan.arrival_time, plan.join_phase) <= omega * tol + 1e-12
+            # Earlier offsets, and the grid before the root, hold only jumps.
+            for k, delay in enumerate(delays[: chosen + 1]):
+                arrival = arrival_function(source, start_phase, target, r_turn, v, delay)[2]
+                t_end = delay + arrival_horizon(source, target, r_turn, v)
+                until = plan.arrival_time - tol if k == chosen else math.inf
+                self.assert_no_root_before(arrival, delay, t_end, step, tol, until)
+            # The scan at 1/64 of a period finds the same delay and, where g
+            # is flat to within the tolerance, a root at most 1e-4 s away.
+            expected = plan_transition_scan(*args, base_delay=base_delay)
+            assert expected.depart_delay == plan.depart_delay
+            assert abs(expected.arrival_time - plan.arrival_time) < 1e-4
+
+    def test_jump_moves_to_a_later_offset(self, monkeypatch):
+        # UAV 17 of the paper-35 recovery (failure seed 0): at delay offsets
+        # 0 to 3/8 of the target period g jumps across zero and has no root;
+        # the old solver spent 173 evaluations there and departed a whole
+        # period (40.3 s) late, arriving at 48.93 s.
         source = LoiterCircle(Vec2(242.4871130596428, 350.0), 70.0)
         target = LoiterCircle(Vec2(250.0, 336.78765702728174), 96.22504486493763)
         args = (17, source, 0.2907722427836834, target, 11.46788990825688, 15.0)
-        counts = {"library": 0, "oracle": 0}
+        evaluations = 0
+        skipped = []
+        shortest, illinois = dubins._shortest, dubins._illinois
 
-        def counting(name, solver):
-            def counted(*a):
-                counts[name] += 1
-                return solver(*a)
+        def counted(*a):
+            nonlocal evaluations
+            evaluations += 1
+            return shortest(*a)
 
-            return counted
+        def recording(arrival, a, g_a, b, g_b, tol):
+            root = illinois(arrival, a, g_a, b, g_b, tol)
+            if root is None:
+                skipped.append((a, b))
+            return root
 
-        # Every evaluation of the library's solver is one float kernel call.
-        monkeypatch.setattr(dubins, "_shortest", counting("library", dubins._shortest))
-        monkeypatch.setattr(
-            oracles, "shortest_path_loop", counting("oracle", oracles.shortest_path_loop)
-        )
+        monkeypatch.setattr(dubins, "_shortest", counted)
+        monkeypatch.setattr(dubins, "_illinois", recording)
         plan = plan_transition(*args)
-        assert plan == plan_transition_loop(*args)
-        assert plan.depart_delay > 0.0  # the first delay offset failed
-        assert 0 < counts["library"] < counts["oracle"]
+        monkeypatch.undo()
+
+        period = TWO_PI / (15.0 / target.radius)
+        assert skipped[0][0] == 0.0  # the jump of delay 0 is skipped
+        assert plan.depart_delay == dubins.DELAY_OFFSETS[4] * period
+        expected = plan_transition_scan(*args)
+        assert expected.depart_delay == plan.depart_delay
+        assert abs(expected.arrival_time - plan.arrival_time) < 1e-4
+        tol = arrival_tolerance(target, 15.0)
+        for delay in (offset * period for offset in dubins.DELAY_OFFSETS[:4]):
+            arrival = arrival_function(source, args[2], target, args[4], 15.0, delay)[2]
+            t_end = delay + arrival_horizon(source, target, args[4], 15.0)
+            assert scan_root(arrival, delay, t_end, period / 640.0, tol) is None
+        assert evaluations < 173
+        assert plan.arrival_time < 27.0
+
+    def test_far_small_target_ends_within_the_horizon(self, monkeypatch):
+        # A 12 m circle 6.5 km away: the scan at 1/8 of its 5 s period runs
+        # about 700 points to the root at 434 s, 14 s before the horizon.
+        source = LoiterCircle(Vec2(0.0, 0.0), 60.0)
+        target = LoiterCircle(Vec2(6000.0, -2500.0), 12.0)
+        args = (3, source, 1.0, target, 10.0, 15.0)
+        scans = []
+        earliest_root = dubins._earliest_root
+
+        def recording(arrival, t0, t_max, step, tol):
+            guesses = []
+
+            def arrival_at(t):
+                guesses.append(t)
+                return arrival(t)
+
+            scans.append((t0, t_max, step, guesses))
+            return earliest_root(arrival_at, t0, t_max, step, tol)
+
+        monkeypatch.setattr(dubins, "_earliest_root", recording)
+        plan = plan_transition(*args)
+        horizon = arrival_horizon(source, target, 10.0, 15.0)
+        for t0, t_max, step, guesses in scans:
+            assert t_max == pytest.approx(t0 + horizon, rel=1e-12)
+            assert t0 <= min(guesses) and max(guesses) < t_max + step
+        assert plan.depart_delay == scans[-1][0]
+        omega = 15.0 / target.radius
+        residual = angle_gap(1.0 + omega * plan.arrival_time, plan.join_phase)
+        assert residual <= omega * arrival_tolerance(target, 15.0) + 1e-12
+
+    def test_horizon_bounds_every_path(self):
+        # Past the horizon g < 0: no shortest path between poses of the two
+        # circles is longer than the bound the scan stops at.
+        rng = np.random.default_rng(16)
+        for _ in range(2000):
+            r_turn = rng.uniform(1.0, 20.0)
+            src = LoiterCircle(Vec2(*rng.uniform(-300, 300, 2)), rng.uniform(r_turn, 100))
+            tgt = LoiterCircle(Vec2(*rng.uniform(-300, 300, 2)), rng.uniform(r_turn, 100))
+            a = loiter_pose(src, rng.uniform(0, TWO_PI))
+            b = loiter_pose(tgt, rng.uniform(0, TWO_PI))
+            assert shortest_path(a, b, r_turn).length <= arrival_horizon(src, tgt, r_turn, 1.0)
 
 
 class TestSample:
