@@ -132,6 +132,48 @@ def _section(d: dict, name: str) -> dict | None:
     return value
 
 
+_EVENT_KEYS = dict.fromkeys(("time_s", "lost_ids", "seed", "loss_count"))
+_CIRCLE_KEYS = dict.fromkeys(("x_m", "y_m", "radius_m"))
+# Every key a config may hold: a section maps to the keys of its object, a
+# list to the keys of its items, and a plain value to None.
+_CONFIG_KEYS = {
+    "area": dict.fromkeys(("x_extent_m", "y_extent_m")),
+    "packing": None,
+    "sensor": dict.fromkeys(("fov_half_angle_rad", "altitude_m")),
+    "r_c_m": None,
+    "platform": dict.fromkeys(("speed_mps", "max_bank_rad", "gravity_mps2")),
+    "r_min_turn_m": None,
+    "deployment": dict.fromkeys(("radius_m", "budget_n")),
+    "r_l_max_m": None,
+    "failure": _EVENT_KEYS,
+    "failures": [_EVENT_KEYS],
+    "validation": dict.fromkeys(("grid_pitch_m", "phase_samples")),
+    "sweep": dict.fromkeys(("r_init_m", "loss_fractions")),
+    "path": {"source": _CIRCLE_KEYS, "target": _CIRCLE_KEYS},
+    "turn_radius_m": None,
+    "table1_mode": None,
+    "min_turn_formula": None,
+    "output_dir": None,
+}
+
+
+def _check_keys(d: dict, known: dict, where: str = "") -> None:
+    """Raises ``ConfigError`` naming the first key of ``d`` (and of its
+    sections, depth first) that ``known`` does not list. Values of the wrong
+    type are left to the parser, which rejects them with their own message."""
+    for key, value in d.items():
+        if key not in known:
+            place = f"section {where!r}" if where else "the config root"
+            raise ConfigError(f"unknown config key {key!r} in {place}")
+        inner, name = known[key], f"{where}.{key}" if where else key
+        if isinstance(inner, dict) and isinstance(value, dict):
+            _check_keys(value, inner, name)
+        elif isinstance(inner, list) and isinstance(value, list):
+            for k, item in enumerate(value):
+                if isinstance(item, dict):
+                    _check_keys(item, inner[0], f"{name}[{k}]")
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -145,6 +187,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(raw, _CONFIG_KEYS)
     try:
         area_d = _section(raw, "area")
         if area_d is None:

@@ -218,11 +218,6 @@ def _breakpoints(path: DubinsPath) -> list[tuple[float, float, float]]:
     return states
 
 
-def path_end(path: DubinsPath) -> Pose:
-    x, y, th = _breakpoints(path)[-1]
-    return Pose(Vec2(x, y), th)
-
-
 def _walk(paths, owner: np.ndarray, s: np.ndarray):
     """(x, y, heading in [0, 2pi)) after the arc lengths ``s`` (each in
     [0, length]) along the paths ``paths[owner]``.

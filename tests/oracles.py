@@ -29,11 +29,12 @@ from loiterpack.dubins import (
     SYNC_TOL,
     DubinsPath,
     DubinsWord,
+    Pose,
     TransitionPlan,
     loiter_pose,
-    path_end,
 )
 from loiterpack.errors import PlanningError
+from loiterpack.geometry import Vec2
 
 TWO_PI = 2.0 * math.pi
 
@@ -365,6 +366,14 @@ def _advance_scalar(x, y, th, kind, length, r):
         y + r * (math.cos(th - phi) - math.cos(th)),
         th - phi,
     )
+
+
+def path_end(path):
+    """End pose of a Dubins path, advancing through its segments in turn."""
+    x, y, th = path.start.position.x, path.start.position.y, path.start.heading
+    for kind, length in zip(path.word.value, path.segment_lengths):
+        x, y, th = _advance_scalar(x, y, th, kind, length, path.turn_radius)
+    return Pose(Vec2(x, y), th)
 
 
 def path_state_loop(path, s):

@@ -432,6 +432,30 @@ class TestConfigSections:
         assert run("pack", write_config(tmp_path, cfg)) == 0
         assert (tmp_path / "out" / "manifest.json").is_file()
 
+    @pytest.mark.parametrize(
+        "overrides, key, place",
+        [
+            ({"r_l_max": 100}, "r_l_max", "the config root"),
+            ({"validaton": {"grid_pitch_m": 20.0}}, "validaton", "the config root"),
+            ({"area": {"x_extent_m": 500.0, "y_extent": 650.0}}, "y_extent", "section 'area'"),
+            (
+                {"failures": [{"time_s": 60.0, "seed": 0, "loss_count": 18, "sed": 1}]},
+                "sed",
+                "section 'failures[0]'",
+            ),
+            (
+                {"path": {"source": {"x_m": 0.0, "y_m": 0.0, "r_m": 70.0}, "target": None}},
+                "r_m",
+                "section 'path.source'",
+            ),
+        ],
+    )
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, overrides, key, place):
+        cfg = every_section_config(tmp_path / "out", **overrides)
+        assert run("pack", write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key {key!r} in {place}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_grid_is_config_error(self, tmp_path, capsys):
         cfg = every_section_config(tmp_path / "out", validation={"grid_pitch_m": 1e-6})
         assert run("simulate", write_config(tmp_path, cfg)) == 2
@@ -760,6 +784,23 @@ def random_config(rng, command, out_dir):
     return cfg
 
 
+def misspell(rng, cfg):
+    """Renames one key of the config or of one of its sections, nested ones
+    and list items included, by doubling one of its characters (no config
+    key is another doubled), and returns the new key."""
+    sections = [cfg]
+    for section in sections:  # breadth first: the list grows as it is read
+        for value in section.values():
+            items = value if isinstance(value, list) else [value]
+            sections += [item for item in items if isinstance(item, dict) and item]
+    section = rng.choice(sections)
+    key = rng.choice(sorted(section))
+    k = rng.randrange(len(key))
+    typo = key[:k] + key[k] + key[k:]
+    section[typo] = section.pop(key)
+    return typo
+
+
 def random_flags(rng, command, cfg):
     flags = []
     if command == "simulate":
@@ -788,6 +829,9 @@ class TestRandomConfigs:
             rng = random.Random(f"{command}-{seed}")
             out_dir = tmp_path / str(seed)
             cfg = random_config(rng, command, out_dir)
+            # A tenth of the configs misspell one key, drawn apart from the rest.
+            typo_rng = random.Random(f"{command}-{seed}-typo")
+            typo = misspell(typo_rng, cfg) if typo_rng.random() < 0.1 else None
             path = write_config(tmp_path, cfg, f"{seed}.json")
             try:
                 code = main([command, "--config", path, *random_flags(rng, command, cfg)])
@@ -796,6 +840,8 @@ class TestRandomConfigs:
             err = capsys.readouterr().err
             assert code in (0, 2, 3, 4), (seed, cfg)
             assert "Traceback" not in err, (seed, cfg)
+            if typo is not None:
+                assert code == 2 and f"unknown config key {typo!r}" in err, (seed, cfg)
             # Whatever the exit, every written artifact is in the manifest.
             written = {p.name for p in out_dir.iterdir()} if out_dir.exists() else set()
             if code == 0 or written:

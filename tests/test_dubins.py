@@ -15,7 +15,6 @@ from loiterpack.dubins import (
     closest_approach,
     loiter_pose,
     mod2pi,
-    path_end,
     plan_transition,
     sample,
     shortest_path,

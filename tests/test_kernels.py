@@ -146,10 +146,8 @@ class TestStampedMatchesDense:
             assert_matches_dense(rows, axis, row, c, r_l, r_c, np.array([math.pi / 2]), tol=0.0)
 
     def test_phase_blocks_and_row_chunks(self, monkeypatch):
-        # Budgets small enough that every phase gets its own block of runs
-        # and every cycle stamp is split into several row chunks.
+        # A budget small enough that every phase gets its own block of runs.
         monkeypatch.setattr(kernels, "_RUN_ENTRIES", 1)
-        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 64)
         xs, ys = grid_points(AreaSpec(90.0, 70.0), 1.5)
         rng = np.random.default_rng(7)
         cx, cy = rng.uniform(-10.0, 100.0, size=6), rng.uniform(-10.0, 80.0, size=6)
@@ -223,7 +221,7 @@ class TestRowRuns:
         m = np.searchsorted(xp, x, "left")
         a = np.maximum(m - rng.integers(0, 10, size=x.size), 1)
         b = np.minimum(m + rng.integers(0, 10, size=x.size), xs.size + 1)
-        kernels._settle(xp, reach2, a, b, x, dy2)
+        kernels._settle(xp, lambda d2: d2 <= reach2, a, b, x, dy2)
         hold = (xs[None, :] - x[:, None]) ** 2 + dy2[:, None] <= reach2
         for i in range(x.size):
             (k,) = np.nonzero(hold[i])
@@ -248,6 +246,94 @@ class TestRowRuns:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_cycle_kernel_memory(self):
+        # The same layout's cycle count stays under 7/8 MiB of Python-visible
+        # allocations (0.71 MiB measured): its arrays hold one entry per
+        # (circle, row of its window), about 4,400 here.
+        area = AreaSpec(1000.0, 1000.0)
+        centers = pack(area, 95.23809523809523, PackingKind.HEXAGON).centers
+        cx = np.array([c.x for c in centers])
+        cy = np.array([c.y for c in centers])
+        xs, ys = grid_points(area, 4.0)
+        tracemalloc.start()
+        try:
+            kernels.cycle_cover_count(xs, ys, cx, cy, 95.23809523809523, 80.0, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20 // 8
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("nx", [1, 2, 37, 20_000])
+    @pytest.mark.parametrize("pitch", [0.01, 0.37, 7.0])
+    def test_seeds_bracket_the_nearest_sample(self, nx, pitch):
+        # x on each sample and each midpoint, one ulp either side of them,
+        # and beyond both ends; half-widths from 0 to the axis span.
+        xs, _ = grid_points(AreaSpec(nx * pitch, pitch), pitch)
+        assert xs.size == nx
+        xp = np.concatenate(([-np.inf], xs, [np.inf]))
+        ends = [xs[0] - pitch, xs[-1] + pitch, xs[0] - 1e6, xs[-1] + 1e6]
+        base = np.concatenate((xs, (xs[:-1] + xs[1:]) / 2, ends))
+        x = np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)))
+        m = np.searchsorted(xp, x, "left")
+        span = xs[-1] - xs[0]
+        for half in (0.0, pitch / 2, pitch, span / 3, span):
+            a, b = kernels._seeds(xp, x, np.full(x.size, half))
+            assert a.dtype == b.dtype == np.intp
+            assert np.all((1 <= a) & (a <= m) & (m <= b) & (b <= nx + 1))
+
+
+class TestAnnulusRuns:
+    """The cycle kernel against the dense predicate at tol 0, where rounding
+    decides the samples on the edges of the annulus."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_tangent_to_the_inner_and_outer_circle(self, seed):
+        # The centre sits on a sample, and r_c puts the sample k rows above it
+        # exactly on the outer circle or exactly on the inner one, as the
+        # kernel computes them; the transposed grid makes those columns.
+        rng = np.random.default_rng(400 + seed)
+        xs, ys = grid_points(AreaSpec(80.0, 90.0), rng.uniform(0.5, 3.0))
+        i, j = rng.integers(xs.size), rng.integers(ys.size // 3)
+        cx, cy = xs[i : i + 1], ys[j : j + 1]
+        d_in, d_out = sorted(ys[j + rng.choice(np.arange(1, ys.size - j), 2, replace=False)] - cy[0])
+        r_l = rng.uniform(d_in, d_out)
+        for r_c in (d_out - r_l, r_l - d_in):
+            for xs_, ys_, cx_, cy_ in ((xs, ys, cx, cy), (ys, xs, cy, cx)):
+                px, py = grid_samples(xs_, ys_)
+                expected = dense_cycle_cover_count(px, py, cx_, cy_, r_l, r_c, 0.0)
+                assert kernels.cycle_cover_count(xs_, ys_, cx_, cy_, r_l, r_c, 0.0) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_annulus_without_a_hole(self, seed):
+        # r_l < r_c leaves no hole; r_l = r_c + tol leaves one of zero radius,
+        # and a centre on a sample then puts that sample in it or on its edge.
+        rng = np.random.default_rng(500 + seed)
+        xs, ys = grid_points(AreaSpec(60.0, 50.0), rng.uniform(0.5, 3.0))
+        n = int(rng.integers(1, 6))
+        cx = np.concatenate((xs[rng.integers(xs.size, size=1)], rng.uniform(-10.0, 70.0, n)))
+        cy = np.concatenate((ys[rng.integers(ys.size, size=1)], rng.uniform(-10.0, 60.0, n)))
+        r_c = rng.uniform(2.0, 15.0)
+        for r_l, tol in ((rng.uniform(0.5, r_c), 0.0), (r_c, 0.0), (r_c + TOL, TOL)):
+            px, py = grid_samples(xs, ys)
+            expected = dense_cycle_cover_count(px, py, cx, cy, r_l, r_c, tol)
+            assert kernels.cycle_cover_count(xs, ys, cx, cy, r_l, r_c, tol) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_single_row_and_single_column_grids(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        axis, _ = grid_points(AreaSpec(70.0, 1.0), rng.uniform(0.3, 4.0))
+        other = np.array([rng.uniform(0.0, 1.0)])
+        n = int(rng.integers(1, 8))
+        c_along = rng.uniform(-30.0, 100.0, size=n)
+        c_across = rng.uniform(-30.0, 30.0, size=n)
+        r_l, r_c = rng.uniform(1.0, 25.0), rng.uniform(1.0, 25.0)
+        for xs, ys, cx, cy in ((axis, other, c_along, c_across), (other, axis, c_across, c_along)):
+            px, py = grid_samples(xs, ys)
+            expected = dense_cycle_cover_count(px, py, cx, cy, r_l, r_c, 0.0)
+            assert kernels.cycle_cover_count(xs, ys, cx, cy, r_l, r_c, 0.0) == expected
 
 
 def loiterers(*xs):
