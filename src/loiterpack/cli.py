@@ -112,16 +112,51 @@ class ScenarioConfig:
         return self.platform
 
 
-def _get(d: dict, key: str, kind=float, required: bool = True, default=None):
-    """Typed config value; a JSON null counts as an absent key."""
+_KIND_NAMES = {float: "a JSON number", int: "an integral JSON number", str: "a JSON string"}
+
+
+def _label(key: str, where: str) -> str:
+    return f"{where}: {key!r}" if where else f"config key {key!r}"
+
+
+def _value(value, key: str, kind, where: str = ""):
+    """``value`` of config key ``key`` as ``kind``: a float takes JSON numbers
+    only (no bools, no strings), an int integral numbers only, a str JSON
+    strings only; anything else raises ``ConfigError`` naming the key."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is str:
+        ok = isinstance(value, str)
+    elif kind is int:
+        ok = number and (isinstance(value, int) or value.is_integer())
+    else:
+        ok = number
+    if ok:
+        try:
+            return kind(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ConfigError(f"{_label(key, where)} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _get(d: dict, key: str, kind=float, required: bool = True, default=None, where: str = ""):
+    """Typed config value (see ``_value``); a JSON null counts as an absent
+    key."""
     if key not in d or d[key] is None:
         if required:
             raise ConfigError(f"missing config key {key!r}")
         return default
-    try:
-        return kind(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {d[key]!r}") from exc
+    return _value(d[key], key, kind, where)
+
+
+def _list(d: dict, key: str, kind=float, where: str = "") -> tuple:
+    """Config JSON array of ``kind`` values (see ``_value``); a JSON null or
+    an absent key is an empty list."""
+    values = d.get(key)
+    if values is None:
+        return ()
+    if not isinstance(values, list):
+        raise ConfigError(f"{_label(key, where)} must be a JSON array, got {values!r}")
+    return tuple(_value(value, key, kind, where) for value in values)
 
 
 def _section(d: dict, name: str) -> dict | None:
@@ -230,15 +265,16 @@ def parse_config(raw: dict) -> ScenarioConfig:
                 raise ConfigError("deployment needs exactly one of 'radius_m' or 'budget_n'")
 
         def parse_event(f: dict, name: str) -> FailureEvent:
-            time_s = _get(f, "time_s", required=False, default=0.0)
+            time_s = _get(f, "time_s", required=False, default=0.0, where=name)
             if not (math.isfinite(time_s) and time_s >= 0.0):
                 raise ConfigError(f"{name}: 'time_s' must be finite and >= 0, got {f['time_s']!r}")
             if f.get("lost_ids") is not None:
-                return FailureEvent(time=time_s, lost_ids=frozenset(int(i) for i in f["lost_ids"]))
-            seed = _get(f, "seed", kind=int)
+                return FailureEvent(time=time_s, lost_ids=frozenset(_list(f, "lost_ids", int, name)))
+            seed = _get(f, "seed", kind=int, where=name)
             if seed < 0:
                 raise ConfigError(f"{name}: 'seed' must be >= 0, got {seed}")
-            return FailureEvent(time=time_s, seed=seed, loss_count=_get(f, "loss_count", kind=int))
+            loss_count = _get(f, "loss_count", kind=int, where=name)
+            return FailureEvent(time=time_s, seed=seed, loss_count=loss_count)
 
         failure = _section(raw, "failure")
         events = raw.get("failures")
@@ -263,8 +299,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         phase_samples = _get(validation, "phase_samples", kind=int, required=False, default=36)
 
         sweep = _section(raw, "sweep") or {}
-        sweep_r_inits = tuple(float(r) for r in sweep.get("r_init_m") or ())
-        sweep_fractions = tuple(float(f) for f in sweep.get("loss_fractions") or ())
+        sweep_r_inits = _list(sweep, "r_init_m")
+        sweep_fractions = _list(sweep, "loss_fractions")
 
         def parse_circle(d: dict | None) -> LoiterCircle | None:
             if d is None:

@@ -17,11 +17,14 @@ with Illinois refinement verifies (``_earliest_root``), evaluating the kernel
 on floats, and builds the plan's one ``DubinsPath`` through
 ``shortest_path`` from the root's poses.
 
-``track`` evaluates N planned transitions (loiter, path, loiter) at one
-sorted array of times in one pass: each plan's three parts are index ranges
-of the times, the loiter arcs are evaluated over blocks of plans and the
-Dubins legs only at the in-flight samples, in one segment walk (``_walk``)
-that ``sample`` shares.
+One numpy step, ``_step``, moves any number of states along a line or an
+arc. ``_legs`` reads paths into arrays once and applies it three times for
+each path's breakpoints; ``_walk`` applies it once more from the breakpoint
+each sample falls after. ``track`` evaluates N planned transitions (loiter,
+path, loiter) at one sorted array of times: it reads the plans once, each
+plan's three parts are index ranges of the times, the loiter arcs are
+evaluated over blocks of plans and the Dubins legs by ``_walk`` at the
+in-flight samples only. ``sample`` is ``_walk`` on one path.
 """
 
 from __future__ import annotations
@@ -76,20 +79,17 @@ class DubinsWord(Enum):
     LRL = "LRL"
 
 
-_WORD_ORDER = (
-    DubinsWord.LSL,
-    DubinsWord.LSR,
-    DubinsWord.RSL,
-    DubinsWord.RSR,
-    DubinsWord.RLR,
-    DubinsWord.LRL,
-)
+_WORD_ORDER = tuple(DubinsWord)
 
 # The segment kinds of each word, looked up without the enum in the kernel.
 _WORD_KINDS = tuple(word.value for word in _WORD_ORDER)
 
-# Turn sign of each segment kind: +1 left (CCW), -1 right, 0 straight.
-_TURN = {"L": 1.0, "S": 0.0, "R": -1.0}
+# Turn sign of each segment of each word, +1 left (CCW), -1 right and
+# 0 straight, and 0 past the last segment.
+_WORD_TURNS = {
+    word: tuple({"L": 1.0, "S": 0.0, "R": -1.0}[kind] for kind in word.value) + (0.0,)
+    for word in DubinsWord
+}
 
 
 @dataclass(frozen=True)
@@ -188,53 +188,57 @@ def _words(alpha: float, beta: float, d: float):
     return lsl, lsr, rsl, rsr, rlr, lrl
 
 
-def _advance(x, y, th, kind: str, length, r: float):
-    """State after ``length`` along one segment from (x, y, th); arcs are
-    exact, no integration."""
-    if kind == "S":
-        return x + length * math.cos(th), y + length * math.sin(th), th
-    phi = length / r
-    if kind == "L":
-        return (
-            x + r * (math.sin(th + phi) - math.sin(th)),
-            y - r * (math.cos(th + phi) - math.cos(th)),
-            th + phi,
-        )
+def _step(x, y, th, turn, along, r):
+    """State after ``along`` from (x, y, th) on a segment that turns ``turn``
+    (+1 left, -1 right, 0 straight) at radius ``r``; arrays broadcast.
+
+    Arcs are exact, no integration. Left and right share one expression:
+    negating ``r`` and ``phi`` is exact, so ``x + (-r) * d`` is ``x - r * d``
+    bit for bit. A zero ``along`` keeps the state."""
+    cos_th, sin_th = np.cos(th), np.sin(th)
+    heading = th + turn * (along / r)
+    signed_r = turn * r
+    straight = turn == 0.0
     return (
-        x - r * (math.sin(th - phi) - math.sin(th)),
-        y + r * (math.cos(th - phi) - math.cos(th)),
-        th - phi,
+        np.where(straight, x + along * cos_th, x + signed_r * (np.sin(heading) - sin_th)),
+        np.where(straight, y + along * sin_th, y - signed_r * (np.cos(heading) - cos_th)),
+        heading,
     )
 
 
-def _breakpoints(path: DubinsPath) -> list[tuple[float, float, float]]:
-    """States (x, y, heading) at the start of each segment and at the end."""
-    state = (path.start.position.x, path.start.position.y, path.start.heading)
-    states = [state]
-    for kind, length in zip(path.word.value, path.segment_lengths):
-        if length > 0.0:
-            state = _advance(*state, kind, length, path.turn_radius)
-        states.append(state)
-    return states
+def _legs(paths):
+    """The N ``paths`` as arrays, read in one pass: (states, turns, lengths,
+    radii). ``states`` (3, N, 4) holds (x, y, heading) at each segment start
+    and at the end, three ``_step`` applications from the start pose;
+    ``turns`` (N, 4) is each segment's turn sign and 0 past the end,
+    ``lengths`` (N, 3) the segment lengths and ``radii`` (N,) the turn
+    radii."""
+    rows = np.array(
+        [
+            (p.start.position.x, p.start.position.y, p.start.heading, *_WORD_TURNS[p.word])
+            + (*p.segment_lengths, p.turn_radius)
+            for p in paths
+        ],
+        dtype=float,
+    ).reshape(-1, 11)
+    turns, lengths, radii = rows[:, 3:7], rows[:, 7:10], rows[:, 10]
+    states = np.empty((3, len(rows), 4))
+    states[:, :, 0] = rows[:, :3].T
+    for k in range(3):
+        states[:, :, k + 1] = _step(*states[:, :, k], turns[:, k], lengths[:, k], radii)
+    return states, turns, lengths, radii
 
 
-def _walk(paths, owner: np.ndarray, s: np.ndarray):
+def _walk(legs, owner: np.ndarray, s: np.ndarray):
     """(x, y, heading in [0, 2pi)) after the arc lengths ``s`` (each in
-    [0, length]) along the paths ``paths[owner]``.
+    [0, length]) along the paths ``owner`` of ``legs`` (``_legs``).
 
     A length goes to the first segment it does not exceed, counting it down
-    segment by segment, and is applied from that segment's start state with
-    the arithmetic of ``_advance``; a length that rounding puts past the last
-    segment keeps the end state. Left and right arcs share one expression:
-    negating ``r`` and ``phi`` is exact, so ``x + (-r) * d`` is ``x - r * d``
-    bit for bit.
+    segment by segment, and is applied from that segment's start state by
+    ``_step``; a length that rounding puts past the last segment keeps the
+    end state.
     """
-    states = np.array([_breakpoints(path) for path in paths], dtype=float).reshape(-1, 3)
-    # One turn sign per breakpoint; the end state (index 3) never advances.
-    turns = np.array([[_TURN[kind] for kind in path.word.value] + [0.0] for path in paths])
-    lengths = np.array([path.segment_lengths for path in paths], dtype=float)
-    radius = np.array([path.turn_radius for path in paths], dtype=float)
-
+    states, turns, lengths, radii = legs
     segment = np.full(s.shape, 3)
     along = np.zeros_like(s)
     rest = s
@@ -244,23 +248,7 @@ def _walk(paths, owner: np.ndarray, s: np.ndarray):
         segment[here] = k
         along[here] = rest[here]
         rest = rest - length
-    at = owner * 4 + segment
-    x, y, th = states[at, 0], states[at, 1], states[at, 2]
-    cos_th, sin_th = np.cos(states[:, 2])[at], np.sin(states[:, 2])[at]
-    turn = turns.ravel()[at]
-
-    line = np.flatnonzero((turn == 0.0) & (segment < 3))
-    x[line] = x[line] + along[line] * cos_th[line]
-    y[line] = y[line] + along[line] * sin_th[line]
-
-    arc = np.flatnonzero(turn != 0.0)
-    r = radius[owner[arc]]
-    phi = along[arc] / r
-    heading = th[arc] + turn[arc] * phi
-    signed_r = turn[arc] * r
-    x[arc] = x[arc] + signed_r * (np.sin(heading) - sin_th[arc])
-    y[arc] = y[arc] - signed_r * (np.cos(heading) - cos_th[arc])
-    th[arc] = heading
+    x, y, th = _step(*states[:, owner, segment], turns[owner, segment], along, radii[owner])
     return x, y, np.mod(th, TWO_PI)
 
 
@@ -269,11 +257,11 @@ def sample(path: DubinsPath, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lengths ``s`` along the path."""
     s = np.asarray(s, dtype=float)
     total = path.length
-    outside = (s < -_POSE_EPS) | (s > total + max(1e-9, 1e-12 * total))
-    if outside.any():
-        raise ValueError(f"arc length {s[outside].flat[0]} outside [0, {total}]")
+    inside = (s >= -_POSE_EPS) & (s <= total + max(1e-9, 1e-12 * total))
+    if not inside.all():
+        raise ValueError(f"arc length {s[~inside].flat[0]} outside [0, {total}]")
     rest = np.clip(s, 0.0, total).ravel()
-    x, y, heading = _walk([path], np.zeros(rest.shape, dtype=np.intp), rest)
+    x, y, heading = _walk(_legs([path]), np.zeros(rest.shape, dtype=np.intp), rest)
     return x.reshape(s.shape), y.reshape(s.shape), heading.reshape(s.shape)
 
 
@@ -289,8 +277,9 @@ def _shortest(ax, ay, ah, bx, by, bh, r_turn):
     in [0, 2pi) and ``r_turn`` > 0, or None when no word verifies.
 
     Shortest first, the earlier word on equal lengths: the first candidate
-    whose forward walk (``_breakpoints`` inlined, one sine and cosine per
-    turn) reaches the goal is the shortest verified word."""
+    whose forward walk reaches the goal is the shortest verified word. The
+    walk is ``_step``'s arithmetic on scalars, inlined with one sine and
+    cosine per turn, so the hot loop makes no call per segment."""
     dx = bx - ax
     dy = by - ay
     dist = math.hypot(dx, dy)
@@ -516,19 +505,14 @@ def _loiter(cx, cy, radius, phase, dt, v: float):
 
 def track(plans, times, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, T) positions and headings (x, y, heading) of N transiting UAVs at
-    the sorted absolute times ``times``: each loiters on its source before
-    ``depart_delay``, flies its Dubins path until ``arrival_time``, then
-    loiters on its target.
-
-    Times are sorted, so each plan's three parts are index ranges. Plans go
-    in blocks of at most ``_TRACK_ENTRIES`` (plan, time) entries: the loiter
-    arcs of a block are one array expression over the whole block, and the
-    Dubins legs of the block are one ``_walk`` over its in-flight samples.
+    the sorted, finite absolute times ``times``: each loiters on its source
+    before ``depart_delay``, flies its Dubins path until ``arrival_time``,
+    then loiters on its target.
     """
     plans = list(plans)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or (np.diff(times) < 0.0).any():
-        raise ValueError("track needs a sorted 1-D array of times")
+    if times.ndim != 1 or not np.isfinite(times).all() or (np.diff(times) < 0.0).any():
+        raise ValueError("track needs a sorted 1-D array of finite times")
     shape = (len(plans), times.size)
     x, y, heading = np.empty(shape), np.empty(shape), np.empty(shape)
     _track_into(plans, times, v, x, y, heading)
@@ -537,56 +521,54 @@ def track(plans, times, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _track_into(plans, times: np.ndarray, v: float, x, y, heading=None) -> None:
     """``track`` written into the (N, T) arrays ``x``, ``y`` and, unless it
-    is None, ``heading``; the only full-size arrays are the caller's."""
+    is None, ``heading``; the only full-size arrays are the caller's.
+
+    The plans are read once: their circles, phases and times into one
+    (N, 10) array, their paths by ``_legs``. Times are sorted, so each plan's
+    three parts are index ranges. Plans go in blocks of at most
+    ``_TRACK_ENTRIES`` (plan, time) entries: the loiter arcs of a block are
+    one array expression over the whole block, and its Dubins legs are one
+    ``_walk`` over its in-flight samples.
+    """
+    ends = np.array(
+        [
+            (p.source.center.x, p.source.center.y, p.source.radius)
+            + (p.target.center.x, p.target.center.y, p.target.radius)
+            + (p.start_phase, p.join_phase, p.depart_delay, p.arrival_time)
+            for p in plans
+        ],
+        dtype=float,
+    ).reshape(-1, 10)
+    legs = _legs([p.path for p in plans])
+    lengths = legs[2]
+    total = lengths[:, 0] + lengths[:, 1] + lengths[:, 2]  # as ``DubinsPath.length``
     rows = max(1, _TRACK_ENTRIES // max(1, times.size))
     for first in range(0, len(plans), rows):
         block = slice(first, first + rows)
-        bx, by, bh = _track_block(plans[block], times, v)
+        sx, sy, sr, tx, ty, tr, start, join_phase, depart, arrive = ends[block].T[:, :, None]
+        # Samples [0, leave) are on the source, [leave, land) in flight, the
+        # rest on the target.
+        leave = np.searchsorted(times, depart[:, 0])
+        land = np.maximum(leave, np.searchsorted(times, arrive[:, 0]))
+        on_source = np.arange(times.size) < leave[:, None]
+        bx, by, bh = _loiter(
+            np.where(on_source, sx, tx),
+            np.where(on_source, sy, ty),
+            np.where(on_source, sr, tr),
+            np.where(on_source, start, join_phase),
+            np.where(on_source, times, times - arrive),
+            v,
+        )
+        counts = land - leave
+        owner = np.repeat(np.arange(len(counts)), counts)
+        if owner.size:
+            starts = np.cumsum(counts) - counts
+            cols = np.arange(owner.size) - np.repeat(starts - leave, counts)
+            s = np.minimum(v * (times[cols] - depart[owner, 0]), total[first + owner])
+            bx[owner, cols], by[owner, cols], bh[owner, cols] = _walk(legs, first + owner, s)
         x[block], y[block] = bx, by
         if heading is not None:
             heading[block] = bh
-
-
-def _track_block(plans, times: np.ndarray, v: float):
-    """``track`` of one block of plans."""
-
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
-
-    depart = column([p.depart_delay for p in plans])
-    arrive = column([p.arrival_time for p in plans])
-    # Samples [0, leave) are on the source, [leave, join) in flight, the rest
-    # on the target.
-    leave = np.searchsorted(times, depart[:, 0])
-    join = np.maximum(leave, np.searchsorted(times, arrive[:, 0]))
-    on_source = np.arange(times.size) < leave[:, None]
-
-    def per_entry(source_value, target_value):
-        """The source's value before departure, the target's after."""
-        return np.where(
-            on_source, column([source_value(p) for p in plans]), column([target_value(p) for p in plans])
-        )
-
-    x, y, heading = _loiter(
-        per_entry(lambda p: p.source.center.x, lambda p: p.target.center.x),
-        per_entry(lambda p: p.source.center.y, lambda p: p.target.center.y),
-        per_entry(lambda p: p.source.radius, lambda p: p.target.radius),
-        per_entry(lambda p: p.start_phase, lambda p: p.join_phase),
-        np.where(on_source, times, times - arrive),
-        v,
-    )
-
-    counts = join - leave
-    owner = np.repeat(np.arange(len(plans)), counts)
-    if owner.size:
-        starts = np.cumsum(counts) - counts
-        cols = np.arange(owner.size) - np.repeat(starts - leave, counts)
-        lengths = np.array([p.path.length for p in plans])
-        s = np.minimum(v * (times[cols] - depart[owner, 0]), lengths[owner])
-        x[owner, cols], y[owner, cols], heading[owner, cols] = _walk(
-            [p.path for p in plans], owner, s
-        )
-    return x, y, heading
 
 
 def _timeline(plans, loitering, v: float, dt: float) -> np.ndarray:

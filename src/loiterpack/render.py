@@ -102,14 +102,12 @@ def render_fleet(
         for ci, comp in enumerate(clusters):
             for uav_id in comp:
                 color_of[uav_id] = _CLUSTER_COLORS[ci % len(_CLUSTER_COLORS)]
-    arrow = 0.0
     for uav_id in sorted(circles):
         circle = circles[uav_id]
         color = color_of.get(uav_id, "#d62728")
         scene.add(_circle(scene, circle, color))
         tip = circle.point_at(phase)
         heading = phase + 0.5 * math.pi
-        arrow = max(arrow, 0.25 * circle.radius)
         scene.add(_arrowhead(scene, tip, heading, 0.25 * circle.radius, "#000000"))
     if dead:
         for uav_id in sorted(dead):

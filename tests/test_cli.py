@@ -456,6 +456,35 @@ class TestConfigSections:
         assert capsys.readouterr().err == f"config error: unknown config key {key!r} in {place}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, key",
+        [
+            ("simulate", {"failures": [{"time_s": 60.0, "seed": 2.7, "loss_count": 18}]}, "seed"),
+            ("simulate", {"failures": [{"time_s": 60.0, "seed": 0, "loss_count": 3.9}]}, "loss_count"),
+            ("simulate", {"failures": [{"time_s": 60.0, "seed": True, "loss_count": 18}]}, "seed"),
+            ("simulate", {"deployment": {"budget_n": 35.9}}, "budget_n"),
+            ("simulate", {"validation": {"phase_samples": 8.6}}, "phase_samples"),
+            ("simulate", {"failures": [{"time_s": 60.0, "lost_ids": "12"}]}, "lost_ids"),
+            ("simulate", {"failures": [{"time_s": 60.0, "lost_ids": [1.5, 2]}]}, "lost_ids"),
+            ("simulate", {"failures": [{"time_s": 60.0, "lost_ids": [True]}]}, "lost_ids"),
+            ("sweep", {"sweep": {"r_init_m": "57", "loss_fractions": [0.1]}}, "r_init_m"),
+            ("optimize", {"r_c_m": True, "deployment": {"budget_n": 17}}, "r_c_m"),
+            ("pack", {"r_c_m": "80"}, "r_c_m"),
+            ("pack", {"r_c_m": 10**400}, "r_c_m"),
+        ],
+    )
+    def test_values_of_the_wrong_type_exit_2_naming_the_key(
+        self, tmp_path, capsys, command, overrides, key
+    ):
+        # Numbers are JSON numbers (no bools, no strings), integers are
+        # integral and lists are JSON arrays: nothing is truncated or
+        # iterated into another value.
+        cfg = every_section_config(tmp_path / "out", **overrides)
+        assert run(command, write_config(tmp_path, cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_grid_is_config_error(self, tmp_path, capsys):
         cfg = every_section_config(tmp_path / "out", validation={"grid_pitch_m": 1e-6})
         assert run("simulate", write_config(tmp_path, cfg)) == 2

@@ -426,6 +426,10 @@ class TestSample:
             sample(path, path.length + 1.0)
         with pytest.raises(ValueError):
             sample(path, [0.0, path.length + 1.0])
+        # Non-finite lengths fail the range check instead of clamping.
+        for s in (math.nan, [0.0, math.nan], math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                sample(path, s)
 
     def test_every_word_matches_the_segment_walk(self):
         rng = np.random.default_rng(16)
@@ -595,6 +599,10 @@ class TestTrack:
         plan = self.oracle_plans(np.random.default_rng(22))[0]
         with pytest.raises(ValueError):
             track([plan], [2.0, 1.0], self.V)
+        # np.diff of a NaN is no negative step, so NaN needs its own check.
+        for times in ([math.nan], [0.0, math.nan], [0.0, 1.0, math.inf], [-math.inf, 0.0]):
+            with pytest.raises(ValueError):
+                track([plan], times, self.V)
 
 
 class TestPlanTransition:
