@@ -12,10 +12,10 @@ inlined. ``shortest_path`` is the object boundary around it (checks, then
 the kernel, then a ``DubinsPath``). Transitions depart a source loiter
 circle tangentially and join a target circle tangentially at a phase
 consistent with the fleet-wide synchronized phase clock: ``plan_transition``
-takes the earliest root of the arrival-time equation that a forward scan
-with Illinois refinement verifies (``_earliest_root``), evaluating the kernel
-on floats, and builds the plan's one ``DubinsPath`` through
-``shortest_path`` from the root's poses.
+takes the root of the arrival-time equation that a forward scan with
+Illinois refinement verifies in its first sign change (``_earliest_root``),
+evaluating the kernel on floats, and builds the plan's one ``DubinsPath``
+through ``shortest_path`` from the root's poses.
 
 One numpy step, ``_step``, moves any number of states along a line or an
 arc. ``_legs`` reads paths into arrays once and applies it three times for
@@ -335,23 +335,36 @@ def shortest_path(a: Pose, b: Pose, r_turn: float) -> DubinsPath:
 # loiter transitions
 
 
+def _check_speed(v: float) -> None:
+    if not (v > 0 and math.isfinite(v)):
+        raise ValueError(f"speed must be positive and finite, got {v}")
+
+
 def loiter_pose(circle: LoiterCircle, phase: float) -> Pose:
     """Pose of a UAV loitering CCW on ``circle`` at the given phase angle."""
     return Pose(circle.point_at(phase), mod2pi(phase + 0.5 * math.pi))
 
 
 def _earliest_root(arrival, t0: float, t_max: float, step: float, tol: float):
-    """(c, arrival(c)) at the earliest verified root of g(t) = arrival(t) - t
-    on [t0, t_max] that the scan finds, or None.
+    """(c, arrival(c)) at the root of g(t) = arrival(t) - t on [t0, t_max]
+    that the scan finds, or None.
 
     g is scanned at t0 + k * step until a point at or past ``t_max``; a point
-    with |g| < ``tol`` is the root. Each sign change between neighbouring
-    points is refined by the Illinois method (Dowell & Jarratt 1971), a
-    regula falsi that halves the function value of an end kept twice in a
-    row, and accepted only at |g| < ``tol``. A bracket whose true g values
-    fail the ``JUMP_SLOPE`` test straddles a jump of the path length and is
-    skipped; so is one that cannot shrink in floating point. The scan then
-    goes on from the end of that bracket.
+    with |g| < ``tol`` is the root. The first sign change between
+    neighbouring points is refined by the Illinois method (Dowell & Jarratt
+    1971), a regula falsi that halves the function value of an end kept
+    twice in a row, and accepted only at |g| < ``tol``. A bracket whose true
+    g values fail the ``JUMP_SLOPE`` test straddles a jump of the path
+    length, and one that cannot shrink in floating point holds no root
+    either; the scan then ends with None.
+
+    No later bracket can hold a root, because g never increases: the target
+    loiter arc of length v (t' - t) appended to the shortest path to the join
+    pose of t reaches the join pose of t' > t (the clock moves the join pose
+    along the circle at speed v), with turns no tighter than the target
+    radius >= r_turn (``plan_transition`` checks it), so L(t') <= L(t) +
+    v (t' - t). Since g(t0) = L(t0) / v >= 0, the first sign change is the
+    only one.
     """
     a, arr_a = t0, arrival(t0)
     k = 0
@@ -363,9 +376,7 @@ def _earliest_root(arrival, t0: float, t_max: float, step: float, tol: float):
         arr_b = arrival(b)
         g_a, g_b = arr_a - a, arr_b - b
         if abs(g_b) >= tol and (g_a < 0.0) != (g_b < 0.0):
-            root = _illinois(arrival, a, g_a, b, g_b, tol)
-            if root is not None:
-                return root
+            return _illinois(arrival, a, g_a, b, g_b, tol)
         a, arr_a = b, arr_b
     return a, arr_a
 
@@ -430,8 +441,7 @@ def plan_transition(
     ``loiter_pose``'s arithmetic inlined, so the root's poses rebuilt as
     ``Pose`` objects give ``shortest_path`` the same path.
     """
-    if not v > 0:
-        raise ValueError(f"speed must be positive, got {v}")
+    _check_speed(v)
     if base_delay < 0:
         raise ValueError(f"base delay must be >= 0, got {base_delay}")
     if r_turn > min(source.radius, target.radius) + 1e-12:
@@ -505,10 +515,11 @@ def _loiter(cx, cy, radius, phase, dt, v: float):
 
 def track(plans, times, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(N, T) positions and headings (x, y, heading) of N transiting UAVs at
-    the sorted, finite absolute times ``times``: each loiters on its source
-    before ``depart_delay``, flies its Dubins path until ``arrival_time``,
-    then loiters on its target.
+    the sorted, finite absolute times ``times`` and the speed ``v``: each
+    loiters on its source before ``depart_delay``, flies its Dubins path
+    until ``arrival_time``, then loiters on its target.
     """
+    _check_speed(v)
     plans = list(plans)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not np.isfinite(times).all() or (np.diff(times) < 0.0).any():
@@ -599,6 +610,7 @@ def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    _check_speed(v)
     plans = list(plans)
     loitering = list(loitering)
     n = len(plans) + len(loitering)

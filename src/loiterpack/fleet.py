@@ -37,6 +37,7 @@ from .geometry import (
     max_loiter_radius,
     min_comm_radius,
     min_turn_radius,
+    pairs_within,
 )
 from .optimize import (
     FleetBudget,
@@ -142,22 +143,15 @@ class FleetState:
 
 def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> frozenset[tuple[int, int]]:
     """Edges between circles whose centers are within ``r_com`` (``Vec2.dist``
-    plus the boundary slack). Centers are sorted by x, and each is tested only
-    against the later ones within reach in x."""
+    plus the boundary slack), found by the sorted sweep ``pairs_within``."""
     reach = r_com + BOUNDARY_TOL
     ids = np.array(sorted(circles), dtype=np.int64)
     x = np.array([circles[i].center.x for i in ids.tolist()])
     y = np.array([circles[i].center.y for i in ids.tolist()])
-    order = np.argsort(x, kind="stable")
-    ids, x, y = ids[order], x[order], y[order]
-    # The window is a little wider than reach, so rounding of x + reach
-    # cannot drop a pair; the distance test below is exact.
+    # The sweep's gap is a little wider than reach, so its rounding cannot
+    # drop a pair; the distance test below is exact.
     slack = 1e-9 * (reach + float(np.abs(x).max(initial=0.0)))
-    ends = np.searchsorted(x, x + (reach + slack), side="right")
-    counts = np.maximum(ends - np.arange(1, ids.size + 1), 0)
-    first = np.repeat(np.arange(ids.size), counts)
-    # Each row's partners run first + 1, first + 2, ... up to its window end.
-    second = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - 1, counts) + first
+    first, second = pairs_within(x, y, reach + slack)
     dist = np.hypot(x[second] - x[first], y[second] - y[first])
     near = np.abs(dist - reach) <= 1e-12 * reach
     keep = ~near & (dist <= reach)

@@ -1,7 +1,8 @@
 """Scalar geometry of sensing and loitering.
 
-Radii relations and circle-overlap areas used by every other module. All
-operations are pure functions over immutable value types.
+Radii relations and circle-overlap areas used by every other module, and
+``pairs_within``, the one sweep for near pairs of many points. All
+operations are pure functions over immutable value types or arrays.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 # Slack (meters) for boundary-inclusive comparisons: a point at distance
 # exactly equal to a radius counts as covered, and float rounding must not
@@ -211,3 +214,19 @@ def packing_params(r_l: float, kind: PackingKind, table_mode: str = "exact") -> 
         effective_area=eff,
         table_mode=table_mode,
     )
+
+
+def pairs_within(x, y, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (first, second) of the points (x, y), each unordered pair
+    once, whose ``np.hypot`` distance is at most ``gap``. Points are sorted
+    by x, and each is tested only against the later ones within ``gap`` in
+    x, so no N x N matrix is built. The window end x + ``gap`` is rounded: a
+    caller that must keep a pair at exactly its distance widens ``gap``."""
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    counts = np.maximum(np.searchsorted(x, x + gap, "right") - np.arange(1, x.size + 1), 0)
+    first = np.repeat(np.arange(x.size), counts)
+    # Each point's partners run first + 1, first + 2, ... up to its window end.
+    second = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - 1, counts) + first
+    near = np.hypot(x[second] - x[first], y[second] - y[first]) <= gap
+    return order[first[near]], order[second[near]]

@@ -395,6 +395,57 @@ class TestEarliestRoot:
             assert shortest_path(a, b, r_turn).length <= arrival_horizon(src, tgt, r_turn, 1.0)
 
 
+class TestArrivalResidual:
+    """g(t) = delay + L(t) / v - t never increases, so the solver's scan
+    stops at its first sign change."""
+
+    @pytest.mark.parametrize(
+        "x, y, loss_count",
+        [
+            pytest.param(500.0, 650.0, 18, id="paper-35"),
+            pytest.param(1000.0, 1000.0, 36, id="coverage-1km"),
+        ],
+    )
+    def test_never_increases_on_the_perfbench_transitions(self, monkeypatch, x, y, loss_count):
+        # g of every transition of two failure draws, at the chosen delay,
+        # sampled every 1/256 of the target period up to the horizon.
+        calls = []
+
+        def recording(*args, **kwargs):
+            plan = plan_transition(*args, **kwargs)
+            calls.append((args, plan))
+            return plan
+
+        monkeypatch.setattr(fleet, "plan_transition", recording)
+        perfbench_recoveries(x, y, loss_count, 2)
+        monkeypatch.undo()
+        assert len(calls) >= 30
+        for (_, source, start_phase, target, r_turn, v), plan in calls:
+            depart = loiter_pose(source, plan.break_off_phase)
+            omega = v / target.radius
+            horizon = arrival_horizon(source, target, r_turn, v)
+            times = plan.depart_delay + np.arange(0.0, horizon, TWO_PI / omega / 256.0)
+            lengths = [
+                shortest_path(depart, loiter_pose(target, start_phase + omega * t), r_turn).length
+                for t in times
+            ]
+            g = plan.depart_delay + np.array(lengths) / v - times
+            assert np.all(np.diff(g) <= 0.0)
+
+    def test_scan_stops_at_the_first_sign_change(self):
+        # A g that jumps from +1 to -1 at t = 0.55 and (unlike a real
+        # residual) climbs back to a root at t = 3: the scan gives up at the
+        # jump and evaluates nothing past its bracket.
+        guesses = []
+
+        def arrival(t):
+            guesses.append(t)
+            return t + (1.0 if t < 0.55 else t - 3.0 if t > 1.0 else -1.0)
+
+        assert dubins._earliest_root(arrival, 0.0, 10.0, 0.25, 1e-9) is None
+        assert max(guesses) <= 0.75
+
+
 class TestSample:
     def test_start_pose(self):
         path = shortest_path(pose(1, 2, 0.4), pose(5, -1, 2.0), 1.0)
@@ -603,6 +654,22 @@ class TestTrack:
         for times in ([math.nan], [0.0, math.nan], [0.0, 1.0, math.inf], [-math.inf, 0.0]):
             with pytest.raises(ValueError):
                 track([plan], times, self.V)
+
+    @pytest.mark.parametrize("v", [math.nan, 0.0, -15.0, math.inf])
+    def test_rejects_bad_speeds(self, v):
+        # NaN used to pin the in-flight samples to the path's end and -15
+        # to walk the path backwards; the planner and the separation check
+        # reject the same speeds with the same message.
+        source = LoiterCircle(Vec2(0.0, 0.0), 60.0)
+        target = LoiterCircle(Vec2(400.0, 0.0), 80.0)
+        plan = plan_transition(0, source, 0.0, target, 10.0, self.V)
+        with pytest.raises(ValueError, match="speed must be positive and finite") as tracked:
+            track([plan], [0.0, 5.0, 30.0], v)
+        with pytest.raises(ValueError) as planned:
+            plan_transition(0, source, 0.0, target, 10.0, v)
+        with pytest.raises(ValueError) as checked:
+            closest_approach([plan], v=v)
+        assert str(tracked.value) == str(planned.value) == str(checked.value)
 
 
 class TestPlanTransition:

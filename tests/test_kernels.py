@@ -250,7 +250,7 @@ class TestRowRuns:
     def test_cycle_kernel_memory(self):
         # The same layout's cycle count stays under 7/8 MiB of Python-visible
         # allocations (0.71 MiB measured): its arrays hold one entry per
-        # (circle, row of its window), about 4,400 here.
+        # (circle, row of its window), about 4,000 here, all in one band.
         area = AreaSpec(1000.0, 1000.0)
         centers = pack(area, 95.23809523809523, PackingKind.HEXAGON).centers
         cx = np.array([c.x for c in centers])
@@ -264,13 +264,31 @@ class TestRowRuns:
             tracemalloc.stop()
         assert peak < 7 * 2**20 // 8
 
+    def test_cycle_kernel_memory_in_row_bands(self):
+        # On 4000x4000 m (700 circles, about 61,000 entries in 16 bands) the
+        # cycle count stays under 3/2 MiB (0.88 MiB measured); all entries at
+        # once took 10.8 MiB.
+        area = AreaSpec(4000.0, 4000.0)
+        centers = pack(area, 95.23809523809523, PackingKind.HEXAGON).centers
+        cx = np.array([c.x for c in centers])
+        cy = np.array([c.y for c in centers])
+        xs, ys = grid_points(area, 4.0)
+        tracemalloc.start()
+        try:
+            kernels.cycle_cover_count(xs, ys, cx, cy, 95.23809523809523, 80.0, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20 // 2
+
 
 class TestSeeds:
     @pytest.mark.parametrize("nx", [1, 2, 37, 20_000])
     @pytest.mark.parametrize("pitch", [0.01, 0.37, 7.0])
     def test_seeds_bracket_the_nearest_sample(self, nx, pitch):
         # x on each sample and each midpoint, one ulp either side of them,
-        # and beyond both ends; half-widths from 0 to the axis span.
+        # and beyond both ends; any ends in [1, nx + 1], from the half-width
+        # or not, are widened to bracket the sample nearest x.
         xs, _ = grid_points(AreaSpec(nx * pitch, pitch), pitch)
         assert xs.size == nx
         xp = np.concatenate(([-np.inf], xs, [np.inf]))
@@ -278,11 +296,216 @@ class TestSeeds:
         base = np.concatenate((xs, (xs[:-1] + xs[1:]) / 2, ends))
         x = np.concatenate((base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)))
         m = np.searchsorted(xp, x, "left")
-        span = xs[-1] - xs[0]
-        for half in (0.0, pitch / 2, pitch, span / 3, span):
-            a, b = kernels._seeds(xp, x, np.full(x.size, half))
+        rng = np.random.default_rng(nx)
+        for _ in range(4):
+            a, b = np.sort(rng.integers(1, nx + 2, size=(2, x.size)), axis=0)
+            a, b = kernels._seeds(xp, x, a.astype(np.intp), b.astype(np.intp))
             assert a.dtype == b.dtype == np.intp
             assert np.all((1 <= a) & (a <= m) & (m <= b) & (b <= nx + 1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeds_bracket_on_irregular_axes(self, seed):
+        # A geometric axis and a regular one with samples moved by up to
+        # 0.45 pitch, where ends estimated from the pitch miss the nearest
+        # sample: the widened ends bracket it.
+        rng = np.random.default_rng(1200 + seed)
+        regular = np.arange(200) * 0.5
+        for xs in (0.5 * 1.03 ** np.arange(120), regular + rng.uniform(-0.225, 0.225, 200)):
+            xp = np.concatenate(([-np.inf], xs, [np.inf]))
+            x = rng.uniform(xs[0] - 2.0, xs[-1] + 2.0, size=2000)
+            m = np.searchsorted(xp, x, "left")
+            pitch = (xs[-1] - xs[0]) / (xs.size - 1)
+            u = (x - xs[0]) / pitch
+            for half in (0.0, 0.3, 2.0, 20.0):
+                a = np.clip(np.ceil(u - half / pitch) + 1.0, 1, xs.size + 1).astype(np.intp)
+                b = np.clip(np.floor(u + half / pitch) + 2.0, 1, xs.size + 1).astype(np.intp)
+                a, b = kernels._seeds(xp, x, a, b)
+                assert np.all((1 <= a) & (a <= m) & (m <= b) & (b <= xs.size + 1))
+
+
+def random_layout(seed):
+    """(xs, ys, cx, cy, r_l, r_c) shaped like ``test_random_layouts``."""
+    rng = np.random.default_rng(seed)
+    area = AreaSpec(rng.uniform(20.0, 120.0), rng.uniform(20.0, 120.0))
+    xs, ys = grid_points(area, rng.uniform(0.5, 7.0))
+    n = int(rng.integers(1, 12))
+    r_l, r_c = rng.uniform(2.0, 30.0, size=2)
+    margin = r_l + r_c
+    cx = rng.uniform(-margin, area.x_extent + margin, size=n)
+    cy = rng.uniform(-margin, area.y_extent + margin, size=n)
+    return xs, ys, cx, cy, r_l, r_c
+
+
+def isolated_loop(cx, cy, reach):
+    """Which centres have no other centre within 2 * reach, pair by pair."""
+    isolated = np.ones(cx.size, dtype=bool)
+    for i in range(cx.size):
+        for j in range(i + 1, cx.size):
+            if math.hypot(cx[i] - cx[j], cy[i] - cy[j]) <= 2.0 * reach:
+                isolated[i] = isolated[j] = False
+    return isolated
+
+
+def recovered_layout(x, y, r_l):
+    area = AreaSpec(x, y)
+    centers = pack(area, r_l, PackingKind.HEXAGON).centers
+    xs, ys = grid_points(area, 4.0)
+    return xs, ys, np.array([c.x for c in centers]), np.array([c.y for c in centers])
+
+
+class TestCertifiedRuns:
+    """Run ends taken from the half-width, the exact search they fall back to,
+    and the isolated UAVs' direct sum, each against the dense predicates."""
+
+    PHASES = np.arange(12) * (math.pi / 6)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_entry_through_the_fallback(self, monkeypatch, seed):
+        # A margin of half a pitch certifies no end: every entry that is not
+        # empty is seeded and settled.
+        monkeypatch.setattr(kernels, "_DELTA", 0.5)
+        settled = []
+        settle = kernels._settle
+
+        def counted(xp, hold, a, b, x, dy2):
+            settled.append(x.size)
+            settle(xp, hold, a, b, x, dy2)
+
+        monkeypatch.setattr(kernels, "_settle", counted)
+        assert_matches_dense(*random_layout(700 + seed), self.PHASES)
+        assert sum(settled) > 0
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-9, 1e-5, 0.3])
+    def test_non_uniform_axis(self, jitter):
+        # Samples moved off the regular axis by up to ``jitter`` pitches, on
+        # either axis: within the margin the ends stay certified, beyond it
+        # no end is. A geometric axis is as far from regular as it gets; with
+        # footprints of a few of its samples, the pitch misplaces them by
+        # dozens.
+        rng = np.random.default_rng(int(jitter * 1e9) % 1000)
+        xs, ys = grid_points(AreaSpec(90.0, 80.0), 1.5)
+        moved = xs + rng.uniform(-jitter, jitter, size=xs.size) * 1.5
+        cx, cy = rng.uniform(-10.0, 100.0, size=8), rng.uniform(-10.0, 90.0, size=8)
+        geometric = 1.5 * 1.04 ** np.arange(60)
+        for xs_, ys_ in ((moved, ys), (ys, moved), (geometric, ys)):
+            assert np.all(np.diff(xs_) > 0)
+            assert_matches_dense(xs_, ys_, cx, cy, 14.0, 11.0, self.PHASES)
+        cx = rng.uniform(0.0, 16.0, size=8)
+        assert_matches_dense(geometric, ys, cx, cy, 0.6, 0.9, self.PHASES)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_tangent_to_the_footprint(self, seed):
+        # A row just inside, exactly on, or just outside the reach of a UAV
+        # (the centre at phase 0, the circle's outer and inner edge): the
+        # half-width there is tiny or zero, and the UAV sits on a sample or
+        # between two.
+        rng = np.random.default_rng(800 + seed)
+        xs, ys = grid_points(AreaSpec(60.0, 50.0), rng.uniform(0.5, 3.0))
+        r_l, r_c = rng.uniform(3.0, 12.0), rng.uniform(3.0, 12.0)
+        j = rng.integers(ys.size)
+        for offset in (r_c, r_l + r_c, abs(r_l - r_c)):
+            for nudge in (-1e-9, 0.0, 1e-9):
+                cy = np.array([ys[j] - (offset + nudge)])
+                for cx in (xs[rng.integers(xs.size), None] - r_l, rng.uniform(0.0, 60.0, 1)):
+                    assert_matches_dense(xs, ys, cx, cy, r_l, r_c, np.zeros(1), tol=0.0)
+                    assert_matches_dense(ys, xs, cy, cx, r_l, r_c, np.array([math.pi / 2]), tol=0.0)
+
+    @pytest.mark.parametrize(
+        "reach_pitches, half_pitches, off_edge",
+        [((100.0, 450.0), (1e-9, 1e-6), False), ((1e3, 2e4), (1e-3, 1e-2), True)],
+    )
+    def test_rows_far_from_the_centre(self, reach_pitches, half_pitches, off_edge):
+        # One row at a reach of hundreds to thousands of pitches from the
+        # UAV, where the row's half-width is tiny: the UAV sits a few
+        # micro-pitches off a sample, or off the edge of its run. The
+        # rounding of d2 then exceeds the gap between a sample and the real
+        # footprint, which only the floor on h (first case) and the call's
+        # radius limit (second case) keep out of the certified ends.
+        rng = np.random.default_rng(1100)
+        for _ in range(200):
+            pitch = rng.uniform(0.5, 2.0)
+            xs = (np.arange(40) + 0.5) * pitch
+            reach = rng.uniform(*reach_pitches) * pitch
+            half = 10 ** rng.uniform(*np.log10(half_pitches))
+            off = rng.uniform(1e-6, 3e-6) * rng.choice([-1.0, 1.0])
+            off = (half + off if off_edge else off) * rng.choice([-1.0, 1.0])
+            ys = np.array([rng.uniform(0.0, 10.0)])
+            cx = xs[rng.integers(5, 35), None] + off * pitch
+            cy = ys - math.sqrt(reach * reach - (half * pitch) ** 2)
+            px, py = grid_samples(xs, ys)
+            expected = dense_min_instant_fraction(px, py, cx, cy, 0.0, reach, np.zeros(1), 0.0)
+            instant = kernels.min_instant_fraction(xs, ys, cx, cy, 0.0, reach, np.zeros(1), 0.0)
+            assert instant == expected
+
+    @pytest.mark.parametrize("pitch", [0.25, 1.0, 2.0])
+    def test_centres_on_samples_at_whole_pitches(self, pitch):
+        # Exact pitches, centres on samples and radii of whole pitches put
+        # many samples exactly on the edges, where u -/+ h are integers.
+        xs, ys = grid_points(AreaSpec(64.0 * pitch, 48.0 * pitch), pitch)
+        rng = np.random.default_rng(int(pitch * 4))
+        cx, cy = xs[rng.integers(xs.size, size=6)], ys[rng.integers(ys.size, size=6)]
+        phases = np.arange(4) * (math.pi / 2)
+        for r_l, r_c in ((5 * pitch, 3 * pitch), (3 * pitch, 5 * pitch), (4 * pitch, 4 * pitch)):
+            assert_matches_dense(xs, ys, cx, cy, r_l, r_c, phases, tol=0.0)
+            assert_matches_dense(xs, ys, cx, cy, r_l, r_c, phases)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_isolated_and_clustered_uavs(self, seed):
+        # Centres on a coarse lattice more than two reaches apart, some with
+        # a partner within two reaches: both kinds in one call, and the
+        # sweep's isolated set is the pair loop's.
+        rng = np.random.default_rng(900 + seed)
+        r_l, r_c = rng.uniform(2.0, 10.0), rng.uniform(3.0, 8.0)
+        spacing = 2.0 * r_c + rng.uniform(0.5, 3.0)
+        gx, gy = np.meshgrid(np.arange(4) * spacing, np.arange(3) * spacing)
+        cx, cy = gx.ravel(), gy.ravel()
+        partners = rng.choice(cx.size, size=3, replace=False)
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        distance = rng.uniform(0.0, 2.0 * r_c, size=3)
+        cx = np.concatenate((cx, cx[partners] + distance * np.cos(angle)))
+        cy = np.concatenate((cy, cy[partners] + distance * np.sin(angle)))
+        isolated = kernels._isolated(cx, cy, r_c + TOL, 4.0 * spacing)
+        assert np.array_equal(isolated, isolated_loop(cx, cy, r_c + TOL))
+        assert 0 < isolated.sum() < cx.size
+        xs, ys = grid_points(AreaSpec(4.0 * spacing, 3.0 * spacing), rng.uniform(0.4, 1.5))
+        assert_matches_dense(xs, ys, cx, cy, r_l, r_c, self.PHASES)
+
+    @pytest.mark.parametrize(
+        "x, y, r_l", [(1000.0, 1000.0, 95.23809523809523), (500.0, 650.0, 96.22504486493763)]
+    )
+    def test_few_entries_fall_back_on_the_recovered_layouts(self, monkeypatch, x, y, r_l):
+        # The perfbench layouts: under 1 % of the run entries of either
+        # kernel are searched, so a degenerate margin shows here, not only
+        # as a slowdown.
+        xs, ys, cx, cy = recovered_layout(x, y, r_l)
+        counts = {"entries": 0, "settled": 0}
+        runs, settle = kernels._runs, kernels._settle
+
+        def counted_runs(axis, x, *args):
+            counts["entries"] += x.size
+            return runs(axis, x, *args)
+
+        def counted_settle(xp, hold, a, b, x, dy2):
+            counts["settled"] += x.size
+            settle(xp, hold, a, b, x, dy2)
+
+        monkeypatch.setattr(kernels, "_runs", counted_runs)
+        monkeypatch.setattr(kernels, "_settle", counted_settle)
+        phases = np.arange(36) * (2.0 * math.pi / 36)
+        kernels.min_instant_fraction(xs, ys, cx, cy, r_l, 80.0, phases, TOL)
+        kernels.cycle_cover_count(xs, ys, cx, cy, r_l, 80.0, TOL)
+        assert counts["entries"] > 10_000
+        assert counts["settled"] < 0.01 * counts["entries"]
+
+    @pytest.mark.parametrize("entries", [1, 7, 100])
+    def test_cycle_row_bands(self, monkeypatch, entries):
+        # Bands of one row, of a few rows and of a few windows' rows.
+        monkeypatch.setattr(kernels, "_RUN_ENTRIES", entries)
+        for seed in range(4):
+            xs, ys, cx, cy, r_l, r_c = random_layout(1000 + seed)
+            px, py = grid_samples(xs, ys)
+            expected = dense_cycle_cover_count(px, py, cx, cy, r_l, r_c, TOL)
+            assert kernels.cycle_cover_count(xs, ys, cx, cy, r_l, r_c, TOL) == expected
 
 
 class TestAnnulusRuns:
