@@ -25,6 +25,9 @@ path, loiter) at one sorted array of times: it reads the plans once, each
 plan's three parts are index ranges of the times, the loiter arcs are
 evaluated over blocks of plans and the Dubins legs by ``_walk`` at the
 in-flight samples only. ``sample`` is ``_walk`` on one path.
+``closest_approach`` samples every UAV at once by ``_track_into`` and
+evaluates only the pairs whose tracks' bounding boxes are near, found by
+``geometry.pairs_within``, in one chunked array pass.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PlanningError
-from .geometry import LoiterCircle, Vec2
+from .geometry import LoiterCircle, Vec2, pairs_within
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,8 +233,9 @@ def _legs(paths):
 
 
 def _walk(legs, owner: np.ndarray, s: np.ndarray):
-    """(x, y, heading in [0, 2pi)) after the arc lengths ``s`` (each in
-    [0, length]) along the paths ``owner`` of ``legs`` (``_legs``).
+    """(x, y, heading) after the arc lengths ``s`` (each in [0, length])
+    along the paths ``owner`` of ``legs`` (``_legs``); the heading is not
+    reduced to [0, 2pi), which callers that return it do.
 
     A length goes to the first segment it does not exceed, counting it down
     segment by segment, and is applied from that segment's start state by
@@ -249,7 +253,7 @@ def _walk(legs, owner: np.ndarray, s: np.ndarray):
         along[here] = rest[here]
         rest = rest - length
     x, y, th = _step(*states[:, owner, segment], turns[owner, segment], along, radii[owner])
-    return x, y, np.mod(th, TWO_PI)
+    return x, y, th
 
 
 def sample(path: DubinsPath, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +266,7 @@ def sample(path: DubinsPath, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"arc length {s[~inside].flat[0]} outside [0, {total}]")
     rest = np.clip(s, 0.0, total).ravel()
     x, y, heading = _walk(_legs([path]), np.zeros(rest.shape, dtype=np.intp), rest)
-    return x.reshape(s.shape), y.reshape(s.shape), heading.reshape(s.shape)
+    return x.reshape(s.shape), y.reshape(s.shape), np.mod(heading, TWO_PI).reshape(s.shape)
 
 
 def _unverified(a: Pose, b: Pose) -> PlanningError:
@@ -504,13 +508,10 @@ def plan_transition(
 
 def _loiter(cx, cy, radius, phase, dt, v: float):
     """(x, y, heading) of a CCW loiterer on the circle (cx, cy, radius)
-    ``dt`` seconds after it showed ``phase``; arrays broadcast."""
+    ``dt`` seconds after it showed ``phase``; arrays broadcast. The heading
+    is not reduced to [0, 2pi), as in ``_walk``."""
     phase = phase + (v / radius) * dt
-    return (
-        cx + radius * np.cos(phase),
-        cy + radius * np.sin(phase),
-        np.mod(phase + 0.5 * math.pi, TWO_PI),
-    )
+    return cx + radius * np.cos(phase), cy + radius * np.sin(phase), phase + 0.5 * math.pi
 
 
 def track(plans, times, v: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -539,7 +540,8 @@ def _track_into(plans, times: np.ndarray, v: float, x, y, heading=None) -> None:
     three parts are index ranges. Plans go in blocks of at most
     ``_TRACK_ENTRIES`` (plan, time) entries: the loiter arcs of a block are
     one array expression over the whole block, and its Dubins legs are one
-    ``_walk`` over its in-flight samples.
+    ``_walk`` over its in-flight samples. Headings are reduced to [0, 2pi)
+    only when ``heading`` is given: the separation check needs none.
     """
     ends = np.array(
         [
@@ -579,7 +581,7 @@ def _track_into(plans, times: np.ndarray, v: float, x, y, heading=None) -> None:
             bx[owner, cols], by[owner, cols], bh[owner, cols] = _walk(legs, first + owner, s)
         x[block], y[block] = bx, by
         if heading is not None:
-            heading[block] = bh
+            heading[block] = np.mod(bh, TWO_PI)
 
 
 def _timeline(plans, loitering, v: float, dt: float) -> np.ndarray:
@@ -607,6 +609,15 @@ def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
     their circles; indices run over plans first, then loitering entries.
     Ties go to the lexicographically first pair. Returns (inf, -1, -1) when
     fewer than two UAVs are involved.
+
+    Only near pairs are evaluated. Each UAV's samples lie in a bounding box,
+    and the gap between two boxes, taken with the same subtract, square, add
+    and sqrt steps as a sampled distance, is by monotone rounding at most
+    every sampled distance of the pair. ``pairs_within`` finds the pairs of
+    overlapping boxes, whose smallest sampled distance bounds the answer,
+    then every other pair whose box gap is within that bound (with no
+    overlapping boxes, every pair). Any pair left out is farther apart than
+    the answer at every sample.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -621,19 +632,39 @@ def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
     _track_into(plans, times, v, xs[: len(plans)], ys[: len(plans)])
     for k, (c, phase) in enumerate(loitering, start=len(plans)):
         xs[k], ys[k], _ = _loiter(c.center.x, c.center.y, c.radius, phase, times, v)
-    best = (math.inf, -1, -1)
-    # Row i's squared distances are computed in place in rows i.. of two
-    # buffers allocated once.
-    dx_buf, dy_buf = np.empty((n - 1, times.size)), np.empty((n - 1, times.size))
-    for i in range(n - 1):
-        dx = np.subtract(xs[i + 1 :], xs[i], out=dx_buf[i:])
-        dy = np.subtract(ys[i + 1 :], ys[i], out=dy_buf[i:])
+    x0, x1, y0, y1 = xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1)
+    first, second = pairs_within(x0, y0, x1, y1, 0.0)
+    d = _pair_minima(xs, ys, first, second)
+    bound = float(d.min(initial=math.inf))
+    # The sweep's window and np.hypot round; its gap is widened so that they
+    # cannot drop a pair, and the box gap below decides exactly.
+    extent = max(-float(x0.min()), float(x1.max()), -float(y0.min()), float(y1.max()), 0.0)
+    a, b = pairs_within(x0, y0, x1, y1, bound + 1e-9 * (bound + extent))
+    gap_x = np.maximum(np.maximum(x0[b] - x1[a], x0[a] - x1[b]), 0.0)
+    gap_y = np.maximum(np.maximum(y0[b] - y1[a], y0[a] - y1[b]), 0.0)
+    # Overlapping boxes were evaluated above.
+    keep = ((gap_x > 0.0) | (gap_y > 0.0)) & (np.sqrt(gap_x * gap_x + gap_y * gap_y) <= bound)
+    first = np.concatenate((first, a[keep]))
+    second = np.concatenate((second, b[keep]))
+    d = np.concatenate((d, _pair_minima(xs, ys, a[keep], b[keep])))
+    lo, hi = np.minimum(first, second), np.maximum(first, second)
+    tied = np.flatnonzero(d == d.min())
+    k = tied[np.argmin(lo[tied] * n + hi[tied])]
+    return float(d[k]), int(lo[k]), int(hi[k])
+
+
+def _pair_minima(xs, ys, first, second) -> np.ndarray:
+    """Smallest sampled distance of each pair of rows (first[k], second[k])
+    of the (N, T) positions ``xs``, ``ys``, over at most ``_TRACK_ENTRIES``
+    (pair, sample) entries at a time."""
+    d2 = np.empty(first.size)
+    rows = max(1, _TRACK_ENTRIES // xs.shape[1])
+    for k in range(0, first.size, rows):
+        i, j = first[k : k + rows], second[k : k + rows]
+        dx = xs[j] - xs[i]
+        dy = ys[j] - ys[i]
         dx *= dx
         dy *= dy
         dx += dy
-        # Per-pair minima against every j > i; argmin keeps the first j on ties.
-        d_min = np.sqrt(dx.min(axis=1))
-        k = int(d_min.argmin())
-        if d_min[k] < best[0]:
-            best = (float(d_min[k]), i, i + 1 + k)
-    return best
+        dx.min(axis=1, out=d2[k : k + rows])
+    return np.sqrt(d2)

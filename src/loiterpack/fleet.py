@@ -151,7 +151,7 @@ def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> frozens
     # The sweep's gap is a little wider than reach, so its rounding cannot
     # drop a pair; the distance test below is exact.
     slack = 1e-9 * (reach + float(np.abs(x).max(initial=0.0)))
-    first, second = pairs_within(x, y, reach + slack)
+    first, second = pairs_within(x, y, x, y, reach + slack)
     dist = np.hypot(x[second] - x[first], y[second] - y[first])
     near = np.abs(dist - reach) <= 1e-12 * reach
     keep = ~near & (dist <= reach)
@@ -340,9 +340,13 @@ def _assign_survivors(report: SurvivorReport, centers) -> tuple[dict[int, int], 
     With more survivors than circles, the unmatched ones become spares.
     """
     ids = list(report.circles)
-    cost = np.array(
-        [[report.circles[i].center.dist(c) for c in centers] for i in ids], dtype=np.float64
-    )
+    sx = np.array([report.circles[i].center.x for i in ids], dtype=float)
+    sy = np.array([report.circles[i].center.y for i in ids], dtype=float)
+    cx = np.array([c.x for c in centers], dtype=float)
+    cy = np.array([c.y for c in centers], dtype=float)
+    # ``Vec2.dist`` on arrays; np.hypot may differ from math.hypot in the
+    # last bit, which left every tested assignment unchanged.
+    cost = np.hypot(sx[:, None] - cx, sy[:, None] - cy)
     rows, cols = linear_sum_assignment(cost)
     assignment = {ids[r]: int(c) for r, c in zip(rows, cols)}
     spares = tuple(i for i in ids if i not in assignment)
@@ -398,14 +402,14 @@ def super_agent_recover(
     except PlanningError as exc:
         return failed(f"transition planning failed: {exc}", solution)
 
-    # Stagger the later-departing UAV of the closest pair until separated.
+    # Stagger the later-departing UAV of the closest pair until separated;
+    # the transitions of the last re-plan are checked too.
     ordered = sorted(plans)
     extra_delay = {uav_id: 0.0 for uav_id in ordered}
-    sep = math.inf
-    for _ in range(MAX_STAGGER_ROUNDS):
+    for stagger_round in range(MAX_STAGGER_ROUNDS + 1):
         track = [plans[i] for i in ordered]
         sep, i, j = closest_approach(track, v=v, dt=DEFAULT_SEPARATION_DT)
-        if sep >= DEFAULT_SEPARATION_THRESHOLD:
+        if sep >= DEFAULT_SEPARATION_THRESHOLD or stagger_round == MAX_STAGGER_ROUNDS:
             break
         pair = sorted((ordered[i], ordered[j]), key=lambda u: (plans[u].depart_delay, u))
         late = pair[-1]
@@ -422,6 +426,13 @@ def super_agent_recover(
             )
         except PlanningError as exc:
             return failed(f"transition planning failed while staggering: {exc}", solution)
+    if sep < DEFAULT_SEPARATION_THRESHOLD:
+        return failed(
+            f"UAVs {ordered[i]} and {ordered[j]} come within {sep!r} m, under the "
+            f"{DEFAULT_SEPARATION_THRESHOLD!r} m separation, after "
+            f"{MAX_STAGGER_ROUNDS} stagger rounds",
+            solution,
+        )
 
     outcome = (
         RecoveryOutcome.PERSISTENT_RESTORED

@@ -1,7 +1,7 @@
 """Scalar geometry of sensing and loitering.
 
 Radii relations and circle-overlap areas used by every other module, and
-``pairs_within``, the one sweep for near pairs of many points. All
+``pairs_within``, the one sweep for near pairs of many boxes or points. All
 operations are pure functions over immutable value types or arrays.
 """
 
@@ -216,17 +216,25 @@ def packing_params(r_l: float, kind: PackingKind, table_mode: str = "exact") -> 
     )
 
 
-def pairs_within(x, y, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (first, second) of the points (x, y), each unordered pair
-    once, whose ``np.hypot`` distance is at most ``gap``. Points are sorted
-    by x, and each is tested only against the later ones within ``gap`` in
-    x, so no N x N matrix is built. The window end x + ``gap`` is rounded: a
-    caller that must keep a pair at exactly its distance widens ``gap``."""
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    counts = np.maximum(np.searchsorted(x, x + gap, "right") - np.arange(1, x.size + 1), 0)
-    first = np.repeat(np.arange(x.size), counts)
-    # Each point's partners run first + 1, first + 2, ... up to its window end.
+def pairs_within(x0, y0, x1, y1, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (first, second) of the boxes [x0, x1] x [y0, y1], each
+    unordered pair once, whose gap is at most ``gap``: the ``np.hypot`` of
+    their x and y gaps, each 0 where the extents overlap. A point is a box
+    with x0 == x1 and y0 == y1, and its gap is its distance. Boxes are sorted
+    by x0, and each is tested only against the later ones that start within
+    ``gap`` of its x1, so no N x N matrix is built. The window end
+    x1 + ``gap`` is rounded: a caller that must keep a pair at exactly its
+    gap widens ``gap``."""
+    order = np.argsort(x0, kind="stable")
+    ends = np.searchsorted(x0[order], x1[order] + gap, "right")
+    counts = np.maximum(ends - np.arange(1, x0.size + 1), 0)
+    first = np.repeat(np.arange(x0.size), counts)
+    # Each box's partners run first + 1, first + 2, ... up to its window end.
     second = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - 1, counts) + first
-    near = np.hypot(x[second] - x[first], y[second] - y[first]) <= gap
-    return order[first[near]], order[second[near]]
+    first, second = order[first], order[second]
+    # A later box in x0 order never ends left of an earlier one's start, and
+    # for points the gaps are the coordinate differences up to sign.
+    gap_x = np.maximum(x0[second] - x1[first], 0.0)
+    gap_y = np.maximum(np.maximum(y0[second] - y1[first], y0[first] - y1[second]), 0.0)
+    near = np.hypot(gap_x, gap_y) <= gap
+    return first[near], second[near]

@@ -178,7 +178,7 @@ def _isolated(cx, cy, reach, extent):
     isolation margin, ``extent`` bounding their coordinates."""
     gap = 2.0 * reach + _ISOLATION_MARGIN * (reach + extent)
     crowded = np.zeros(cx.size, dtype=bool)
-    for side in pairs_within(cx, cy, gap):
+    for side in pairs_within(cx, cy, cx, cy, gap):
         crowded[side] = True
     return ~crowded
 

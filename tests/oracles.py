@@ -7,8 +7,9 @@ bounded-curvature paths, scalar segment walks for transition tracks,
 per-point coverage predicates and dense points x circles kernels for the
 grid fractions, union-find for clusters and permutation search for
 assignments. The rest keep an earlier, simpler version of an optimized
-routine (the Dubins solver, the all-pairs comm graph), so a test can require
-the same result bit for bit. The arrival-time oracle is a plain fine-pitch
+routine (the Dubins solver, the all-pairs comm graph, the sweep over points
+and the scalar assignment cost matrix), so a test can require the same
+result bit for bit. The arrival-time oracle is a plain fine-pitch
 scan with bisection, for the earliest root the library's coarser scan should
 find.
 """
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linear_sum_assignment
 
 # The Dubins oracles build the library's path and plan types, so results
 # compare with ``==``.
@@ -545,3 +547,27 @@ def comm_edges_loop(circles, r_com):
             if ci.dist(circles[j].center) <= reach:
                 edges.add((i, j))
     return frozenset(edges)
+
+
+def pairs_within_points(x, y, gap: float):
+    """(first, second) index pairs of the points (x, y) whose ``np.hypot``
+    distance is at most ``gap``, in the order of the sorted sweep over
+    points that ``geometry.pairs_within`` ran before it took boxes."""
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    counts = np.maximum(np.searchsorted(x, x + gap, "right") - np.arange(1, x.size + 1), 0)
+    first = np.repeat(np.arange(x.size), counts)
+    second = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - 1, counts) + first
+    near = np.hypot(x[second] - x[first], y[second] - y[first]) <= gap
+    return order[first[near]], order[second[near]]
+
+
+def assignment_by_dist(circles, centers):
+    """(assignment, spares) of the survivors ``circles`` (id -> circle) onto
+    ``centers``, solved by scipy on a cost matrix of one ``Vec2.dist`` per
+    (survivor, centre)."""
+    ids = list(circles)
+    cost = np.array([[circles[i].center.dist(c) for c in centers] for i in ids], dtype=np.float64)
+    rows, cols = linear_sum_assignment(cost)
+    assignment = {ids[r]: int(c) for r, c in zip(rows, cols)}
+    return assignment, tuple(i for i in ids if i not in assignment)

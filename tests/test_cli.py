@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from loiterpack import cli
+from loiterpack import cli, fleet
 from loiterpack.cli import main
 from loiterpack.fleet import MAX_PHASE_SAMPLES, apply_recovery
 from loiterpack.geometry import AreaSpec, PackingKind, Vec2
@@ -174,6 +174,21 @@ class TestSimulateCommand:
         )
         assert run("simulate", write_config(tmp_path, cfg)) == 3
         assert "recover_failed" in (out / "events.log").read_text()
+
+    def test_unseparated_recovery_exits_3(self, tmp_path, monkeypatch):
+        # A breach that outlasts every stagger round fails the recovery.
+        monkeypatch.setattr(fleet, "closest_approach", lambda plans, v, dt: (1.5, 0, 1))
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            deployment={"radius_m": 70.0},
+            failure={"time_s": 60.0, "seed": 42, "loss_count": 18},
+        )
+        assert run("simulate", write_config(tmp_path, cfg)) == 3
+        log = (out / "events.log").read_text().splitlines()
+        failed = [line for line in log if "recover_failed" in line]
+        assert len(failed) == 1 and "come within 1.5 m" in failed[0]
+        assert not (out / "recovered.svg").exists()
 
     def test_seed_override_changes_losses(self, tmp_path):
         out = tmp_path / "out"

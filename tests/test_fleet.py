@@ -23,7 +23,13 @@ from loiterpack.fleet import (
 )
 from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
 from loiterpack.optimize import Regime
-from oracles import brute_force_assignment, comm_edges_loop, edge_components, union_find_clusters
+from oracles import (
+    assignment_by_dist,
+    brute_force_assignment,
+    comm_edges_loop,
+    edge_components,
+    union_find_clusters,
+)
 
 AREA = AreaSpec(500.0, 650.0)
 HEX = PackingKind.HEXAGON
@@ -302,8 +308,26 @@ class TestSuperAgentRecover:
     def test_transitions_keep_separation(self):
         _, report, plan = run_recovery()
         sep = closest_approach(plan.transitions, v=PLATFORM.speed, dt=0.25)[0]
-        assert sep == pytest.approx(plan.min_separation)
+        assert plan.min_separation == sep
         assert sep >= 2.0
+
+    def test_breach_after_the_last_stagger_round_fails(self, monkeypatch):
+        # Every check breaches, so the transitions of the tenth re-plan are
+        # checked once more and the recovery fails, naming the pair.
+        checks = []
+
+        def always_breach(plans, v, dt):
+            plans = list(plans)
+            checks.append(plans)
+            return 1.5, 0, 1
+
+        monkeypatch.setattr(fleet, "closest_approach", always_breach)
+        _, _, plan = run_recovery()
+        assert len(checks) == fleet.MAX_STAGGER_ROUNDS + 1
+        assert plan.outcome is RecoveryOutcome.RECOVERY_FAILED
+        assert plan.transitions == () and plan.new_layout is None
+        a, b = checks[-1][0].uav_id, checks[-1][1].uav_id
+        assert plan.reason.startswith(f"UAVs {a} and {b} come within 1.5 m")
 
     def test_stagger_replans_the_later_departure(self, monkeypatch):
         # The first separation check reports one breach between a UAV that
@@ -472,3 +496,35 @@ class TestAssignment:
         monkeypatch.setattr(fleet.importlib.util, "find_spec", lambda name: None)
         module = fleet._lsap.__wrapped__()
         assert module.linear_sum_assignment is linear_sum_assignment
+
+
+class TestAssignSurvivors:
+    """The array-built cost matrix gives the assignment and spares of the
+    ``Vec2.dist`` matrix."""
+
+    @pytest.mark.parametrize(
+        "x, y, loss_count, draws", [(500.0, 650.0, 18, 32), (1000.0, 1000.0, 36, 16)]
+    )
+    def test_matches_the_scalar_cost_matrix_on_recoveries(self, x, y, loss_count, draws):
+        # The perfbench workloads paper-35 and coverage-1km; every
+        # coverage-1km draw leaves 5 spares (54 survivors, 49 circles).
+        area = AreaSpec(x, y)
+        for seed in range(draws):
+            state = step(deploy(area, HEX, PLATFORM, radius=70.0), 60.0)
+            inject_failure(state, FailureEvent(time=60.0, seed=seed, loss_count=loss_count))
+            report = detect_failures(state)
+            plan = super_agent_recover(report, area, HEX, R_C, PLATFORM, r_l_max=R_L_MAX)
+            centers = plan.new_layout.centers
+            expected = assignment_by_dist(report.circles, centers)
+            assert fleet._assign_survivors(report, centers) == expected
+            assert (plan.assignment, plan.spare_ids) == expected
+
+    def test_more_survivors_than_circles(self):
+        rng = np.random.default_rng(7)
+        state = table2_fleet()
+        inject_failure(state, FailureEvent(lost_ids=frozenset(range(0, 35, 4))))
+        report = detect_failures(state)
+        centers = [Vec2(*rng.uniform(0.0, 500.0, 2)) for _ in range(11)]
+        assignment, spares = fleet._assign_survivors(report, centers)
+        assert (assignment, spares) == assignment_by_dist(report.circles, centers)
+        assert len(assignment) == 11 and len(spares) == len(report.circles) - 11

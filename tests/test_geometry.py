@@ -16,8 +16,9 @@ from loiterpack.geometry import (
     min_comm_radius,
     min_turn_radius,
     packing_params,
+    pairs_within,
 )
-from oracles import covered_at_instant, covered_over_cycle, lens_area_quad
+from oracles import covered_at_instant, covered_over_cycle, lens_area_quad, pairs_within_points
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -283,3 +284,42 @@ class TestCoveredAtInstant:
         far_pos = Vec2(far.x + r_l * math.cos(phase), far.y + r_l * math.sin(phase))
         assert covered_at_instant(Vec2(0, 0), [own], r_c)
         assert covered_at_instant(Vec2(0, 0), [far_pos], r_c)
+
+
+class TestPairsWithin:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_are_zero_size_boxes(self, seed):
+        # Points on a 5 m lattice, so many pairs lie at exactly the gap
+        # (3-4-5 offsets), repeated points, and points in general position:
+        # the same pairs, in the same order, as the sweep over points.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        lattice = rng.integers(0, 12, size=(2, n)) * 5.0
+        uniform = rng.uniform(-300.0, 300.0, size=(2, n))
+        for x, y in (lattice, uniform):
+            for gap in (0.0, 5.0, 25.0, float(rng.uniform(0.0, 80.0)), math.inf):
+                first, second = pairs_within(x, y, x, y, gap)
+                expected_first, expected_second = pairs_within_points(x, y, gap)
+                assert np.array_equal(first, expected_first)
+                assert np.array_equal(second, expected_second)
+        x, y = lattice
+        first, second = pairs_within(x, y, x, y, 25.0)
+        assert (np.hypot(x[second] - x[first], y[second] - y[first]) == 25.0).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boxes_match_every_pair(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        n = 60
+        x0, y0 = rng.uniform(0.0, 200.0, size=(2, n))
+        x1, y1 = x0 + rng.uniform(0.0, 30.0, n), y0 + rng.uniform(0.0, 30.0, n)
+        for gap in (0.0, 4.0, 20.0):
+            expected = set()
+            for i in range(n):
+                for j in range(i + 1, n):
+                    gx = max(x0[j] - x1[i], x0[i] - x1[j], 0.0)
+                    gy = max(y0[j] - y1[i], y0[i] - y1[j], 0.0)
+                    if np.hypot(gx, gy) <= gap:
+                        expected.add((i, j))
+            first, second = pairs_within(x0, y0, x1, y1, gap)
+            got = set(zip(np.minimum(first, second).tolist(), np.maximum(first, second).tolist()))
+            assert got == expected and len(first) == len(expected)

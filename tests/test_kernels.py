@@ -14,7 +14,14 @@ from loiterpack.fleet import (
     inject_failure,
     super_agent_recover,
 )
-from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
+from loiterpack.geometry import (
+    AreaSpec,
+    LoiterCircle,
+    PackingKind,
+    PlatformModel,
+    Vec2,
+    pairs_within,
+)
 from loiterpack.packing import grid_points, pack
 from oracles import (
     closest_pair_loop,
@@ -590,6 +597,91 @@ class TestClosestApproach:
         sep, i, j = closest_approach([plan], loitering=[far, (tgt, math.pi)], v=15.0)
         assert (i, j) == (0, 2)
         assert sep <= 60.0 + 1e-9
+
+    def test_loiterers_on_one_vertical_line(self):
+        # Every box spans the same x extent, so every sweep window holds
+        # every pair; only the y gaps prune.
+        tracks = [(LoiterCircle(Vec2(0.0, 45.0 * k), 30.0), 0.4 * k) for k in range(12)]
+        times = _timeline((), tracks, 15.0, 0.25)
+        expected = closest_pair_loop(tracks_loop((), tracks, 15.0, times))
+        assert closest_approach([], loitering=tracks, v=15.0) == expected
+
+    @pytest.mark.parametrize("entries", [1, dubins._TRACK_ENTRIES])
+    def test_second_pass_widens_to_the_closest_pair(self, monkeypatch, entries):
+        # Two clusters 10 km apart, farther than any box. In each, one
+        # circle carries an antipodal pair (overlapping boxes, 60 m apart at
+        # every sample), and two circles side by side carry a pair whose
+        # boxes are 1.5 or 1 m apart and which pass within a few metres at
+        # the samples: the first pass bounds the answer at 60 m, the second
+        # finds it.
+        monkeypatch.setattr(dubins, "_TRACK_ENTRIES", entries)
+        gaps = []
+
+        def recorded(x0, y0, x1, y1, gap):
+            gaps.append(gap)
+            return pairs_within(x0, y0, x1, y1, gap)
+
+        monkeypatch.setattr(dubins, "pairs_within", recorded)
+        tracks = []
+        for x, spacing in ((0.0, 61.5), (10_000.0, 61.0)):
+            tracks += [
+                (LoiterCircle(Vec2(x, 0.0), 30.0), 0.0),
+                (LoiterCircle(Vec2(x, 0.0), 30.0), math.pi),
+                (LoiterCircle(Vec2(x + 200.0, 0.0), 30.0), math.pi),
+                (LoiterCircle(Vec2(x + 200.0 + spacing, 0.0), 30.0), 0.0),
+            ]
+        times = _timeline((), tracks, 15.0, 0.25)
+        expected = closest_pair_loop(tracks_loop((), tracks, 15.0, times))
+        assert closest_approach([], loitering=tracks, v=15.0) == expected
+        assert expected[1:] == (6, 7) and 1.0 <= expected[0] < 10.0
+        assert gaps[0] == 0.0 and gaps[1] > 60.0
+
+    @pytest.mark.parametrize("entries", [1, dubins._TRACK_ENTRIES])
+    def test_repeated_tracks_in_both_clusters_tie_at_zero(self, monkeypatch, entries):
+        # UAVs 0 and 3 repeat a track of the far cluster and UAVs 1 and 4 one
+        # of the near cluster, which the sweep meets first; both pairs tie at
+        # exactly 0 and the lexicographically first wins.
+        monkeypatch.setattr(dubins, "_TRACK_ENTRIES", entries)
+        far = (LoiterCircle(Vec2(10_000.0, 0.0), 30.0), 1.0)
+        near = (LoiterCircle(Vec2(0.0, 0.0), 30.0), 2.0)
+        tracks = [far, near, (LoiterCircle(Vec2(40.0, 0.0), 30.0), 0.0), far, near]
+        times = _timeline((), tracks, 15.0, 0.25)
+        assert closest_pair_loop(tracks_loop((), tracks, 15.0, times)) == (0.0, 0, 3)
+        assert closest_approach([], loitering=tracks, v=15.0) == (0.0, 0, 3)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_2km_rung_evaluates_few_pairs(self, monkeypatch, seed):
+        # The 2 km rung (340 UAVs, lose 136): both draws stagger once, so
+        # each recovery checks separation twice. Every check equals the pair
+        # loop over ``track``'s own arrays and evaluates under 5 % of the
+        # pairs.
+        area, platform = AreaSpec(2000.0, 2000.0), PlatformModel(speed=15.0, max_bank=0.5)
+        calls, evaluated = [], []
+        pair_minima = dubins._pair_minima
+
+        def counted(xs, ys, first, second):
+            evaluated[-1] += first.size
+            return pair_minima(xs, ys, first, second)
+
+        def recorded(plans, loitering=(), v=1.0, dt=0.25):
+            evaluated.append(0)
+            result = closest_approach(plans, loitering, v=v, dt=dt)
+            calls.append((list(plans), v, dt, result))
+            return result
+
+        monkeypatch.setattr(dubins, "_pair_minima", counted)
+        monkeypatch.setattr(fleet, "closest_approach", recorded)
+        state = fleet.step(deploy(area, PackingKind.HEXAGON, platform, radius=70.0), 60.0)
+        inject_failure(state, FailureEvent(time=60.0, seed=seed, loss_count=136))
+        super_agent_recover(
+            detect_failures(state), area, PackingKind.HEXAGON, 80.0, platform, r_l_max=100.0
+        )
+        assert len(calls) == 2
+        for (plans, v, dt, result), count in zip(calls, evaluated):
+            x, y, _ = dubins.track(plans, _timeline(plans, (), v, dt), v)
+            assert result == closest_pair_loop(np.stack((x, y), axis=2))
+            n = len(plans)
+            assert count < 0.05 * (n * (n - 1) // 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_pair_loop(self, seed):
