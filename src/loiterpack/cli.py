@@ -2,8 +2,10 @@
 
 Subcommands: ``pack``, ``optimize``, ``simulate``, ``sweep`` and ``path``.
 Scenarios are JSON files (all lengths in meters, angles in radians, times in
-seconds); every run writes its artifacts plus a ``manifest.json`` listing
-file names and content hashes.
+seconds). A command writes artifacts and raises on failure; ``main`` alone
+writes the ``manifest.json`` of file names and content hashes (for every run
+that wrote an artifact, failed ones included) and maps the outcome to the
+exit code and, on failure, one line on stderr.
 
 Exit codes: 0 success, 2 config error, 3 infeasible or recovery failed,
 4 planning error.
@@ -48,7 +50,7 @@ from .geometry import (
     min_turn_radius,
     packing_params,
 )
-from .optimize import FleetBudget, Regime, solve_radius
+from .optimize import FleetBudget, Regime, _shortage, solve_radius
 from .packing import PackingLayout, pack
 from .render import render_fleet, render_sweep, render_transition
 
@@ -398,7 +400,7 @@ def _params_csv(cfg: ScenarioConfig, r_l: float) -> str:
 # commands
 
 
-def cmd_pack(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
+def cmd_pack(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if cfg.deploy_radius is None:
         raise ConfigError("pack needs deployment.radius_m")
     layout = pack(cfg.area, cfg.deploy_radius, cfg.kind)
@@ -409,12 +411,10 @@ def cmd_pack(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
         "layout.svg",
         render_fleet(cfg.area, circles, phase=0.0, title=f"{cfg.kind.value} packing, {layout.count} circles"),
     )
-    out.write_manifest()
     print(f"packed {layout.count} circles ({layout.n_rows} rows) at r_l={cfg.deploy_radius:g} m")
-    return EXIT_OK
 
 
-def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
+def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if cfg.deploy_budget is None:
         raise ConfigError("optimize needs deployment.budget_n")
     sol = solve_radius(
@@ -428,22 +428,17 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     header = "r_l_m,n_x,n_y,regime,objective\n"
     if sol.regime is Regime.INFEASIBLE:
         out.write_text("solution.csv", header + f",,,{sol.regime.value},\n")
-        out.write_manifest()
-        needed = f" (needs {sol.min_required} UAVs)" if sol.min_required else ""
-        print(f"infeasible: {cfg.deploy_budget} UAVs cannot cover the area{needed}")
-        return EXIT_INFEASIBLE
+        raise _shortage(cfg.deploy_budget, sol)
     r = sol.loiter_radius
     # The objective column is the revisit-rate proxy 1/r^2.
     out.write_text(
         "solution.csv",
         header + f"{r!r},{sol.n_x},{sol.n_y},{sol.regime.value},{1.0 / (r * r)!r}\n",
     )
-    out.write_manifest()
     print(
         f"r_l = {r:.4f} m, n_x = {sol.n_x}, n_y = {sol.n_y}, "
         f"regime = {sol.regime.value}"
     )
-    return EXIT_OK
 
 
 def _coverage_csv(report) -> str:
@@ -454,10 +449,12 @@ def _coverage_csv(report) -> str:
     )
 
 
-def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
+def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     """Deploy, then run every configured failure event through detection and
     super-agent recovery; snapshots of the last round keep the plain
-    clusters/recovered names, earlier rounds get a round suffix."""
+    clusters/recovered names, earlier rounds get a round suffix. A failed
+    recovery ends the run: the coverage of the survivors and the log are
+    written, then ``InfeasibleError`` carries the plan's reason."""
     platform = cfg.require_platform()
     r_c = cfg.coverage_radius()
     check_coverage_inputs(cfg.area, r_c, cfg.effective_grid_pitch(), cfg.phase_samples)
@@ -478,27 +475,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     out.write_text("initial.svg", render_fleet(cfg.area, circles, state.phase, title="initial deployment"))
     out.write_text("initial_layout.csv", layout_csv(state.layout))
 
-    def finish(final_state, failed_detail=None):
-        cov = coverage_report(
-            cfg.area,
-            [u.assigned_circle.center for u in final_state.uavs if u.alive],
-            final_state.layout.loiter_radius,
-            r_c,
-            cfg.effective_grid_pitch(),
-            cfg.phase_samples,
-        )
-        out.write_text("coverage.csv", _coverage_csv(cov))
-        out.write_text("events.log", _events_text(events))
-        out.write_manifest()
-        if failed_detail is not None:
-            print(f"recovery failed: {failed_detail}")
-            return EXIT_INFEASIBLE
-        print(f"final cycle coverage {cov.cycle_fraction:.4f} with {len(final_state.uavs)} UAVs")
-        return EXIT_OK
-
-    if not cfg.failures:
-        return finish(state)
-
+    failed = None
     for round_i, event in enumerate(cfg.failures, start=1):
         suffix = "" if round_i == len(cfg.failures) else f"_round{round_i}"
         if event.time < state.time:
@@ -535,11 +512,9 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
             min_turn_formula=cfg.min_turn_formula,
         )
         if plan.outcome is RecoveryOutcome.RECOVERY_FAILED:
-            detail = plan.reason or "recovery failed"
-            if plan.deficit is not None:
-                detail += f"; deficit {plan.deficit}"
-            events.append((t_detect, "recover_failed", detail))
-            return finish(state, failed_detail=detail)
+            events.append((t_detect, "recover_failed", plan.reason))
+            failed = plan
+            break
 
         # Time to restore: from the failure, through detection, to the last arrival.
         restore_s = report.detection_delay + max((tr.arrival_time for tr in plan.transitions), default=0.0)
@@ -561,7 +536,20 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
             render_fleet(cfg.area, circles, state.phase, title="recovered coverage"),
         )
         out.write_text(f"final_layout{suffix}.csv", layout_csv(state.layout))
-    return finish(state)
+
+    cov = coverage_report(
+        cfg.area,
+        [u.assigned_circle.center for u in state.uavs if u.alive],
+        state.layout.loiter_radius,
+        r_c,
+        cfg.effective_grid_pitch(),
+        cfg.phase_samples,
+    )
+    out.write_text("coverage.csv", _coverage_csv(cov))
+    out.write_text("events.log", _events_text(events))
+    if failed is not None:
+        raise InfeasibleError(failed.reason, failed.deficit)
+    print(f"final cycle coverage {cov.cycle_fraction:.4f} with {len(state.uavs)} UAVs")
 
 
 def _events_text(events) -> str:
@@ -571,7 +559,7 @@ def _events_text(events) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
+def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if not cfg.sweep_r_inits or not cfg.sweep_fractions:
         raise ConfigError("sweep needs sweep.r_init_m and sweep.loss_fractions lists")
     r_c = cfg.coverage_radius()
@@ -596,13 +584,11 @@ def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
     for r_init in cfg.sweep_r_inits:
         max_lines.append(f"{r_init!r},{result.max_recoverable[r_init]!r}")
     out.write_text("max_recoverable.csv", "\n".join(max_lines) + "\n")
-    out.write_manifest()
     for r_init in cfg.sweep_r_inits:
         print(f"r_init={r_init:g} m: max recoverable loss {result.max_recoverable[r_init]:.4f}")
-    return EXIT_OK
 
 
-def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
+def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if cfg.path_source is None or cfg.path_target is None:
         raise ConfigError("path needs path.source and path.target circles")
     platform = cfg.require_platform()
@@ -638,12 +624,10 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> int:
             headings=(plan.break_off_phase + math.pi / 2, plan.join_phase + math.pi / 2),
         ),
     )
-    out.write_manifest()
     print(
         f"transition: delay {plan.depart_delay:.3f} s, path {plan.path.length:.2f} m, "
         f"arrival {plan.arrival_time:.3f} s"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -711,15 +695,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = None
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         out = ArtifactWriter(Path(cfg.out_dir))
-        try:
-            return _COMMANDS[args.command](cfg, out)
-        except (InfeasibleError, PlanningError, ValueError):
-            if out.written:
-                out.write_manifest()  # of the artifacts written before the error
-            raise
+        _COMMANDS[args.command](cfg, out)
+        return EXIT_OK
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -729,6 +710,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and config-derived preconditions
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if out is not None and out.written:
+            out.write_manifest()  # of every artifact, also those of a failed run
 
 
 if __name__ == "__main__":

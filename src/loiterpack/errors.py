@@ -8,7 +8,8 @@ class ConfigError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """No loiter radius satisfies the fleet budget within the radius cap."""
+    """No loiter radius satisfies the fleet budget within the radius cap, or
+    a recovery failed."""
 
     def __init__(self, message: str, deficit: int | None = None):
         super().__init__(message)

@@ -43,6 +43,7 @@ from .optimize import (
     FleetBudget,
     RadiusSolution,
     Regime,
+    _shortage,
     ideal_radius_after_loss,
     revisit_period,
     solve_radius,
@@ -184,15 +185,14 @@ def deploy(
     """Deploy a synchronized fleet, radius-driven or budget-driven.
 
     Budget-driven deployment solves for the smallest feasible radius and
-    raises :class:`InfeasibleError` when the budget cannot cover the area.
+    raises :class:`InfeasibleError` when the budget cannot cover the area
+    (a budget of zero UAVs included).
     """
     if (radius is None) == (budget is None):
         raise ValueError("specify exactly one of radius or budget")
     if radius is None:
         if r_c is None:
             raise ValueError("budget-driven deployment needs the coverage radius")
-        if budget == 0:
-            raise InfeasibleError("cannot deploy a fleet of zero UAVs")
         sol = solve_radius(
             FleetBudget(budget),
             area,
@@ -202,8 +202,7 @@ def deploy(
             r_l_max=r_l_max,
         )
         if sol.regime is Regime.INFEASIBLE:
-            deficit = sol.min_required - budget if sol.min_required is not None else None
-            raise InfeasibleError(f"budget of {budget} UAVs cannot cover the area", deficit)
+            raise _shortage(budget, sol)
         radius = sol.loiter_radius
     layout = pack(area, radius, kind)
     circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
@@ -363,13 +362,17 @@ def super_agent_recover(
     r_turn: float | None = None,
     min_turn_formula: str = "paper",
 ) -> RecoveryPlan:
-    """Compute the survivors' new radius, layout, assignment and transitions."""
+    """Compute the survivors' new radius, layout, assignment and transitions.
+
+    Round 0 plans every assigned UAV. While the closest pair is under the
+    separation threshold, a later round delays its later-departing UAV by one
+    more source period and plans that UAV again; a breach left after
+    ``MAX_STAGGER_ROUNDS`` rounds fails the recovery."""
     n_new = len(report.circles)
 
     def failed(reason: str, solution: RadiusSolution | None = None, deficit=None) -> RecoveryPlan:
-        solution = solution or RadiusSolution(None, 0, 0, Regime.INFEASIBLE)
         return RecoveryPlan(
-            solution=solution,
+            solution=solution or RadiusSolution(None, 0, 0, Regime.INFEASIBLE),
             new_layout=None,
             assignment={},
             transitions=(),
@@ -383,8 +386,8 @@ def super_agent_recover(
     r_min = min_turn_radius(platform, min_turn_formula)
     solution = solve_radius(FleetBudget(n_new), area, kind, r_c, r_min, r_l_max=r_l_max)
     if solution.regime is Regime.INFEASIBLE:
-        deficit = solution.min_required - n_new if solution.min_required is not None else None
-        return failed(f"{n_new} survivors cannot cover the area", solution, deficit)
+        error = _shortage(n_new, solution, "survivors")
+        return failed(str(error), solution, error.deficit)
 
     layout = pack(area, solution.loiter_radius, kind)
     circles = [LoiterCircle(c, solution.loiter_radius) for c in layout.centers]
@@ -392,40 +395,31 @@ def super_agent_recover(
 
     turn_radius = r_turn if r_turn is not None else r_min
     v = platform.speed
-    try:
-        plans = {
-            uav_id: plan_transition(
-                uav_id, report.circles[uav_id], report.phase, circles[idx], turn_radius, v
-            )
-            for uav_id, idx in sorted(assignment.items())
-        }
-    except PlanningError as exc:
-        return failed(f"transition planning failed: {exc}", solution)
-
-    # Stagger the later-departing UAV of the closest pair until separated;
-    # the transitions of the last re-plan are checked too.
-    ordered = sorted(plans)
-    extra_delay = {uav_id: 0.0 for uav_id in ordered}
+    ordered = sorted(assignment)
+    delay = dict.fromkeys(ordered, 0.0)
+    plans: dict[int, TransitionPlan] = {}
+    replan = ordered
     for stagger_round in range(MAX_STAGGER_ROUNDS + 1):
-        track = [plans[i] for i in ordered]
-        sep, i, j = closest_approach(track, v=v, dt=DEFAULT_SEPARATION_DT)
+        try:
+            for uav_id in replan:
+                plans[uav_id] = plan_transition(
+                    uav_id,
+                    report.circles[uav_id],
+                    report.phase,
+                    circles[assignment[uav_id]],
+                    turn_radius,
+                    v,
+                    base_delay=delay[uav_id],
+                )
+        except PlanningError as exc:
+            while_staggering = " while staggering" if stagger_round else ""
+            return failed(f"transition planning failed{while_staggering}: {exc}", solution)
+        sep, i, j = closest_approach([plans[u] for u in ordered], v=v, dt=DEFAULT_SEPARATION_DT)
         if sep >= DEFAULT_SEPARATION_THRESHOLD or stagger_round == MAX_STAGGER_ROUNDS:
             break
-        pair = sorted((ordered[i], ordered[j]), key=lambda u: (plans[u].depart_delay, u))
-        late = pair[-1]
-        extra_delay[late] += TWO_PI * plans[late].source.radius / v
-        try:
-            plans[late] = plan_transition(
-                late,
-                report.circles[late],
-                report.phase,
-                circles[assignment[late]],
-                turn_radius,
-                v,
-                base_delay=extra_delay[late],
-            )
-        except PlanningError as exc:
-            return failed(f"transition planning failed while staggering: {exc}", solution)
+        late = max(ordered[i], ordered[j], key=lambda u: (plans[u].depart_delay, u))
+        delay[late] += TWO_PI * plans[late].source.radius / v
+        replan = (late,)
     if sep < DEFAULT_SEPARATION_THRESHOLD:
         return failed(
             f"UAVs {ordered[i]} and {ordered[j]} come within {sep!r} m, under the "
@@ -443,7 +437,7 @@ def super_agent_recover(
         solution=solution,
         new_layout=layout,
         assignment=assignment,
-        transitions=tuple(plans[i] for i in sorted(plans)),
+        transitions=tuple(plans[i] for i in ordered),
         outcome=outcome,
         spare_ids=spares,
         min_separation=sep if len(plans) > 1 else None,
@@ -455,8 +449,8 @@ def apply_recovery(state: FleetState, plan: RecoveryPlan) -> FleetState:
     layout, and the clock (at the detection instant, where the transitions
     start) and the synchronized phase advance to the last arrival.
 
-    Spare survivors (more survivors than circles) are retired to the base and
-    leave the active fleet.
+    Spare survivors (more survivors than circles) leave the fleet. No path
+    is planned for them, and the separation check does not see them.
     """
     if plan.outcome is RecoveryOutcome.RECOVERY_FAILED:
         raise InfeasibleError("cannot apply a failed recovery plan", plan.deficit)

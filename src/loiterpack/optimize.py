@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import InfeasibleError
 from .geometry import BOUNDARY_TOL, SQRT2, SQRT3, AreaSpec, PackingKind, max_loiter_radius
 from .packing import axis_march, check_layout_size, min_layout_radius, uav_count
 
@@ -43,6 +44,16 @@ class RadiusSolution:
     n_y: int
     regime: Regime
     min_required: int | None = None  # UAVs needed at the radius cap when infeasible
+
+
+def _shortage(n: int, solution: RadiusSolution, noun: str = "UAVs") -> InfeasibleError:
+    """The ``InfeasibleError`` of ``n`` UAVs (called ``noun``) for which
+    ``solution`` found no radius: the one sentence of a shortage, naming the
+    deficit when the radius cap has a UAV count."""
+    if solution.min_required is None:
+        return InfeasibleError(f"{n} {noun} cannot cover the area")
+    deficit = solution.min_required - n
+    return InfeasibleError(f"{n} {noun} cannot cover the area; deficit {deficit}", deficit)
 
 
 def classify_regime(r_l: float, r_c: float, kind: PackingKind) -> Regime:

@@ -268,11 +268,6 @@ class TestSuperAgentRecover:
         plan = super_agent_recover(detect_failures(state), AREA, HEX, R_C, PLATFORM, r_l_max=R_L_MAX)
         assert plan.outcome is RecoveryOutcome.RECOVERY_FAILED
 
-    def test_sixteen_survivors_reports_deficit(self):
-        _, _, plan = run_recovery(loss_count=19)
-        assert plan.outcome is RecoveryOutcome.RECOVERY_FAILED
-        assert plan.deficit == 1
-
     def test_spares_when_survivors_exceed_circles(self):
         _, _, plan = run_recovery(loss_count=17)  # 18 survivors, 17 circles
         assert plan.outcome is RecoveryOutcome.FULL_RESTORED
