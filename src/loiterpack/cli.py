@@ -116,23 +116,68 @@ class ScenarioConfig:
 
 _KIND_NAMES = {float: "a JSON number", int: "an integral JSON number", str: "a JSON string"}
 
+# Every config key once, as (kind, default); the default ``...`` marks a
+# required key. A kind is float, int or str; a tuple of the strings the key
+# takes; a dict of the keys of a section; or [kind] for a JSON array of that
+# kind. A section reads as the list of its values in table order, the order of
+# its model's arguments; absent, as its default: None, or {} for its keys' own.
+_EVENT = {"time_s": (float, 0.0), "lost_ids": ([int], None), "seed": (int, None), "loss_count": (int, None)}
+_CIRCLE = {"x_m": (float, ...), "y_m": (float, ...), "radius_m": (float, ...)}
+_SCHEMA = {
+    "area": ({"x_extent_m": (float, ...), "y_extent_m": (float, ...)}, ...),
+    "packing": (("square", "hexagon"), "hexagon"),
+    "sensor": ({"fov_half_angle_rad": (float, ...), "altitude_m": (float, ...)}, None),
+    "r_c_m": (float, None),
+    "platform": ({"speed_mps": (float, ...), "max_bank_rad": (float, ...), "gravity_mps2": (float, 9.81)}, None),
+    "r_min_turn_m": (float, None),
+    "deployment": ({"radius_m": (float, None), "budget_n": (int, None)}, {}),
+    "failure": (_EVENT, None),
+    "failures": ([_EVENT], None),
+    "validation": ({"grid_pitch_m": (float, None), "phase_samples": (int, 36)}, {}),
+    "sweep": ({"r_init_m": ([float], ()), "loss_fractions": ([float], ())}, {}),
+    "path": ({"source": (_CIRCLE, None), "target": (_CIRCLE, None)}, {}),
+    "table1_mode": (("exact", "paper"), "exact"),
+    "min_turn_formula": (("paper", "standard"), "paper"),
+    "r_l_max_m": (float, None),
+    "turn_radius_m": (float, None),
+    "output_dir": (str, "out"),
+}
+# Key groups of each section, as (rule, keys): a config sets at most one key
+# of a group, and exactly one of an "exactly" group whenever its section is set.
+_ONE_OF = {
+    "": (("at most", "sensor", "r_c_m"), ("at most", "platform", "r_min_turn_m"), ("at most", "failure", "failures")),
+    "deployment": (("exactly", "radius_m", "budget_n"),),
+}
+
 
 def _label(key: str, where: str) -> str:
     return f"{where}: {key!r}" if where else f"config key {key!r}"
 
 
-def _value(value, key: str, kind, where: str = ""):
-    """``value`` of config key ``key`` as ``kind``: a float takes JSON numbers
-    only (no bools, no strings), an int integral numbers only, a str JSON
-    strings only; anything else raises ``ConfigError`` naming the key."""
+def _read(value, kind, key: str, where: str, errors: list):
+    """``value`` of key ``key`` of section ``where`` as ``kind`` (see
+    ``_SCHEMA``): a number takes JSON numbers only (no bools, no strings), an
+    integer integral numbers only, a string JSON strings only, and a section
+    is read by ``_walk``. Anything else raises ``ConfigError`` naming the key."""
+    if value.__class__ is kind:  # a float, int or str of its own kind
+        return value
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object, got {value!r}")
+        return _walk(value, kind, f"{where}.{key}" if where else key, errors)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{_label(key, where)} must be a JSON array, got {value!r}")
+        items = (f"{key}[{k}]" if isinstance(kind[0], dict) else key for k in range(len(value)))
+        return tuple(_read(v, kind[0], item, where, errors) for v, item in zip(value, items))
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        if isinstance(value, str):
+            raise ConfigError(f"{key} must be {' or '.join(map(repr, kind))}, got {value!r}")
+        kind = str
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is str:
-        ok = isinstance(value, str)
-    elif kind is int:
-        ok = number and (isinstance(value, int) or value.is_integer())
-    else:
-        ok = number
-    if ok:
+    if number and (kind is float or (kind is int and value.is_integer())):
         try:
             return kind(value)
         except OverflowError:  # an integer past the float range
@@ -140,213 +185,87 @@ def _value(value, key: str, kind, where: str = ""):
     raise ConfigError(f"{_label(key, where)} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _get(d: dict, key: str, kind=float, required: bool = True, default=None, where: str = ""):
-    """Typed config value (see ``_value``); a JSON null counts as an absent
-    key."""
-    if key not in d or d[key] is None:
-        if required:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-    return _value(d[key], key, kind, where)
-
-
-def _list(d: dict, key: str, kind=float, where: str = "") -> tuple:
-    """Config JSON array of ``kind`` values (see ``_value``); a JSON null or
-    an absent key is an empty list."""
-    values = d.get(key)
-    if values is None:
-        return ()
-    if not isinstance(values, list):
-        raise ConfigError(f"{_label(key, where)} must be a JSON array, got {values!r}")
-    return tuple(_value(value, key, kind, where) for value in values)
-
-
-def _section(d: dict, name: str) -> dict | None:
-    """Config object section; a JSON null counts as an absent section."""
-    value = d.get(name)
-    if value is not None and not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object, got {value!r}")
-    return value
-
-
-_EVENT_KEYS = dict.fromkeys(("time_s", "lost_ids", "seed", "loss_count"))
-_CIRCLE_KEYS = dict.fromkeys(("x_m", "y_m", "radius_m"))
-# Every key a config may hold: a section maps to the keys of its object, a
-# list to the keys of its items, and a plain value to None.
-_CONFIG_KEYS = {
-    "area": dict.fromkeys(("x_extent_m", "y_extent_m")),
-    "packing": None,
-    "sensor": dict.fromkeys(("fov_half_angle_rad", "altitude_m")),
-    "r_c_m": None,
-    "platform": dict.fromkeys(("speed_mps", "max_bank_rad", "gravity_mps2")),
-    "r_min_turn_m": None,
-    "deployment": dict.fromkeys(("radius_m", "budget_n")),
-    "r_l_max_m": None,
-    "failure": _EVENT_KEYS,
-    "failures": [_EVENT_KEYS],
-    "validation": dict.fromkeys(("grid_pitch_m", "phase_samples")),
-    "sweep": dict.fromkeys(("r_init_m", "loss_fractions")),
-    "path": {"source": _CIRCLE_KEYS, "target": _CIRCLE_KEYS},
-    "turn_radius_m": None,
-    "table1_mode": None,
-    "min_turn_formula": None,
-    "output_dir": None,
-}
-
-
-def _check_keys(d: dict, known: dict, where: str = "") -> None:
-    """Raises ``ConfigError`` naming the first key of ``d`` (and of its
-    sections, depth first) that ``known`` does not list. Values of the wrong
-    type are left to the parser, which rejects them with their own message."""
-    for key, value in d.items():
-        if key not in known:
-            place = f"section {where!r}" if where else "the config root"
-            raise ConfigError(f"unknown config key {key!r} in {place}")
-        inner, name = known[key], f"{where}.{key}" if where else key
-        if isinstance(inner, dict) and isinstance(value, dict):
-            _check_keys(value, inner, name)
-        elif isinstance(inner, list) and isinstance(value, list):
-            for k, item in enumerate(value):
-                if isinstance(item, dict):
-                    _check_keys(item, inner[0], f"{name}[{k}]")
+def _walk(d: dict, schema: dict, where: str, errors: list) -> list:
+    """The values of section ``d`` (``where``, "" at the root) by ``schema``,
+    in its order; a JSON null or an absent key takes its default. Each unknown
+    key (rank 0), broken key group and bad value (rank 1) goes on ``errors``
+    as a (rank, ConfigError) pair, so that a misspelt key anywhere is named
+    first."""
+    if not d.keys() <= schema.keys():
+        place = f"section {where!r}" if where else "the config root"
+        errors += [(0, ConfigError(f"unknown config key {k!r} in {place}")) for k in d if k not in schema]
+    for rule, a, b in _ONE_OF.get(where, ()):
+        given = (d.get(a) is not None) + (d.get(b) is not None)
+        if given > 1 or (given == 0 and rule == "exactly"):
+            errors.append((1, ConfigError(f"{where or 'config'} needs {rule} one of {a!r} or {b!r}")))
+    values = []
+    for key, (kind, default) in schema.items():
+        value = d.get(key)
+        if value is not None:
+            try:
+                value = _read(value, kind, key, where, errors)
+            except ConfigError as exc:
+                errors.append((1, exc))
+                value = None
+        elif default is ...:
+            message = f"config needs an {key!r} object" if isinstance(kind, dict) else f"missing config key {key!r}"
+            errors.append((1, ConfigError(message)))
+        else:
+            value = [v for _, v in kind.values()] if isinstance(default, dict) else default
+        values.append(value)
+    return values
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
+    """The config of JSON object ``raw``; a ``ConfigError`` names its first fault."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _CONFIG_KEYS)
+    errors: list[tuple[int, ConfigError]] = []
+    (
+        area, packing, sensor, r_c, platform, r_min_turn, deployment, failure, failures,
+        validation, sweep, path, table1_mode, min_turn_formula, r_l_max, turn_radius, out_dir,
+    ) = _walk(raw, _SCHEMA, "", errors)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     try:
-        area_d = _section(raw, "area")
-        if area_d is None:
-            raise ConfigError("config needs an 'area' object")
-        area = AreaSpec(_get(area_d, "x_extent_m"), _get(area_d, "y_extent_m"))
-
-        kind_s = _get(raw, "packing", kind=str, required=False, default="hexagon")
-        try:
-            kind = PackingKind(kind_s)
-        except ValueError:
-            raise ConfigError(f"packing must be 'square' or 'hexagon', got {kind_s!r}")
-
-        sensor = None
-        s = _section(raw, "sensor")
-        r_c = _get(raw, "r_c_m", required=False)
-        if s is not None and r_c is not None:
-            raise ConfigError("specify exactly one of 'sensor' or 'r_c_m'")
-        if s is not None:
-            sensor = SensorModel(_get(s, "fov_half_angle_rad"), _get(s, "altitude_m"))
-
-        platform = None
-        p = _section(raw, "platform")
-        r_min_turn = _get(raw, "r_min_turn_m", required=False)
-        if p is not None:
-            if r_min_turn is not None:
-                raise ConfigError("specify at most one of 'platform' or 'r_min_turn_m'")
-            platform = PlatformModel(
-                speed=_get(p, "speed_mps"),
-                max_bank=_get(p, "max_bank_rad"),
-                gravity=_get(p, "gravity_mps2", required=False, default=9.81),
-            )
-
-        deploy_radius = None
-        deploy_budget = None
-        dep = _section(raw, "deployment")
-        if dep is not None:
-            deploy_radius = _get(dep, "radius_m", required=False)
-            deploy_budget = _get(dep, "budget_n", kind=int, required=False)
-            if (deploy_radius is None) == (deploy_budget is None):
-                raise ConfigError("deployment needs exactly one of 'radius_m' or 'budget_n'")
-
-        def parse_event(f: dict, name: str) -> FailureEvent:
-            time_s = _get(f, "time_s", required=False, default=0.0, where=name)
+        area = AreaSpec(*area)
+        sensor = None if sensor is None else SensorModel(*sensor)
+        platform = None if platform is None else PlatformModel(*platform)
+        events = []
+        for k, (time_s, lost_ids, seed, loss_count) in enumerate((failure,) if failure else failures or ()):
+            name = "failure" if failure else f"failures[{k}]"
             if not (math.isfinite(time_s) and time_s >= 0.0):
-                raise ConfigError(f"{name}: 'time_s' must be finite and >= 0, got {f['time_s']!r}")
-            if f.get("lost_ids") is not None:
-                return FailureEvent(time=time_s, lost_ids=frozenset(_list(f, "lost_ids", int, name)))
-            seed = _get(f, "seed", kind=int, where=name)
-            if seed < 0:
+                raise ConfigError(f"{name}: 'time_s' must be finite and >= 0, got {time_s!r}")
+            if seed is not None and seed < 0:
                 raise ConfigError(f"{name}: 'seed' must be >= 0, got {seed}")
-            loss_count = _get(f, "loss_count", kind=int, where=name)
-            return FailureEvent(time=time_s, seed=seed, loss_count=loss_count)
-
-        failure = _section(raw, "failure")
-        events = raw.get("failures")
-        if failure is not None and events is not None:
-            raise ConfigError("specify either 'failure' or 'failures', not both")
-        if failure is not None:
-            failures = (parse_event(failure, "failure"),)
-        else:
-            events = events or []
-            if not isinstance(events, list) or not all(isinstance(f, dict) for f in events):
-                raise ConfigError(f"'failures' must be a list of JSON objects, got {events!r}")
-            failures = tuple(parse_event(f, f"failures[{k}]") for k, f in enumerate(events))
-            for k in range(1, len(failures)):
-                if not failures[k].time > failures[k - 1].time:
-                    raise ConfigError(
-                        f"failures[{k}]: 'time_s' {failures[k].time} must be later than "
-                        f"failures[{k - 1}] at {failures[k - 1].time}"
-                    )
-
-        validation = _section(raw, "validation") or {}
-        grid_pitch = _get(validation, "grid_pitch_m", required=False)
-        phase_samples = _get(validation, "phase_samples", kind=int, required=False, default=36)
-
-        sweep = _section(raw, "sweep") or {}
-        sweep_r_inits = _list(sweep, "r_init_m")
-        sweep_fractions = _list(sweep, "loss_fractions")
-
-        def parse_circle(d: dict | None) -> LoiterCircle | None:
-            if d is None:
-                return None
-            return LoiterCircle(Vec2(_get(d, "x_m"), _get(d, "y_m")), _get(d, "radius_m"))
-
-        path_cfg = _section(raw, "path") or {}
-        path_source = parse_circle(_section(path_cfg, "source"))
-        path_target = parse_circle(_section(path_cfg, "target"))
-
-        table1_mode = _get(raw, "table1_mode", kind=str, required=False, default="exact")
-        if table1_mode not in ("exact", "paper"):
-            raise ConfigError(f"table1_mode must be 'exact' or 'paper', got {table1_mode!r}")
-        min_turn_formula = _get(raw, "min_turn_formula", kind=str, required=False, default="paper")
-        if min_turn_formula not in ("paper", "standard"):
-            raise ConfigError(
-                f"min_turn_formula must be 'paper' or 'standard', got {min_turn_formula!r}"
-            )
-
+            if events and not time_s > events[-1].time:
+                raise ConfigError(
+                    f"{name}: 'time_s' {time_s} must be later than failures[{k - 1}] at {events[-1].time}"
+                )
+            lost_ids = None if lost_ids is None else frozenset(lost_ids)
+            events.append(FailureEvent(time_s, lost_ids, seed, loss_count))
+        source, target = [None if c is None else LoiterCircle(Vec2(c[0], c[1]), c[2]) for c in path]
         return ScenarioConfig(
-            area=area,
-            kind=kind,
-            r_c=r_c,
-            sensor=sensor,
-            platform=platform,
-            r_min_turn=r_min_turn,
-            deploy_radius=deploy_radius,
-            deploy_budget=deploy_budget,
-            r_l_max=_get(raw, "r_l_max_m", required=False),
-            failures=failures,
-            grid_pitch=grid_pitch,
-            phase_samples=phase_samples,
-            sweep_r_inits=sweep_r_inits,
-            sweep_fractions=sweep_fractions,
-            path_source=path_source,
-            path_target=path_target,
-            turn_radius=_get(raw, "turn_radius_m", required=False),
-            min_turn_formula=min_turn_formula,
-            table1_mode=table1_mode,
-            out_dir=_get(raw, "output_dir", kind=str, required=False, default="out"),
+            area=area, kind=PackingKind(packing), r_c=r_c, sensor=sensor, platform=platform,
+            r_min_turn=r_min_turn, deploy_radius=deployment[0], deploy_budget=deployment[1],
+            r_l_max=r_l_max, failures=tuple(events), grid_pitch=validation[0], phase_samples=validation[1],
+            sweep_r_inits=sweep[0], sweep_fractions=sweep[1], path_source=source, path_target=target,
+            turn_radius=turn_radius, min_turn_formula=min_turn_formula, table1_mode=table1_mode,
+            out_dir=out_dir,
         )
     except ConfigError:
         raise
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:  # a model's own range check
         raise ConfigError(str(exc)) from exc
 
 
@@ -428,7 +347,7 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     header = "r_l_m,n_x,n_y,regime,objective\n"
     if sol.regime is Regime.INFEASIBLE:
         out.write_text("solution.csv", header + f",,,{sol.regime.value},\n")
-        raise _shortage(cfg.deploy_budget, sol)
+        raise _shortage(cfg.deploy_budget, sol, cfg.min_turn(), cfg.radius_cap())
     r = sol.loiter_radius
     # The objective column is the revisit-rate proxy 1/r^2.
     out.write_text(

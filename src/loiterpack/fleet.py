@@ -34,7 +34,6 @@ from .geometry import (
     PackingKind,
     PlatformModel,
     Vec2,
-    max_loiter_radius,
     min_comm_radius,
     min_turn_radius,
     pairs_within,
@@ -43,6 +42,7 @@ from .optimize import (
     FleetBudget,
     RadiusSolution,
     Regime,
+    _radius_cap,
     _shortage,
     ideal_radius_after_loss,
     revisit_period,
@@ -87,7 +87,7 @@ class FailureEvent:
         explicit = self.lost_ids is not None
         seeded = self.seed is not None or self.loss_count is not None
         if explicit == seeded:
-            raise ValueError("specify either lost_ids or (seed, loss_count), not both")
+            raise ValueError("specify exactly one of lost_ids or (seed, loss_count)")
         if seeded and (self.seed is None or self.loss_count is None or self.loss_count < 0):
             raise ValueError("seeded selection needs seed and a non-negative loss_count")
 
@@ -193,16 +193,10 @@ def deploy(
     if radius is None:
         if r_c is None:
             raise ValueError("budget-driven deployment needs the coverage radius")
-        sol = solve_radius(
-            FleetBudget(budget),
-            area,
-            kind,
-            r_c,
-            min_turn_radius(platform, min_turn_formula),
-            r_l_max=r_l_max,
-        )
+        r_turn = min_turn_radius(platform, min_turn_formula)
+        sol = solve_radius(FleetBudget(budget), area, kind, r_c, r_turn, r_l_max=r_l_max)
         if sol.regime is Regime.INFEASIBLE:
-            raise _shortage(budget, sol)
+            raise _shortage(budget, sol, r_turn, _radius_cap(r_c, kind, r_l_max))
         radius = sol.loiter_radius
     layout = pack(area, radius, kind)
     circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
@@ -386,7 +380,7 @@ def super_agent_recover(
     r_min = min_turn_radius(platform, min_turn_formula)
     solution = solve_radius(FleetBudget(n_new), area, kind, r_c, r_min, r_l_max=r_l_max)
     if solution.regime is Regime.INFEASIBLE:
-        error = _shortage(n_new, solution, "survivors")
+        error = _shortage(n_new, solution, r_min, _radius_cap(r_c, kind, r_l_max), "survivors")
         return failed(str(error), solution, error.deficit)
 
     layout = pack(area, solution.loiter_radius, kind)
@@ -557,7 +551,7 @@ def loss_sweep(
     counts. Emits the simulated radius next to the continuous-tiling ideal
     value.
     """
-    cap = r_l_max if r_l_max is not None else max_loiter_radius(r_c, kind)
+    cap = _radius_cap(r_c, kind, r_l_max)
     points = []
     max_rec = {}
     for r_init in r_inits:

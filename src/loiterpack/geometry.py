@@ -83,6 +83,9 @@ class PlatformModel:
             raise ValueError(f"max_bank must be in (0, pi/2), got {self.max_bank}")
         if not self.gravity > 0:
             raise ValueError(f"gravity must be positive, got {self.gravity}")
+        for name, value in (("speed", self.speed), ("gravity", self.gravity)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

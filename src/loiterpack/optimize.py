@@ -43,17 +43,33 @@ class RadiusSolution:
     n_x: int
     n_y: int
     regime: Regime
-    min_required: int | None = None  # UAVs needed at the radius cap when infeasible
+    # UAVs needed when infeasible: at the radius cap, or at the coverage bound
+    # when the cap lies above it.
+    min_required: int | None = None
 
 
-def _shortage(n: int, solution: RadiusSolution, noun: str = "UAVs") -> InfeasibleError:
+def _shortage(
+    n: int, solution: RadiusSolution, r_turn: float, r_cap: float, noun: str = "UAVs"
+) -> InfeasibleError:
     """The ``InfeasibleError`` of ``n`` UAVs (called ``noun``) for which
     ``solution`` found no radius: the one sentence of a shortage, naming the
-    deficit when the radius cap has a UAV count."""
-    if solution.min_required is None:
-        return InfeasibleError(f"{n} {noun} cannot cover the area")
-    deficit = solution.min_required - n
-    return InfeasibleError(f"{n} {noun} cannot cover the area; deficit {deficit}", deficit)
+    deficit when the fleet has a UAV count to reach, or both radii when the
+    minimum turn radius ``r_turn`` exceeds the radius cap ``r_cap``."""
+    if solution.min_required is not None:
+        deficit = solution.min_required - n
+        return InfeasibleError(f"{n} {noun} cannot cover the area; deficit {deficit}", deficit)
+    if r_turn > r_cap:
+        return InfeasibleError(
+            f"the minimum turn radius {r_turn:.6g} m exceeds the radius cap {r_cap:.6g} m: "
+            f"no number of {noun} can cover the area"
+        )
+    return InfeasibleError(f"{n} {noun} cannot cover the area")
+
+
+def _radius_cap(r_c: float, kind: PackingKind, r_l_max: float | None) -> float:
+    """The largest radius ``solve_radius`` searches: ``r_l_max``, or else the
+    coverage bound."""
+    return r_l_max if r_l_max is not None else max_loiter_radius(r_c, kind)
 
 
 def classify_regime(r_l: float, r_c: float, kind: PackingKind) -> Regime:
@@ -129,7 +145,7 @@ def solve_radius(
     required fleet size when even the radius cap needs more UAVs than
     budgeted.
     """
-    r_cap = r_l_max if r_l_max is not None else max_loiter_radius(r_c, kind)
+    r_cap = _radius_cap(r_c, kind, r_l_max)
     if not r_cap > 0:
         raise ValueError(f"radius cap must be positive, got {r_cap}")
     lo = max(r_min_turn, RADIUS_FLOOR)
@@ -179,10 +195,13 @@ def solve_radius(
         check_layout_size(area, math.nextafter(r_placeable, 0.0), kind)
 
     xs, ys = axis_march(area, r_best, kind)
+    regime = classify_regime(r_best, r_c, kind)
+    min_required = None
+    if regime is Regime.INFEASIBLE:  # a cap above the coverage bound let r_best pass it
+        bound = max_loiter_radius(r_c, kind)
+        if max(lo, r_placeable) <= bound:
+            min_required = uav_count(area, bound, kind)
     return RadiusSolution(
-        loiter_radius=r_best,
-        n_x=len(xs[0]),
-        n_y=len(ys),
-        regime=classify_regime(r_best, r_c, kind),
+        loiter_radius=r_best, n_x=len(xs[0]), n_y=len(ys), regime=regime, min_required=min_required
     )
 

@@ -286,6 +286,24 @@ OUTCOMES = [
         FAILED,
         id="infeasible-radius",
     ),
+    # A radius cap above the coverage bound (109.28 m at r_c = 80 m) lets the
+    # 13 survivors' radius pass the bound: the deficit is counted there.
+    pytest.param(
+        {"time_s": 60.0, "seed": 3, "loss_count": 22}, {"r_l_max_m": 131.0}, None, 3, "",
+        "infeasible: 13 survivors cannot cover the area; deficit 1\n",
+        "89.322,recover_failed,13 survivors cannot cover the area; deficit 1",
+        FAILED,
+        id="cap-above-the-coverage-bound",
+    ),
+    pytest.param(
+        LOSE_18, {"platform": {"speed_mps": 45.0, "max_bank_rad": 0.5}}, None, 3, "",
+        "infeasible: the minimum turn radius 103.211 m exceeds the radius cap 100 m: "
+        "no number of survivors can cover the area\n",
+        "60.000,recover_failed,the minimum turn radius 103.211 m exceeds the radius cap 100 m: "
+        "no number of survivors can cover the area",
+        FAILED,
+        id="turn-radius-above-the-cap",
+    ),
     pytest.param(
         LOSE_18, {}, no_path_in_round_0, 3, "",
         "infeasible: transition planning failed: no path\n",
@@ -827,7 +845,24 @@ def readme_scenario():
     return json.loads(block)
 
 
+def schema_paths(schema, prefix=""):
+    """Every key path of a config schema, items of an array of sections
+    written ``key[].item``."""
+    for key, (kind, _) in schema.items():
+        yield prefix + key
+        if isinstance(kind, list):
+            kind, key = kind[0], key + "[]"
+        if isinstance(kind, dict):
+            yield from schema_paths(kind, f"{prefix}{key}.")
+
+
 class TestReadmeConfig:
+    def test_key_table_lists_the_schema(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = text.split("### Scenario config", 1)[1].split("| Key path |", 1)[1].split("\n\n", 1)[0]
+        paths = [line.split("`")[1] for line in rows.splitlines() if line.startswith("| `")]
+        assert paths == list(schema_paths(cli._SCHEMA))
+
     @pytest.mark.parametrize("command", ["pack", "sweep", "path"])
     def test_commands_run(self, tmp_path, command):
         path = write_config(tmp_path, readme_scenario())
@@ -1021,6 +1056,16 @@ class TestRandomConfigs:
             codes.append(code)
         # A good share of the scenarios gets past the config checks.
         assert codes.count(0) + codes.count(3) + codes.count(4) >= RANDOM_CONFIGS // 4, codes
+        # Every draw keeps its exit code; a deliberate change edits EXIT_CODES.
+        assert "".join(map(str, codes)) == EXIT_CODES[command]
 
 
 RANDOM_CONFIGS = 100
+# The exit code of each draw of TestRandomConfigs, in seed order.
+EXIT_CODES = {
+    "pack": "0220000220000020000000220220222022222000020022020200202002000222022202000202022000000220000200200002",
+    "optimize": "2222000302000002202000002000200222222020200230200202200002200222223202030200222232200200202022222002",
+    "simulate": "0220222222220222202022202200222222000220222223022322220300220020222230202222202220202020202222223022",
+    "sweep": "2000222002000002022220202220202220000200000222200022200002022220002202200000202022200002200222020220",
+    "path": "2222422222022022222220200022222200222022220200202002222220202022002222200020002202042220202022202004",
+}

@@ -45,11 +45,12 @@ class TestTypes:
 
     def test_platform_model_validation(self):
         with pytest.raises(ValueError):
-            PlatformModel(speed=0.0, max_bank=0.5)
-        with pytest.raises(ValueError):
             PlatformModel(speed=10.0, max_bank=0.0)
-        with pytest.raises(ValueError):
-            PlatformModel(speed=10.0, max_bank=0.5, gravity=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="speed must be"):
+                PlatformModel(speed=bad, max_bank=0.5)
+            with pytest.raises(ValueError, match="gravity must be"):
+                PlatformModel(speed=10.0, max_bank=0.5, gravity=bad)
 
     def test_loiter_circle_requires_positive_radius(self):
         with pytest.raises(ValueError):
