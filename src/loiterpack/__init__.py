@@ -54,7 +54,6 @@ from .fleet import (
     detect_failures,
     inject_failure,
     loss_sweep,
-    max_recoverable_loss,
     step,
     super_agent_recover,
 )

@@ -46,11 +46,10 @@ from .geometry import (
     SensorModel,
     Vec2,
     coverage_radius,
-    max_loiter_radius,
     min_turn_radius,
     packing_params,
 )
-from .optimize import FleetBudget, Regime, _shortage, solve_radius
+from .optimize import FleetBudget, _shortage, solve_radius
 from .packing import PackingLayout, pack
 from .render import render_fleet, render_sweep, render_transition
 
@@ -99,11 +98,6 @@ class ScenarioConfig:
         if self.platform is not None:
             return min_turn_radius(self.platform, self.min_turn_formula)
         return 0.0
-
-    def radius_cap(self) -> float:
-        if self.r_l_max is not None:
-            return self.r_l_max
-        return max_loiter_radius(self.coverage_radius(), self.kind)
 
     def effective_grid_pitch(self) -> float:
         return self.grid_pitch if self.grid_pitch is not None else self.coverage_radius() / 20.0
@@ -345,9 +339,9 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         r_l_max=cfg.r_l_max,
     )
     header = "r_l_m,n_x,n_y,regime,objective\n"
-    if sol.regime is Regime.INFEASIBLE:
+    if sol.loiter_radius is None:
         out.write_text("solution.csv", header + f",,,{sol.regime.value},\n")
-        raise _shortage(cfg.deploy_budget, sol, cfg.min_turn(), cfg.radius_cap())
+        raise _shortage(cfg.deploy_budget, sol)
     r = sol.loiter_radius
     # The objective column is the revisit-rate proxy 1/r^2.
     out.write_text(
@@ -498,7 +492,7 @@ def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
             f"{p.r_init!r},{p.loss_fraction!r},{p.survivors},{r_new},{p.regime.value},{p.ideal_r_new!r}"
         )
     out.write_text("sweep.csv", "\n".join(lines) + "\n")
-    out.write_text("sweep.svg", render_sweep(result.points, r_c, cfg.radius_cap()))
+    out.write_text("sweep.svg", render_sweep(result.points, r_c, result.r_cap))
     max_lines = ["r_init_m,max_recoverable_fraction"]
     for r_init in cfg.sweep_r_inits:
         max_lines.append(f"{r_init!r},{result.max_recoverable[r_init]!r}")

@@ -42,7 +42,6 @@ from .optimize import (
     FleetBudget,
     RadiusSolution,
     Regime,
-    _radius_cap,
     _shortage,
     ideal_radius_after_loss,
     revisit_period,
@@ -111,7 +110,7 @@ class CoverageReport:
 
 @dataclass(frozen=True)
 class RecoveryPlan:
-    solution: RadiusSolution
+    solution: RadiusSolution | None  # None when there are no survivors
     new_layout: PackingLayout | None
     assignment: dict[int, int]  # survivor id -> index into new layout centers
     transitions: tuple[TransitionPlan, ...]
@@ -195,8 +194,8 @@ def deploy(
             raise ValueError("budget-driven deployment needs the coverage radius")
         r_turn = min_turn_radius(platform, min_turn_formula)
         sol = solve_radius(FleetBudget(budget), area, kind, r_c, r_turn, r_l_max=r_l_max)
-        if sol.regime is Regime.INFEASIBLE:
-            raise _shortage(budget, sol, r_turn, _radius_cap(r_c, kind, r_l_max))
+        if sol.loiter_radius is None:
+            raise _shortage(budget, sol)
         radius = sol.loiter_radius
     layout = pack(area, radius, kind)
     circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
@@ -366,7 +365,7 @@ def super_agent_recover(
 
     def failed(reason: str, solution: RadiusSolution | None = None, deficit=None) -> RecoveryPlan:
         return RecoveryPlan(
-            solution=solution or RadiusSolution(None, 0, 0, Regime.INFEASIBLE),
+            solution=solution,
             new_layout=None,
             assignment={},
             transitions=(),
@@ -379,8 +378,8 @@ def super_agent_recover(
         return failed("no survivors")
     r_min = min_turn_radius(platform, min_turn_formula)
     solution = solve_radius(FleetBudget(n_new), area, kind, r_c, r_min, r_l_max=r_l_max)
-    if solution.regime is Regime.INFEASIBLE:
-        error = _shortage(n_new, solution, r_min, _radius_cap(r_c, kind, r_l_max), "survivors")
+    if solution.loiter_radius is None:
+        error = _shortage(n_new, solution, "survivors")
         return failed(str(error), solution, error.deficit)
 
     layout = pack(area, solution.loiter_radius, kind)
@@ -524,15 +523,7 @@ class SweepPoint:
 class SweepResult:
     points: tuple[SweepPoint, ...]
     max_recoverable: dict[float, float]  # r_init -> exact largest recoverable fraction
-
-
-def max_recoverable_loss(
-    area: AreaSpec, kind: PackingKind, r_init: float, r_l_max: float
-) -> float:
-    """Largest loss fraction from which full coverage is still recoverable."""
-    n = uav_count(area, r_init, kind)
-    n_min = uav_count(area, r_l_max, kind)
-    return max(0.0, (n - n_min) / n)
+    r_cap: float  # the radius cap that solve_radius searches up to
 
 
 def loss_sweep(
@@ -549,20 +540,22 @@ def loss_sweep(
     Losing a fraction removes ceil(fraction * N) UAVs. Which individuals are
     lost does not affect the homogeneous radius, so the sweep works on
     counts. Emits the simulated radius next to the continuous-tiling ideal
-    value.
+    value. The largest recoverable loss is (N - m) / N, m the smallest fleet
+    ``solve_radius`` accepts, or 0 when it accepts none or m exceeds N.
     """
-    cap = _radius_cap(r_c, kind, r_l_max)
+    smallest = solve_radius(FleetBudget(0), area, kind, r_c, r_min_turn, r_l_max=r_l_max)
+    m = smallest.min_required
     points = []
     max_rec = {}
     for r_init in r_inits:
         n = uav_count(area, r_init, kind)
-        max_rec[r_init] = max_recoverable_loss(area, kind, r_init, cap)
+        max_rec[r_init] = 0.0 if m is None else max(0.0, (n - m) / n)
         for frac in loss_fractions:
             if not 0.0 <= frac < 1.0:
                 raise ValueError(f"loss fraction must be in [0, 1), got {frac}")
             survivors = n - math.ceil(frac * n)
             sol = solve_radius(
-                FleetBudget(survivors), area, kind, r_c, r_min_turn, r_l_max=cap
+                FleetBudget(survivors), area, kind, r_c, r_min_turn, r_l_max=r_l_max
             )
             points.append(
                 SweepPoint(
@@ -574,4 +567,4 @@ def loss_sweep(
                     ideal_r_new=ideal_radius_after_loss(r_init, frac),
                 )
             )
-    return SweepResult(points=tuple(points), max_recoverable=max_rec)
+    return SweepResult(points=tuple(points), max_recoverable=max_rec, r_cap=smallest.r_cap)

@@ -39,37 +39,33 @@ class FleetBudget:
 
 @dataclass(frozen=True)
 class RadiusSolution:
+    """The smallest feasible loiter radius, or None. ``r_cap`` is the radius
+    cap clipped to the coverage bound; when infeasible, ``min_required`` is the
+    UAV count at ``r_cap`` if the minimum turn radius allows it."""
+
     loiter_radius: float | None
     n_x: int
     n_y: int
     regime: Regime
-    # UAVs needed when infeasible: at the radius cap, or at the coverage bound
-    # when the cap lies above it.
+    r_min_turn: float
+    r_cap: float
     min_required: int | None = None
 
 
-def _shortage(
-    n: int, solution: RadiusSolution, r_turn: float, r_cap: float, noun: str = "UAVs"
-) -> InfeasibleError:
+def _shortage(n: int, solution: RadiusSolution, noun: str = "UAVs") -> InfeasibleError:
     """The ``InfeasibleError`` of ``n`` UAVs (called ``noun``) for which
     ``solution`` found no radius: the one sentence of a shortage, naming the
     deficit when the fleet has a UAV count to reach, or both radii when the
-    minimum turn radius ``r_turn`` exceeds the radius cap ``r_cap``."""
+    minimum turn radius exceeds the radius cap."""
     if solution.min_required is not None:
         deficit = solution.min_required - n
         return InfeasibleError(f"{n} {noun} cannot cover the area; deficit {deficit}", deficit)
-    if r_turn > r_cap:
+    if solution.r_min_turn > solution.r_cap:
         return InfeasibleError(
-            f"the minimum turn radius {r_turn:.6g} m exceeds the radius cap {r_cap:.6g} m: "
-            f"no number of {noun} can cover the area"
+            f"the minimum turn radius {solution.r_min_turn:.6g} m exceeds the radius cap "
+            f"{solution.r_cap:.6g} m: no number of {noun} can cover the area"
         )
     return InfeasibleError(f"{n} {noun} cannot cover the area")
-
-
-def _radius_cap(r_c: float, kind: PackingKind, r_l_max: float | None) -> float:
-    """The largest radius ``solve_radius`` searches: ``r_l_max``, or else the
-    coverage bound."""
-    return r_l_max if r_l_max is not None else max_loiter_radius(r_c, kind)
 
 
 def classify_regime(r_l: float, r_c: float, kind: PackingKind) -> Regime:
@@ -138,34 +134,23 @@ def solve_radius(
 ) -> RadiusSolution:
     """Smallest loiter radius whose layout fits the budget.
 
-    Searches [max(r_min_turn, floor), r_l_max] over the analytic binding
-    radii, each verified against the placement-derived count; a smaller
-    radius means a shorter revisit period, so the left edge of the feasible
-    interval is optimal. Returns an infeasible solution carrying the minimum
-    required fleet size when even the radius cap needs more UAVs than
-    budgeted.
+    Searches [max(r_min_turn, floor), r_cap] over the analytic binding radii,
+    each verified against the placement-derived count, where r_cap is
+    ``r_l_max`` clipped to the coverage bound (the bound when ``r_l_max`` is
+    None); a smaller radius means a shorter revisit period, so the left edge
+    of the feasible interval is optimal. Returns an infeasible solution
+    carrying the minimum required fleet size when even r_cap needs more UAVs
+    than budgeted.
     """
-    r_cap = _radius_cap(r_c, kind, r_l_max)
+    bound = max_loiter_radius(r_c, kind)
+    r_cap = bound if r_l_max is None else min(r_l_max, bound)  # keeps a NaN r_l_max
     if not r_cap > 0:
         raise ValueError(f"radius cap must be positive, got {r_cap}")
     lo = max(r_min_turn, RADIUS_FLOOR)
     n = budget.uav_count
-
-    def infeasible(min_required: int | None) -> RadiusSolution:
-        return RadiusSolution(
-            loiter_radius=None,
-            n_x=0,
-            n_y=0,
-            regime=Regime.INFEASIBLE,
-            min_required=min_required,
-        )
-
-    if n == 0:
-        return infeasible(uav_count(area, r_cap, kind) if lo <= r_cap else None)
-    if lo > r_cap:
-        return infeasible(None)
-    if uav_count(area, r_cap, kind) > n:
-        return infeasible(uav_count(area, r_cap, kind))
+    min_required = uav_count(area, r_cap, kind) if lo <= r_cap else None
+    if min_required is None or min_required > n:
+        return RadiusSolution(None, 0, 0, Regime.INFEASIBLE, r_min_turn, r_cap, min_required)
 
     # The layout needs at least area / (cell area) circles, so radii below
     # the continuous tiling bound are always infeasible; skip them. Radii
@@ -196,12 +181,4 @@ def solve_radius(
 
     xs, ys = axis_march(area, r_best, kind)
     regime = classify_regime(r_best, r_c, kind)
-    min_required = None
-    if regime is Regime.INFEASIBLE:  # a cap above the coverage bound let r_best pass it
-        bound = max_loiter_radius(r_c, kind)
-        if max(lo, r_placeable) <= bound:
-            min_required = uav_count(area, bound, kind)
-    return RadiusSolution(
-        loiter_radius=r_best, n_x=len(xs[0]), n_y=len(ys), regime=regime, min_required=min_required
-    )
-
+    return RadiusSolution(r_best, len(xs[0]), len(ys), regime, r_min_turn, r_cap)

@@ -21,7 +21,6 @@ from loiterpack.fleet import (
     detect_failures,
     inject_failure,
     loss_sweep,
-    max_recoverable_loss,
     super_agent_recover,
 )
 from loiterpack.geometry import (
@@ -111,8 +110,23 @@ def test_criterion_5_loss_sweep_max_recoverable():
         frac_50 = result.max_recoverable[50.0]
         assert 0.70 <= frac_50 <= 0.71
         assert frac_50 == pytest.approx(41.0 / 58.0)
-        direct = max_recoverable_loss(AREA, HEX, 50.0, R_L_MAX)
-        assert direct == frac_50
+        # The recovery agrees: losing round(max_recoverable * N) UAVs is
+        # recoverable, and one more fails one UAV short.
+        for kind in (HEX, SQUARE):
+            r_inits = (50.0, 60.0, 70.0, 80.0, 90.0)
+            sweep = loss_sweep(AREA, kind, r_inits, (0.0,), R_C, r_min_turn=R_MIN_TURN, r_l_max=R_L_MAX)
+            for r_init in r_inits:
+                n = uav_count(AREA, r_init, kind)
+                lost = round(sweep.max_recoverable[r_init] * n)
+                for extra in (0, 1):
+                    state = deploy(AREA, kind, PLATFORM, radius=r_init)
+                    inject_failure(state, FailureEvent(time=60.0, seed=0, loss_count=lost + extra))
+                    plan = super_agent_recover(
+                        detect_failures(state), AREA, kind, R_C, PLATFORM, r_l_max=R_L_MAX
+                    )
+                    failed = plan.outcome is RecoveryOutcome.RECOVERY_FAILED
+                    assert failed == bool(extra), (kind, r_init, extra, plan.reason)
+                    assert plan.deficit == (1 if extra else None), (kind, r_init, extra)
 
 
 def test_criterion_6_hexagon_never_needs_more_than_square():

@@ -15,7 +15,7 @@ from loiterpack.cli import main
 from loiterpack.errors import PlanningError
 from loiterpack.fleet import MAX_PHASE_SAMPLES, apply_recovery
 from loiterpack.geometry import AreaSpec, PackingKind, Vec2
-from loiterpack.packing import MAX_LAYOUT_CIRCLES, PackingLayout, pack
+from loiterpack.packing import MAX_LAYOUT_CIRCLES, PackingLayout, pack, uav_count
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -121,9 +121,26 @@ class TestOptimizeCommand:
         assert (row["n_x"], row["n_y"]) == ("3", "5")
         assert row["regime"] == "full-only"
 
-    def test_budget_16_is_infeasible_exit(self, tmp_path):
-        cfg = base_config(tmp_path / "out", deployment={"budget_n": 16})
-        assert run("optimize", write_config(tmp_path, cfg)) == 3
+    def test_budget_16_is_infeasible_exit(self, tmp_path, capsys):
+        # (budget, config overrides, stderr). At r_c = 40 m the coverage bound
+        # is 54.64 m, under the 100 m cap, so the bound is the cap: deficits
+        # are counted there, and a 68.91 m turn radius exceeds it.
+        r_c_40 = {"r_c_m": 40.0, "platform": None, "r_min_turn_m": 10.0}
+        rows = [
+            (16, {}, "16 UAVs cannot cover the area; deficit 1"),
+            (0, r_c_40, "0 UAVs cannot cover the area; deficit 48"),
+            (10, r_c_40, "10 UAVs cannot cover the area; deficit 38"),
+            (
+                20,
+                {"r_c_m": 40.0, "platform": {"speed_mps": 26.0, "max_bank_rad": 1.0}},
+                "the minimum turn radius 68.9093 m exceeds the radius cap 54.641 m: "
+                "no number of UAVs can cover the area",
+            ),
+        ]
+        for budget, overrides, message in rows:
+            cfg = base_config(tmp_path / "out", deployment={"budget_n": budget}, **overrides)
+            assert run("optimize", write_config(tmp_path, cfg)) == 3
+            assert capsys.readouterr().err == f"infeasible: {message}\n"
 
     def test_huge_budget_clamps_to_floor(self, tmp_path):
         out = tmp_path / "out"
@@ -286,8 +303,8 @@ OUTCOMES = [
         FAILED,
         id="infeasible-radius",
     ),
-    # A radius cap above the coverage bound (109.28 m at r_c = 80 m) lets the
-    # 13 survivors' radius pass the bound: the deficit is counted there.
+    # A radius cap above the coverage bound (109.28 m at r_c = 80 m) is
+    # clipped to the bound: the 13 survivors' deficit is counted there.
     pytest.param(
         {"time_s": 60.0, "seed": 3, "loss_count": 22}, {"r_l_max_m": 131.0}, None, 3, "",
         "infeasible: 13 survivors cannot cover the area; deficit 1\n",
@@ -1053,6 +1070,18 @@ class TestRandomConfigs:
             if code == 0 or written:
                 manifest = json.loads((out_dir / "manifest.json").read_text())
                 assert {entry["file"] for entry in manifest} == written - {"manifest.json"}
+            # A sweep row is infeasible exactly when it has no radius, and
+            # exactly when it loses more than the largest recoverable loss.
+            if command == "sweep" and code == 0:
+                scenario = cli.load_config(path)
+                max_rows = read_rows(out_dir / "max_recoverable.csv")
+                max_rec = {r["r_init_m"]: float(r["max_recoverable_fraction"]) for r in max_rows}
+                for row in read_rows(out_dir / "sweep.csv"):
+                    n = uav_count(scenario.area, float(row["r_init_m"]), scenario.kind)
+                    lost = n - int(row["survivors"])
+                    infeasible = row["regime"] == "infeasible"
+                    assert infeasible == (row["r_new_m"] == ""), (seed, row)
+                    assert infeasible == (lost > round(max_rec[row["r_init_m"]] * n)), (seed, row)
             codes.append(code)
         # A good share of the scenarios gets past the config checks.
         assert codes.count(0) + codes.count(3) + codes.count(4) >= RANDOM_CONFIGS // 4, codes

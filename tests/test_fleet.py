@@ -17,7 +17,6 @@ from loiterpack.fleet import (
     detect_failures,
     inject_failure,
     loss_sweep,
-    max_recoverable_loss,
     step,
     super_agent_recover,
 )
@@ -436,7 +435,7 @@ class TestApplyRecoveryAndCoverage:
 
 class TestLossSweep:
     def test_r50_max_recoverable_window(self):
-        frac = max_recoverable_loss(AREA, HEX, 50.0, R_L_MAX)
+        frac = loss_sweep(AREA, HEX, (50.0,), (0.0,), R_C, r_l_max=R_L_MAX).max_recoverable[50.0]
         assert 0.70 <= frac <= 0.71
         assert frac == pytest.approx(41.0 / 58.0)
 
