@@ -80,7 +80,6 @@ class ScenarioConfig:
     sweep_fractions: tuple[float, ...] = ()
     path_source: LoiterCircle | None = None
     path_target: LoiterCircle | None = None
-    turn_radius: float | None = None
     min_turn_formula: str = "paper"
     table1_mode: str = "exact"
     out_dir: str = "out"
@@ -93,6 +92,9 @@ class ScenarioConfig:
         return coverage_radius(self.sensor)
 
     def min_turn(self) -> float:
+        """The scenario's minimum turn radius, which bounds every loiter
+        radius and shapes every transit: ``r_min_turn_m``, else the
+        platform's, else 0."""
         if self.r_min_turn is not None:
             return self.r_min_turn
         if self.platform is not None:
@@ -133,7 +135,6 @@ _SCHEMA = {
     "table1_mode": (("exact", "paper"), "exact"),
     "min_turn_formula": (("paper", "standard"), "paper"),
     "r_l_max_m": (float, None),
-    "turn_radius_m": (float, None),
     "output_dir": (str, "out"),
 }
 # Key groups of each section, as (rule, keys): a config sets at most one key
@@ -227,7 +228,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     errors: list[tuple[int, ConfigError]] = []
     (
         area, packing, sensor, r_c, platform, r_min_turn, deployment, failure, failures,
-        validation, sweep, path, table1_mode, min_turn_formula, r_l_max, turn_radius, out_dir,
+        validation, sweep, path, table1_mode, min_turn_formula, r_l_max, out_dir,
     ) = _walk(raw, _SCHEMA, "", errors)
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
@@ -254,8 +255,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
             r_min_turn=r_min_turn, deploy_radius=deployment[0], deploy_budget=deployment[1],
             r_l_max=r_l_max, failures=tuple(events), grid_pitch=validation[0], phase_samples=validation[1],
             sweep_r_inits=sweep[0], sweep_fractions=sweep[1], path_source=source, path_target=target,
-            turn_radius=turn_radius, min_turn_formula=min_turn_formula, table1_mode=table1_mode,
-            out_dir=out_dir,
+            min_turn_formula=min_turn_formula, table1_mode=table1_mode, out_dir=out_dir,
         )
     except ConfigError:
         raise
@@ -370,6 +370,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     written, then ``InfeasibleError`` carries the plan's reason."""
     platform = cfg.require_platform()
     r_c = cfg.coverage_radius()
+    r_turn = cfg.min_turn()
     check_coverage_inputs(cfg.area, r_c, cfg.effective_grid_pitch(), cfg.phase_samples)
     events: list[tuple[float, str, str]] = []
 
@@ -381,7 +382,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         budget=cfg.deploy_budget,
         r_c=r_c,
         r_l_max=cfg.r_l_max,
-        min_turn_formula=cfg.min_turn_formula,
+        r_turn=r_turn,
     )
     events.append((0.0, "deploy", f"{len(state.uavs)} UAVs at r_l={state.layout.loiter_radius:.4f}"))
     circles = {u.id: u.assigned_circle for u in state.uavs}
@@ -415,14 +416,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         )
 
         plan = super_agent_recover(
-            report,
-            cfg.area,
-            cfg.kind,
-            r_c,
-            platform,
-            r_l_max=cfg.r_l_max,
-            r_turn=cfg.turn_radius,
-            min_turn_formula=cfg.min_turn_formula,
+            report, cfg.area, cfg.kind, r_c, platform, r_l_max=cfg.r_l_max, r_turn=r_turn
         )
         if plan.outcome is RecoveryOutcome.RECOVERY_FAILED:
             events.append((t_detect, "recover_failed", plan.reason))
@@ -493,24 +487,20 @@ def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         )
     out.write_text("sweep.csv", "\n".join(lines) + "\n")
     out.write_text("sweep.svg", render_sweep(result.points, r_c, result.r_cap))
+    # An empty fraction (stdout: none): no fleet of at most N UAVs is accepted.
     max_lines = ["r_init_m,max_recoverable_fraction"]
     for r_init in cfg.sweep_r_inits:
-        max_lines.append(f"{r_init!r},{result.max_recoverable[r_init]!r}")
+        frac = result.max_recoverable[r_init]
+        max_lines.append(f"{r_init!r}," + ("" if frac is None else repr(frac)))
+        print(f"r_init={r_init:g} m: max recoverable loss " + ("none" if frac is None else f"{frac:.4f}"))
     out.write_text("max_recoverable.csv", "\n".join(max_lines) + "\n")
-    for r_init in cfg.sweep_r_inits:
-        print(f"r_init={r_init:g} m: max recoverable loss {result.max_recoverable[r_init]:.4f}")
 
 
 def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if cfg.path_source is None or cfg.path_target is None:
         raise ConfigError("path needs path.source and path.target circles")
     platform = cfg.require_platform()
-    r_turn = cfg.turn_radius if cfg.turn_radius is not None else cfg.min_turn()
-    if r_turn <= 0:
-        raise ConfigError("path needs a positive turn radius (platform or turn_radius_m)")
-    plan = plan_transition(
-        0, cfg.path_source, 0.0, cfg.path_target, r_turn, platform.speed
-    )
+    plan = plan_transition(0, cfg.path_source, 0.0, cfg.path_target, cfg.min_turn(), platform.speed)
     dt = 0.1
     if not plan.arrival_time / dt < MAX_PATH_SAMPLES:
         raise ConfigError(

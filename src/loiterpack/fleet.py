@@ -179,24 +179,31 @@ def deploy(
     budget: int | None = None,
     r_c: float | None = None,
     r_l_max: float | None = None,
-    min_turn_formula: str = "paper",
+    r_turn: float | None = None,
 ) -> FleetState:
     """Deploy a synchronized fleet, radius-driven or budget-driven.
 
+    ``r_turn`` is the platform's minimum turn radius,
+    ``min_turn_radius(platform)`` when None, and bounds the loiter radius
+    from below: a radius-driven deployment under it raises ``ValueError``.
     Budget-driven deployment solves for the smallest feasible radius and
     raises :class:`InfeasibleError` when the budget cannot cover the area
     (a budget of zero UAVs included).
     """
     if (radius is None) == (budget is None):
         raise ValueError("specify exactly one of radius or budget")
+    r_turn = min_turn_radius(platform) if r_turn is None else r_turn
     if radius is None:
         if r_c is None:
             raise ValueError("budget-driven deployment needs the coverage radius")
-        r_turn = min_turn_radius(platform, min_turn_formula)
         sol = solve_radius(FleetBudget(budget), area, kind, r_c, r_turn, r_l_max=r_l_max)
         if sol.loiter_radius is None:
             raise _shortage(budget, sol)
         radius = sol.loiter_radius
+    elif radius < r_turn:
+        raise ValueError(
+            f"the deploy radius {radius:.6g} m is below the minimum turn radius {r_turn:.6g} m"
+        )
     layout = pack(area, radius, kind)
     circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
     return _fleet(platform, layout, circles, phase=0.0, time=0.0)
@@ -353,14 +360,16 @@ def super_agent_recover(
     platform: PlatformModel,
     r_l_max: float | None = None,
     r_turn: float | None = None,
-    min_turn_formula: str = "paper",
 ) -> RecoveryPlan:
     """Compute the survivors' new radius, layout, assignment and transitions.
 
-    Round 0 plans every assigned UAV. While the closest pair is under the
-    separation threshold, a later round delays its later-departing UAV by one
-    more source period and plans that UAV again; a breach left after
-    ``MAX_STAGGER_ROUNDS`` rounds fails the recovery."""
+    ``r_turn`` is the platform's minimum turn radius,
+    ``min_turn_radius(platform)`` when None: the smallest loiter radius the
+    solve accepts and the turn radius of every transit. Round 0 plans every
+    assigned UAV. While the closest pair is under the separation threshold, a
+    later round delays its later-departing UAV by one more source period and
+    plans that UAV again; a breach left after ``MAX_STAGGER_ROUNDS`` rounds
+    fails the recovery."""
     n_new = len(report.circles)
 
     def failed(reason: str, solution: RadiusSolution | None = None, deficit=None) -> RecoveryPlan:
@@ -376,8 +385,8 @@ def super_agent_recover(
 
     if n_new == 0:
         return failed("no survivors")
-    r_min = min_turn_radius(platform, min_turn_formula)
-    solution = solve_radius(FleetBudget(n_new), area, kind, r_c, r_min, r_l_max=r_l_max)
+    r_turn = min_turn_radius(platform) if r_turn is None else r_turn
+    solution = solve_radius(FleetBudget(n_new), area, kind, r_c, r_turn, r_l_max=r_l_max)
     if solution.loiter_radius is None:
         error = _shortage(n_new, solution, "survivors")
         return failed(str(error), solution, error.deficit)
@@ -386,7 +395,6 @@ def super_agent_recover(
     circles = [LoiterCircle(c, solution.loiter_radius) for c in layout.centers]
     assignment, spares = _assign_survivors(report, layout.centers)
 
-    turn_radius = r_turn if r_turn is not None else r_min
     v = platform.speed
     ordered = sorted(assignment)
     delay = dict.fromkeys(ordered, 0.0)
@@ -400,7 +408,7 @@ def super_agent_recover(
                     report.circles[uav_id],
                     report.phase,
                     circles[assignment[uav_id]],
-                    turn_radius,
+                    r_turn,
                     v,
                     base_delay=delay[uav_id],
                 )
@@ -522,7 +530,7 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     points: tuple[SweepPoint, ...]
-    max_recoverable: dict[float, float]  # r_init -> exact largest recoverable fraction
+    max_recoverable: dict[float, float | None]  # r_init -> largest recoverable fraction, or None
     r_cap: float  # the radius cap that solve_radius searches up to
 
 
@@ -541,7 +549,7 @@ def loss_sweep(
     lost does not affect the homogeneous radius, so the sweep works on
     counts. Emits the simulated radius next to the continuous-tiling ideal
     value. The largest recoverable loss is (N - m) / N, m the smallest fleet
-    ``solve_radius`` accepts, or 0 when it accepts none or m exceeds N.
+    ``solve_radius`` accepts, or None when it accepts none or m exceeds N.
     """
     smallest = solve_radius(FleetBudget(0), area, kind, r_c, r_min_turn, r_l_max=r_l_max)
     m = smallest.min_required
@@ -549,7 +557,7 @@ def loss_sweep(
     max_rec = {}
     for r_init in r_inits:
         n = uav_count(area, r_init, kind)
-        max_rec[r_init] = 0.0 if m is None else max(0.0, (n - m) / n)
+        max_rec[r_init] = None if m is None or m > n else (n - m) / n
         for frac in loss_fractions:
             if not 0.0 <= frac < 1.0:
                 raise ValueError(f"loss fraction must be in [0, 1), got {frac}")

@@ -55,17 +55,18 @@ class RadiusSolution:
 def _shortage(n: int, solution: RadiusSolution, noun: str = "UAVs") -> InfeasibleError:
     """The ``InfeasibleError`` of ``n`` UAVs (called ``noun``) for which
     ``solution`` found no radius: the one sentence of a shortage, naming the
-    deficit when the fleet has a UAV count to reach, or both radii when the
-    minimum turn radius exceeds the radius cap."""
+    deficit when the fleet has a UAV count to reach, or else the smallest
+    radius searched (the minimum turn radius, or ``RADIUS_FLOOR``) and the
+    radius cap under it."""
     if solution.min_required is not None:
         deficit = solution.min_required - n
         return InfeasibleError(f"{n} {noun} cannot cover the area; deficit {deficit}", deficit)
-    if solution.r_min_turn > solution.r_cap:
-        return InfeasibleError(
-            f"the minimum turn radius {solution.r_min_turn:.6g} m exceeds the radius cap "
-            f"{solution.r_cap:.6g} m: no number of {noun} can cover the area"
-        )
-    return InfeasibleError(f"{n} {noun} cannot cover the area")
+    turn = solution.r_min_turn > solution.r_cap
+    name, r_min = ("minimum turn radius", solution.r_min_turn) if turn else ("radius floor", RADIUS_FLOOR)
+    return InfeasibleError(
+        f"the {name} {r_min:.6g} m exceeds the radius cap {solution.r_cap:.6g} m: "
+        f"no number of {noun} can cover the area"
+    )
 
 
 def classify_regime(r_l: float, r_c: float, kind: PackingKind) -> Regime:
@@ -140,12 +141,14 @@ def solve_radius(
     None); a smaller radius means a shorter revisit period, so the left edge
     of the feasible interval is optimal. Returns an infeasible solution
     carrying the minimum required fleet size when even r_cap needs more UAVs
-    than budgeted.
+    than budgeted. A NaN or negative ``r_min_turn`` raises ``ValueError``.
     """
     bound = max_loiter_radius(r_c, kind)
     r_cap = bound if r_l_max is None else min(r_l_max, bound)  # keeps a NaN r_l_max
     if not r_cap > 0:
         raise ValueError(f"radius cap must be positive, got {r_cap}")
+    if not r_min_turn >= 0:
+        raise ValueError(f"minimum turn radius must be >= 0, got {r_min_turn}")
     lo = max(r_min_turn, RADIUS_FLOOR)
     n = budget.uav_count
     min_required = uav_count(area, r_cap, kind) if lo <= r_cap else None

@@ -26,19 +26,18 @@ _CLUSTER_COLORS = (
 class _Scene:
     """World-coordinate drawing surface with a y-up to y-down flip."""
 
-    def __init__(self, width_m: float, height_m: float, margin_m: float, scale: float = 1.0):
+    def __init__(self, width_m: float, height_m: float, margin_m: float):
         self.margin = margin_m
-        self.scale = scale
-        self.w = (width_m + 2 * margin_m) * scale
-        self.h = (height_m + 2 * margin_m) * scale
+        self.w = width_m + 2 * margin_m
+        self.h = height_m + 2 * margin_m
         self.height_m = height_m
         self.parts: list[str] = []
 
     def tx(self, x: float) -> float:
-        return (x + self.margin) * self.scale
+        return x + self.margin
 
     def ty(self, y: float) -> float:
-        return (self.height_m + self.margin - y) * self.scale
+        return self.height_m + self.margin - y
 
     def add(self, element: str) -> None:
         self.parts.append(element)
@@ -69,7 +68,7 @@ def _arrowhead(scene: _Scene, tip: Vec2, heading: float, size: float, color: str
 def _circle(scene: _Scene, c: LoiterCircle, stroke: str, width: float = 1.2) -> str:
     return (
         f'<circle cx="{scene.tx(c.center.x):.2f}" cy="{scene.ty(c.center.y):.2f}" '
-        f'r="{c.radius * scene.scale:.2f}" fill="none" stroke="{stroke}" '
+        f'r="{c.radius:.2f}" fill="none" stroke="{stroke}" '
         f'stroke-width="{width}"/>'
     )
 
@@ -77,7 +76,7 @@ def _circle(scene: _Scene, c: LoiterCircle, stroke: str, width: float = 1.2) -> 
 def _area_rect(scene: _Scene, area: AreaSpec) -> str:
     return (
         f'<rect x="{scene.tx(0):.2f}" y="{scene.ty(area.y_extent):.2f}" '
-        f'width="{area.x_extent * scene.scale:.2f}" height="{area.y_extent * scene.scale:.2f}" '
+        f'width="{area.x_extent:.2f}" height="{area.y_extent:.2f}" '
         f'fill="none" stroke="#000000" stroke-width="2"/>'
     )
 
@@ -134,10 +133,10 @@ def render_transition(
     points,
     break_off: Vec2,
     join_in: Vec2,
-    headings: tuple[float, float] | None = None,
+    headings: tuple[float, float],
 ) -> str:
     """Source/target circles, the transition curve (``points``, a sequence of
-    (x, y) pairs) and break-off/join markers."""
+    (x, y) pairs), break-off/join markers and arrowheads at ``headings``."""
     xs = [source.center.x - source.radius, target.center.x - target.radius]
     xs += [source.center.x + source.radius, target.center.x + target.radius]
     ys = [source.center.y - source.radius, target.center.y - target.radius]
@@ -168,9 +167,8 @@ def render_transition(
             f'<rect x="{scene.tx(m.x) - s:.2f}" y="{scene.ty(m.y) - s:.2f}" '
             f'width="{2 * s:.2f}" height="{2 * s:.2f}" fill="{color}"/>'
         )
-    if headings:
-        for pos, heading in ((break_off, headings[0]), (join_in, headings[1])):
-            scene.add(_arrowhead(scene, shift(pos), heading, 0.06 * span, "#000000"))
+    for pos, heading in ((break_off, headings[0]), (join_in, headings[1])):
+        scene.add(_arrowhead(scene, shift(pos), heading, 0.06 * span, "#000000"))
     return scene.document()
 
 

@@ -122,25 +122,38 @@ class TestOptimizeCommand:
         assert row["regime"] == "full-only"
 
     def test_budget_16_is_infeasible_exit(self, tmp_path, capsys):
-        # (budget, config overrides, stderr). At r_c = 40 m the coverage bound
-        # is 54.64 m, under the 100 m cap, so the bound is the cap: deficits
-        # are counted there, and a 68.91 m turn radius exceeds it.
+        # (budget, config overrides, exit code, stderr). At r_c = 40 m the
+        # coverage bound is 54.64 m, under the 100 m cap, so the bound is the
+        # cap: deficits are counted there, and a 68.91 m turn radius exceeds
+        # it. At r_c = 1e-4 m the cap lies under the 1 mm radius floor.
         r_c_40 = {"r_c_m": 40.0, "platform": None, "r_min_turn_m": 10.0}
         rows = [
-            (16, {}, "16 UAVs cannot cover the area; deficit 1"),
-            (0, r_c_40, "0 UAVs cannot cover the area; deficit 48"),
-            (10, r_c_40, "10 UAVs cannot cover the area; deficit 38"),
+            (16, {}, 3, "infeasible: 16 UAVs cannot cover the area; deficit 1"),
+            (0, r_c_40, 3, "infeasible: 0 UAVs cannot cover the area; deficit 48"),
+            (10, r_c_40, 3, "infeasible: 10 UAVs cannot cover the area; deficit 38"),
             (
                 20,
                 {"r_c_m": 40.0, "platform": {"speed_mps": 26.0, "max_bank_rad": 1.0}},
-                "the minimum turn radius 68.9093 m exceeds the radius cap 54.641 m: "
+                3,
+                "infeasible: the minimum turn radius 68.9093 m exceeds the radius cap 54.641 m: "
                 "no number of UAVs can cover the area",
             ),
+            (
+                20,
+                {"r_c_m": 1e-4, "platform": None, "r_min_turn_m": 0.0},
+                3,
+                "infeasible: the radius floor 0.001 m exceeds the radius cap 0.000136603 m: "
+                "no number of UAVs can cover the area",
+            ),
+            (20, {"platform": None, "r_min_turn_m": math.nan}, 2,
+             "config error: minimum turn radius must be >= 0, got nan"),
+            (20, {"platform": None, "r_min_turn_m": -5.0}, 2,
+             "config error: minimum turn radius must be >= 0, got -5.0"),
         ]
-        for budget, overrides, message in rows:
+        for budget, overrides, code, message in rows:
             cfg = base_config(tmp_path / "out", deployment={"budget_n": budget}, **overrides)
-            assert run("optimize", write_config(tmp_path, cfg)) == 3
-            assert capsys.readouterr().err == f"infeasible: {message}\n"
+            assert run("optimize", write_config(tmp_path, cfg)) == code
+            assert capsys.readouterr().err == f"{message}\n"
 
     def test_huge_budget_clamps_to_floor(self, tmp_path):
         out = tmp_path / "out"
@@ -182,6 +195,19 @@ class TestSimulateCommand:
         assert run("simulate", write_config(tmp_path, cfg)) == 0
         assert float(read_rows(out / "coverage.csv")[0]["cycle_fraction"]) == 1.0
         assert not (out / "clusters.svg").exists()
+
+    def test_deploy_below_the_turn_radius_is_config_error(self, tmp_path, capsys):
+        # The 15 m/s, 0.5 rad platform cannot fly a 10 m loiter circle.
+        cfg = base_config(
+            tmp_path / "out",
+            area={"x_extent_m": 200.0, "y_extent_m": 200.0},
+            r_c_m=12.0,
+            deployment={"radius_m": 10.0},
+        )
+        assert run("simulate", write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: the deploy radius 10 m is below the minimum turn radius 11.4679 m\n"
+        )
 
     def test_lose_all_reports_failure(self, tmp_path):
         out = tmp_path / "out"
@@ -281,13 +307,14 @@ def no_path_in_a_stagger_round(monkeypatch):
 
 
 LOSE_18 = {"time_s": 60.0, "seed": 42, "loss_count": 18}
+FAST = {"speed_mps": 45.0, "max_bank_rad": 0.5}
 FAILED = ("clusters.svg", "coverage.csv", "events.log", "initial.svg", "initial_layout.csv")
 RESTORED = FAILED + ("final_layout.csv", "recovered.svg")
 
 # One row per gate of a single-failure simulate run on the 500 x 650 m area
-# at a 70 m deploy: (failure, config overrides, patch, exit code, stdout,
-# stderr, recover row of events.log, artifacts). None leaves a column
-# unpinned.
+# at a 70 m deploy unless overridden: (failure, config overrides, patch, exit
+# code, stdout, stderr, recover row of events.log, artifacts). None leaves a
+# column unpinned.
 OUTCOMES = [
     pytest.param(
         {"time_s": 10.0, "lost_ids": list(range(35))}, {}, None, 3, "",
@@ -312,14 +339,25 @@ OUTCOMES = [
         FAILED,
         id="cap-above-the-coverage-bound",
     ),
+    # The 45 m/s platform turns at 103.211 m: it can fly a 105 m deploy (17
+    # UAVs, 2 of them lost), but no survivor radius under the 100 m cap.
     pytest.param(
-        LOSE_18, {"platform": {"speed_mps": 45.0, "max_bank_rad": 0.5}}, None, 3, "",
+        {"time_s": 60.0, "seed": 42, "loss_count": 2},
+        {"platform": FAST, "deployment": {"radius_m": 105.0}}, None, 3, "",
         "infeasible: the minimum turn radius 103.211 m exceeds the radius cap 100 m: "
         "no number of survivors can cover the area\n",
         "60.000,recover_failed,the minimum turn radius 103.211 m exceeds the radius cap 100 m: "
         "no number of survivors can cover the area",
         FAILED,
         id="turn-radius-above-the-cap",
+    ),
+    # It cannot fly the 70 m deploy: the run stops before its first artifact.
+    pytest.param(
+        LOSE_18, {"platform": FAST}, None, 2, "",
+        "config error: the deploy radius 70 m is below the minimum turn radius 103.211 m\n",
+        None,
+        (),
+        id="deploy-below-the-turn-radius",
     ),
     pytest.param(
         LOSE_18, {}, no_path_in_round_0, 3, "",
@@ -389,12 +427,13 @@ class TestOutcomes:
         if patch is not None:
             patch(monkeypatch)
         out = tmp_path / "out"
-        cfg = base_config(out, deployment={"radius_m": 70.0}, failure=failure, **overrides)
+        cfg = base_config(out, **{"deployment": {"radius_m": 70.0}, "failure": failure, **overrides})
         assert run("simulate", write_config(tmp_path, cfg)) == code
         captured = capsys.readouterr()
         assert captured.out == stdout
-        [plan] = plans
-        if code != 0:  # the one stderr line holds the plan's reason verbatim
+        assert len(plans) == (code != 2)  # a config error stops the run before recovery
+        if code == 3:  # the one stderr line holds the plan's reason verbatim
+            [plan] = plans
             assert captured.err == f"infeasible: {plan.reason}\n"
             assert (plan.deficit is not None) == ("; deficit" in captured.err)
             assert plan.deficit is None or captured.err.endswith(f"; deficit {plan.deficit}\n")
@@ -403,9 +442,11 @@ class TestOutcomes:
         if row is not None:
             log = (out / "events.log").read_text().splitlines()
             assert [line for line in log if ",recover" in line] == [row]
-        if artifacts is not None:
+        if artifacts:
             manifest = json.loads((out / "manifest.json").read_text())
             assert [entry["file"] for entry in manifest] == sorted(artifacts)
+        elif artifacts is not None:  # no artifact, so no manifest either
+            assert list(out.iterdir()) == []
 
 
 class TestSweepCommand:
@@ -432,6 +473,23 @@ class TestSweepCommand:
         assert len(rows) == 1
         assert float(rows[0]["r_new_m"]) <= 70.0
         assert float(rows[0]["ideal_r_new_m"]) == 70.0
+
+    def test_no_accepted_fleet_has_no_recoverable_loss(self, tmp_path, capsys):
+        # 120 m packs fewer UAVs than the smallest fleet accepted at the 100 m
+        # cap; the 45 m/s platform's 103.211 m turn radius accepts no fleet.
+        # Under a 70 m cap, losing nothing is the most 35 UAVs at 70 m recover.
+        rows = [
+            ({}, [70.0, 120.0], ["70.0,0.5142857142857142", "120.0,"], ["0.5143", "none"]),
+            ({"platform": FAST}, [70.0], ["70.0,"], ["none"]),
+            ({"r_l_max_m": 70.0}, [70.0], ["70.0,0.0"], ["0.0000"]),
+        ]
+        out = tmp_path / "out"
+        for overrides, r_inits, csv_rows, printed in rows:
+            cfg = base_config(out, sweep={"r_init_m": r_inits, "loss_fractions": [0.0]}, **overrides)
+            assert run("sweep", write_config(tmp_path, cfg)) == 0
+            assert (out / "max_recoverable.csv").read_text().splitlines()[1:] == csv_rows
+            expected = [f"r_init={r:g} m: max recoverable loss {p}" for r, p in zip(r_inits, printed)]
+            assert capsys.readouterr().out.splitlines() == expected
 
     def test_missing_lists_is_config_error(self, tmp_path):
         cfg = base_config(tmp_path / "out")
@@ -620,6 +678,7 @@ class TestConfigSections:
                 "section 'path.source'",
             ),
             ({"r_l_max": 100.0}, "r_l_max", "the config root"),
+            ({"turn_radius_m": 40.0}, "turn_radius_m", "the config root"),  # a deleted key
         ],
     )
     def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, overrides, key, place):
@@ -993,8 +1052,8 @@ def random_config(rng, command, out_dir):
             [{"source": circle()}, {"source": {"x_m": 0, "y_m": 0, "radius_m": 0}, "target": circle()},
              {"source": 3, "target": circle()}],
         )
-    if rng.random() < 0.2:
-        cfg["turn_radius_m"] = maybe(num(2, 40), bad_num)
+    if rng.random() < 0.2:  # the value of a deleted key, drawn so later draws stay the same
+        maybe(num(2, 40), bad_num)
     if rng.random() < 0.1:
         cfg["table1_mode"] = rng.choice(["exact", "paper", "other"])
     if rng.random() < 0.1:
@@ -1075,18 +1134,23 @@ class TestRandomConfigs:
             if command == "sweep" and code == 0:
                 scenario = cli.load_config(path)
                 max_rows = read_rows(out_dir / "max_recoverable.csv")
-                max_rec = {r["r_init_m"]: float(r["max_recoverable_fraction"]) for r in max_rows}
+                max_rec = {r["r_init_m"]: r["max_recoverable_fraction"] for r in max_rows}
                 for row in read_rows(out_dir / "sweep.csv"):
                     n = uav_count(scenario.area, float(row["r_init_m"]), scenario.kind)
                     lost = n - int(row["survivors"])
                     infeasible = row["regime"] == "infeasible"
                     assert infeasible == (row["r_new_m"] == ""), (seed, row)
-                    assert infeasible == (lost > round(max_rec[row["r_init_m"]] * n)), (seed, row)
+                    # A blank fraction: no fleet of this size is accepted.
+                    frac = max_rec[row["r_init_m"]]
+                    recoverable = frac != "" and lost <= round(float(frac) * n)
+                    assert infeasible == (not recoverable), (seed, row)
             codes.append(code)
         # A good share of the scenarios gets past the config checks.
         assert codes.count(0) + codes.count(3) + codes.count(4) >= RANDOM_CONFIGS // 4, codes
         # Every draw keeps its exit code; a deliberate change edits EXIT_CODES.
-        assert "".join(map(str, codes)) == EXIT_CODES[command]
+        pinned = [int(c) for c in EXIT_CODES[command]]
+        changed = [(seed, old, new) for seed, (old, new) in enumerate(zip(pinned, codes)) if old != new]
+        assert len(codes) == len(pinned) and not changed, f"(seed, old, new): {changed}"
 
 
 RANDOM_CONFIGS = 100
@@ -1094,7 +1158,7 @@ RANDOM_CONFIGS = 100
 EXIT_CODES = {
     "pack": "0220000220000020000000220220222022222000020022020200202002000222022202000202022000000220000200200002",
     "optimize": "2222000302000002202000002000200222222020200230200202200002200222223202030200222232200200202022222002",
-    "simulate": "0220222222220222202022202200222222000220222223022322220300220020222230202222202220202020202222223022",
+    "simulate": "0220222222220222202022202200222222000220222223022322220300220020222200202222202220202020202222220022",
     "sweep": "2000222002000002022220202220202220000200000222200022200002022220002202200000202022200002200222020220",
-    "path": "2222422222022022222220200022222200222022220200202002222220202022002222200020002202042220202022202004",
+    "path": "2222422222022422222220200022222200222022220200242002222220202022002222200020002202002220202022202004",
 }

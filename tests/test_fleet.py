@@ -20,7 +20,7 @@ from loiterpack.fleet import (
     step,
     super_agent_recover,
 )
-from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2
+from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2, min_turn_radius
 from loiterpack.optimize import Regime
 from oracles import (
     assignment_by_dist,
@@ -65,6 +65,12 @@ class TestDeploy:
         state = deploy(AREA, HEX, PLATFORM, budget=17, r_c=R_C, r_l_max=R_L_MAX)
         assert len(state.uavs) == 17
         assert state.layout.loiter_radius == pytest.approx(table2["r_new"], abs=0.01)
+
+    def test_radius_below_the_turn_radius_fails(self):
+        with pytest.raises(ValueError, match="below the minimum turn radius 11.4679 m"):
+            deploy(AREA, HEX, PLATFORM, radius=11.0)
+        with pytest.raises(ValueError, match="deploy radius 70 m is below the minimum turn radius 80 m"):
+            deploy(AREA, HEX, PLATFORM, radius=70.0, r_turn=80.0)
 
     def test_zero_budget_fails(self):
         with pytest.raises(InfeasibleError):
@@ -254,6 +260,17 @@ class TestSuperAgentRecover:
         assert plan.solution.loiter_radius == pytest.approx(table2["r_new"], abs=0.01)
         assert plan.new_layout.count == 17
         assert len(plan.transitions) == 17
+
+    @pytest.mark.parametrize("r_turn", [None, 20.0])
+    def test_transits_turn_at_the_solved_turn_radius(self, r_turn):
+        # One turn radius, the platform's when None, bounds the solve and
+        # shapes every transit.
+        state = table2_fleet()
+        inject_failure(state, FailureEvent(seed=42, loss_count=18))
+        plan = super_agent_recover(detect_failures(state), AREA, HEX, R_C, PLATFORM, R_L_MAX, r_turn)
+        assert plan.solution.r_min_turn == (min_turn_radius(PLATFORM) if r_turn is None else r_turn)
+        assert len(plan.transitions) == 17
+        assert all(tr.path.turn_radius == plan.solution.r_min_turn for tr in plan.transitions)
 
     def test_assignment_is_a_bijection(self):
         _, report, plan = run_recovery()
