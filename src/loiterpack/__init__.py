@@ -47,7 +47,6 @@ from .fleet import (
     SurvivorReport,
     SweepPoint,
     SweepResult,
-    UavState,
     apply_recovery,
     coverage_report,
     deploy,

@@ -30,6 +30,7 @@ from .fleet import (
     RecoveryOutcome,
     apply_recovery,
     check_coverage_inputs,
+    check_deploy_radius,
     coverage_report,
     deploy,
     detect_failures,
@@ -385,8 +386,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         r_turn=r_turn,
     )
     events.append((0.0, "deploy", f"{len(state.uavs)} UAVs at r_l={state.layout.loiter_radius:.4f}"))
-    circles = {u.id: u.assigned_circle for u in state.uavs}
-    out.write_text("initial.svg", render_fleet(cfg.area, circles, state.phase, title="initial deployment"))
+    out.write_text("initial.svg", render_fleet(cfg.area, state.uavs, state.phase, title="initial deployment"))
     out.write_text("initial_layout.csv", layout_csv(state.layout))
 
     failed = None
@@ -399,9 +399,8 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
             )
         if event.time > state.time:
             step(state, event.time - state.time)
-        before = set(state.alive_ids)
-        inject_failure(state, event)
-        lost = sorted(before - set(state.alive_ids))
+        inject_failure(state, event)  # every round starts from a formation without losses
+        lost = sorted(state.lost)
         events.append((state.time, "failure", f"lost {len(lost)} UAVs: {' '.join(map(str, lost))}"))
 
         report = detect_failures(state)
@@ -409,7 +408,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         events.append(
             (t_detect, "detect", f"{len(report.circles)} survivors in {len(report.clusters)} clusters via {report.detected_by}"),
         )
-        dead = {u.id: u.assigned_circle for u in state.uavs if not u.alive}
+        dead = {i: state.uavs[i] for i in lost}
         out.write_text(
             f"clusters{suffix}.svg",
             render_fleet(cfg.area, report.circles, state.phase, dead=dead, clusters=report.clusters, title="survivor clusters"),
@@ -437,16 +436,15 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
             events.append((t_detect + tr.arrival_time, "transition_end", f"uav {tr.uav_id}"))
 
         state = apply_recovery(state, plan)
-        circles = {u.id: u.assigned_circle for u in state.uavs}
         out.write_text(
             f"recovered{suffix}.svg",
-            render_fleet(cfg.area, circles, state.phase, title="recovered coverage"),
+            render_fleet(cfg.area, state.uavs, state.phase, title="recovered coverage"),
         )
         out.write_text(f"final_layout{suffix}.csv", layout_csv(state.layout))
 
     cov = coverage_report(
         cfg.area,
-        [u.assigned_circle.center for u in state.uavs if u.alive],
+        [c.center for i, c in state.uavs.items() if i not in state.lost],
         state.layout.loiter_radius,
         r_c,
         cfg.effective_grid_pitch(),
@@ -470,13 +468,16 @@ def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if not cfg.sweep_r_inits or not cfg.sweep_fractions:
         raise ConfigError("sweep needs sweep.r_init_m and sweep.loss_fractions lists")
     r_c = cfg.coverage_radius()
+    r_turn = cfg.min_turn()
+    for r_init in cfg.sweep_r_inits:
+        check_deploy_radius(r_init, r_turn)
     result = loss_sweep(
         cfg.area,
         cfg.kind,
         cfg.sweep_r_inits,
         cfg.sweep_fractions,
         r_c,
-        r_min_turn=cfg.min_turn(),
+        r_min_turn=r_turn,
         r_l_max=cfg.r_l_max,
     )
     lines = ["r_init_m,loss_fraction,survivors,r_new_m,regime,ideal_r_new_m"]

@@ -19,7 +19,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -64,13 +64,6 @@ class RecoveryOutcome(Enum):
     PERSISTENT_RESTORED = "persistent-restored"
     FULL_RESTORED = "full-restored"
     RECOVERY_FAILED = "recovery-failed"
-
-
-@dataclass
-class UavState:
-    id: int
-    assigned_circle: LoiterCircle
-    alive: bool = True
 
 
 @dataclass(frozen=True)
@@ -123,18 +116,20 @@ class RecoveryPlan:
 
 @dataclass
 class FleetState:
-    """UAVs (ascending ids) of one formation, its comm graph and the clock."""
+    """One formation: every UAV's loiter circle, the UAVs failures removed
+    from it, its comm graph and the clock."""
 
     platform: PlatformModel
     layout: PackingLayout
-    uavs: list[UavState]
+    uavs: dict[int, LoiterCircle]  # every UAV of the formation, id -> circle, ids ascending
     edges: frozenset[tuple[int, int]]  # comm graph of the formation, (i, j) with i < j
     phase: float
     time: float
+    lost: set[int] = field(default_factory=set)  # ids of the UAVs failures removed
 
     @property
     def alive_ids(self) -> list[int]:
-        return [u.id for u in self.uavs if u.alive]
+        return [i for i in self.uavs if i not in self.lost]
 
     @property
     def r_com(self) -> float:
@@ -166,8 +161,8 @@ def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> frozens
 def _fleet(platform, layout, circles, phase, time) -> FleetState:
     """Fleet of live UAVs loitering on ``circles`` (id -> circle) of ``layout``,
     with the formation's comm graph."""
-    uavs = [UavState(id=i, assigned_circle=circles[i]) for i in sorted(circles)]
-    edges = _build_comm_graph(circles, min_comm_radius(layout.loiter_radius, layout.kind))
+    uavs = {i: circles[i] for i in sorted(circles)}
+    edges = _build_comm_graph(uavs, min_comm_radius(layout.loiter_radius, layout.kind))
     return FleetState(platform, layout, uavs, edges, phase, time)
 
 
@@ -200,13 +195,20 @@ def deploy(
         if sol.loiter_radius is None:
             raise _shortage(budget, sol)
         radius = sol.loiter_radius
-    elif radius < r_turn:
-        raise ValueError(
-            f"the deploy radius {radius:.6g} m is below the minimum turn radius {r_turn:.6g} m"
-        )
+    else:
+        check_deploy_radius(radius, r_turn)
     layout = pack(area, radius, kind)
     circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
     return _fleet(platform, layout, circles, phase=0.0, time=0.0)
+
+
+def check_deploy_radius(radius: float, r_turn: float) -> None:
+    """Raise ``ValueError``, naming both radii, when a deploy radius lies below
+    the minimum turn radius ``r_turn``: the platform cannot loiter on it."""
+    if radius < r_turn:
+        raise ValueError(
+            f"the deploy radius {radius:.6g} m is below the minimum turn radius {r_turn:.6g} m"
+        )
 
 
 def step(state: FleetState, dt: float) -> FleetState:
@@ -220,7 +222,7 @@ def step(state: FleetState, dt: float) -> FleetState:
 
 
 def inject_failure(state: FleetState, event: FailureEvent) -> FleetState:
-    """Mark the event's UAVs as lost. The comm graph stays the formation's."""
+    """Add the event's UAVs to the lost ids. The comm graph stays the formation's."""
     alive = state.alive_ids
     if event.lost_ids is not None:
         lost = set(event.lost_ids)
@@ -232,9 +234,7 @@ def inject_failure(state: FleetState, event: FailureEvent) -> FleetState:
             raise ValueError(f"cannot lose {event.loss_count} of {len(alive)} alive UAVs")
         rng = np.random.default_rng(event.seed)
         lost = set(int(i) for i in rng.choice(alive, size=event.loss_count, replace=False))
-    for uav in state.uavs:
-        if uav.id in lost:
-            uav.alive = False
+    state.lost |= lost
     return state
 
 
@@ -270,7 +270,7 @@ def detect_failures(state: FleetState) -> SurvivorReport:
     by itself after one loiter period without heartbeats, and the clock
     advances to that instant (a whole period leaves the phase unchanged).
     """
-    survivors = {u.id: u.assigned_circle for u in state.uavs if u.alive}
+    survivors = {i: c for i, c in state.uavs.items() if i not in state.lost}
     detectors, links = set(), []
     for i, j in state.edges:
         if i in survivors and j in survivors:
@@ -284,14 +284,13 @@ def detect_failures(state: FleetState) -> SurvivorReport:
     for comp in clusters:
         if any(survivors[i].center.dist(BASE) <= base_reach for i in comp):
             base_component |= comp
-    any_loss = len(survivors) < len(state.uavs)
-    if any_loss and base_component & detectors:
+    if state.lost and base_component & detectors:
         detected_by = "neighbor-report"
         detection_delay = 0.0
     else:
         detected_by = "base-timeout"
         detection_delay = (
-            revisit_period(state.layout.loiter_radius, state.platform.speed) if any_loss else 0.0
+            revisit_period(state.layout.loiter_radius, state.platform.speed) if state.lost else 0.0
         )
     state.time += detection_delay
     return SurvivorReport(

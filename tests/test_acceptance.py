@@ -90,7 +90,7 @@ def test_criterion_4_end_to_end_recovery():
         recovered = apply_recovery(state, plan)
         cov = coverage_report(
             AREA,
-            [u.assigned_circle.center for u in recovered.uavs],
+            [c.center for c in recovered.uavs.values()],
             recovered.layout.loiter_radius,
             R_C,
             grid_pitch=R_C / 20.0,

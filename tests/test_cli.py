@@ -476,11 +476,12 @@ class TestSweepCommand:
 
     def test_no_accepted_fleet_has_no_recoverable_loss(self, tmp_path, capsys):
         # 120 m packs fewer UAVs than the smallest fleet accepted at the 100 m
-        # cap; the 45 m/s platform's 103.211 m turn radius accepts no fleet.
-        # Under a 70 m cap, losing nothing is the most 35 UAVs at 70 m recover.
+        # cap; the 45 m/s platform's 103.211 m turn radius, above that cap,
+        # accepts no fleet. Under a 70 m cap, losing nothing is the most 35
+        # UAVs at 70 m recover.
         rows = [
             ({}, [70.0, 120.0], ["70.0,0.5142857142857142", "120.0,"], ["0.5143", "none"]),
-            ({"platform": FAST}, [70.0], ["70.0,"], ["none"]),
+            ({"platform": FAST}, [120.0], ["120.0,"], ["none"]),
             ({"r_l_max_m": 70.0}, [70.0], ["70.0,0.0"], ["0.0000"]),
         ]
         out = tmp_path / "out"
@@ -494,6 +495,18 @@ class TestSweepCommand:
     def test_missing_lists_is_config_error(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         assert run("sweep", write_config(tmp_path, cfg)) == 2
+
+    def test_r_init_below_the_turn_radius_is_config_error(self, tmp_path, capsys):
+        # deploy's rule: the 45 m/s, 0.5 rad platform cannot fly a 70 m loiter
+        # circle, so no loss of that fleet is recoverable; nothing is written.
+        out = tmp_path / "out"
+        sweep = {"r_init_m": [120.0, 70.0], "loss_fractions": [0.0, 0.5]}
+        cfg = base_config(out, platform=FAST, r_l_max_m=None, sweep=sweep)
+        assert run("sweep", write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == (
+            "config error: the deploy radius 70 m is below the minimum turn radius 103.211 m\n"
+        )
+        assert list(out.iterdir()) == []
 
 
 class TestPathCommand:
@@ -855,7 +868,11 @@ class TestLayoutLimit:
                 "simulate",
                 {"deployment": {"budget_n": 10**12}, "platform": {"speed_mps": 1.0, "max_bank_rad": 0.5}},
             ),
-            ("sweep", {"sweep": {"r_init_m": [1e-6], "loss_fractions": [0.0]}}),
+            # No turn radius either: a 1 um loiter circle is flyable.
+            (
+                "sweep",
+                {"sweep": {"r_init_m": [1e-6], "loss_fractions": [0.0]}, "platform": None, "r_min_turn_m": 0.0},
+            ),
             # No turn radius: the optimum lies below the smallest placeable radius.
             (
                 "optimize",
@@ -1159,6 +1176,6 @@ EXIT_CODES = {
     "pack": "0220000220000020000000220220222022222000020022020200202002000222022202000202022000000220000200200002",
     "optimize": "2222000302000002202000002000200222222020200230200202200002200222223202030200222232200200202022222002",
     "simulate": "0220222222220222202022202200222222000220222223022322220300220020222200202222202220202020202222220022",
-    "sweep": "2000222002000002022220202220202220000200000222200022200002022220002202200000202022200002200222020220",
+    "sweep": "2000222002000002022220202220202220000220000222200022200002022220002202200000202022200002200222020220",
     "path": "2222422222022422222220200022222200222022220200242002222220202022002222200020002202002220202022202004",
 }

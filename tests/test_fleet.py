@@ -39,7 +39,7 @@ R_L_MAX = 100.0
 
 def fleet_coverage(state, grid_pitch, phase_samples):
     """Coverage fractions of the UAVs still alive, as ``simulate`` reports them."""
-    centers = [u.assigned_circle.center for u in state.uavs if u.alive]
+    centers = [c.center for i, c in state.uavs.items() if i not in state.lost]
     return coverage_report(
         state.layout.area, centers, state.layout.loiter_radius, R_C, grid_pitch, phase_samples
     )
@@ -52,8 +52,8 @@ def table2_fleet():
 class TestDeploy:
     def test_radius_driven(self):
         state = table2_fleet()
-        assert len(state.uavs) == 35
-        assert all(u.alive for u in state.uavs)
+        assert list(state.uavs) == list(range(35))
+        assert state.lost == set()
         assert state.phase == 0.0
 
     def test_interior_uav_has_six_neighbors(self):
@@ -85,7 +85,7 @@ class TestDeploy:
         state = table2_fleet()
         reach = state.r_com + 1e-6
         for i, j in state.edges:
-            d = state.uavs[i].assigned_circle.center.dist(state.uavs[j].assigned_circle.center)
+            d = state.uavs[i].center.dist(state.uavs[j].center)
             assert d <= reach
 
 
@@ -98,22 +98,20 @@ class TestCommGraph:
     def test_matches_the_pair_loop_on_perfbench_layouts(self, x, y, loss_count, draws):
         area = AreaSpec(x, y)
         state = deploy(area, HEX, PLATFORM, radius=70.0)
-        circles = {u.id: u.assigned_circle for u in state.uavs}
-        assert state.edges == comm_edges_loop(circles, state.r_com)
+        assert state.edges == comm_edges_loop(state.uavs, state.r_com)
         for seed in range(draws):
             state = deploy(area, HEX, PLATFORM, radius=70.0)
             inject_failure(state, FailureEvent(seed=seed, loss_count=loss_count))
             # The formation keeps its graph; the survivors' clusters are the
             # components of the graph rebuilt on the survivors alone.
-            survivors = {u.id: u.assigned_circle for u in state.uavs if u.alive}
+            survivors = {i: c for i, c in state.uavs.items() if i not in state.lost}
             report = detect_failures(state)
             rebuilt = comm_edges_loop(survivors, state.r_com)
             assert set(report.clusters) == edge_components(survivors, rebuilt)
             recovered = apply_recovery(
                 state, super_agent_recover(report, area, HEX, R_C, PLATFORM, r_l_max=R_L_MAX)
             )
-            circles = {u.id: u.assigned_circle for u in recovered.uavs}
-            assert recovered.edges == comm_edges_loop(circles, recovered.r_com)
+            assert recovered.edges == comm_edges_loop(recovered.uavs, recovered.r_com)
 
     def test_matches_the_pair_loop_at_the_reach(self):
         # Random layouts plus partners placed at reach - 1e-12, reach and
@@ -146,7 +144,7 @@ class TestStep:
     def test_full_period_is_identity(self):
         state = table2_fleet()
         period = TWO_PI * state.layout.loiter_radius / PLATFORM.speed
-        circle = state.uavs[0].assigned_circle
+        circle = state.uavs[0]
         p0 = circle.point_at(state.phase)
         step(state, period)
         p1 = circle.point_at(state.phase)
@@ -195,6 +193,26 @@ class TestInjectFailure:
         with pytest.raises(ValueError):
             inject_failure(state, FailureEvent(lost_ids=frozenset({99})))
 
+    def test_failure_keeps_the_formation_and_adds_the_drawn_ids_to_lost(self):
+        state = table2_fleet()
+        uavs = dict(state.uavs)
+        inject_failure(state, FailureEvent(seed=42, loss_count=18))
+        drawn = np.random.default_rng(42).choice(list(range(35)), size=18, replace=False)
+        assert state.uavs == uavs
+        assert state.lost == set(drawn.tolist())
+        extra = set(state.alive_ids[:2])
+        before = set(state.lost)
+        inject_failure(state, FailureEvent(lost_ids=frozenset(extra)))
+        assert state.uavs == uavs
+        assert state.lost == before | extra and len(state.lost) == 20
+
+    def test_already_lost_ids_rejected(self):
+        state = table2_fleet()
+        inject_failure(state, FailureEvent(lost_ids=frozenset({3})))
+        with pytest.raises(ValueError, match=r"already-lost UAVs: \[3\]"):
+            inject_failure(state, FailureEvent(lost_ids=frozenset({3, 4})))
+        assert state.lost == {3}
+
     def test_event_validation(self):
         with pytest.raises(ValueError):
             FailureEvent(lost_ids=frozenset({1}), seed=2, loss_count=1)
@@ -208,6 +226,13 @@ class TestDetectFailures:
         report = detect_failures(state)
         assert len(report.circles) == 35
         assert len(report.clusters) == 1
+
+    def test_survivors_are_the_formation_less_the_lost(self):
+        state = table2_fleet()
+        inject_failure(state, FailureEvent(seed=7, loss_count=12))
+        report = detect_failures(state)
+        assert list(report.circles) == sorted(state.uavs.keys() - state.lost)
+        assert all(report.circles[i] is state.uavs[i] for i in report.circles)
 
     def test_two_cluster_split(self):
         state = table2_fleet()
@@ -409,6 +434,14 @@ class TestApplyRecoveryAndCoverage:
         assert len(recovered.uavs) == 17
         report = fleet_coverage(recovered, grid_pitch=R_C / 20.0, phase_samples=36)
         assert report.cycle_fraction == 1.0
+
+    def test_recovered_formation_has_no_losses_and_no_spares(self):
+        state, _, plan = run_recovery(loss_count=17)  # 18 survivors, 17 circles
+        assert len(plan.spare_ids) == 1
+        recovered = apply_recovery(state, plan)
+        assert recovered.lost == set()
+        assert list(recovered.uavs) == sorted(plan.assignment)
+        assert not recovered.uavs.keys() & set(plan.spare_ids)
 
     def test_cycle_dominates_instant(self):
         state = table2_fleet()

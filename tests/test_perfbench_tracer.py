@@ -43,6 +43,8 @@ def test_every_traced_name_is_present_and_called(tmp_path):
     with tracer.installed(0):
         assert main(["simulate", "--config", str(config)]) == 0
     assert tracer.absent == set()
+    # fleet.uavs counts len(deploy(...).uavs): the 35 UAVs deployed at 70 m.
+    assert tracer.counters[0, "fleet.uavs"] == 35
     called = {name for (_, name), n in tracer.calls.items() if n > 0}
     names = [span[2] for span in tracer_module.SPANS] + [c[2] for c in tracer_module.COUNTED]
     assert [name for name in names if name not in called] == []
