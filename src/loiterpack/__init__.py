@@ -21,8 +21,6 @@ from .packing import PackingLayout, pack, uav_count
 from .optimize import (
     FleetBudget,
     RadiusSolution,
-    Regime,
-    classify_regime,
     ideal_radius_after_loss,
     revisit_period,
     solve_radius,

@@ -339,20 +339,14 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         cfg.min_turn(),
         r_l_max=cfg.r_l_max,
     )
-    header = "r_l_m,n_x,n_y,regime,objective\n"
+    header = "r_l_m,n_x,n_y,objective\n"
     if sol.loiter_radius is None:
-        out.write_text("solution.csv", header + f",,,{sol.regime.value},\n")
+        out.write_text("solution.csv", header + ",,,\n")
         raise _shortage(cfg.deploy_budget, sol)
     r = sol.loiter_radius
     # The objective column is the revisit-rate proxy 1/r^2.
-    out.write_text(
-        "solution.csv",
-        header + f"{r!r},{sol.n_x},{sol.n_y},{sol.regime.value},{1.0 / (r * r)!r}\n",
-    )
-    print(
-        f"r_l = {r:.4f} m, n_x = {sol.n_x}, n_y = {sol.n_y}, "
-        f"regime = {sol.regime.value}"
-    )
+    out.write_text("solution.csv", header + f"{r!r},{sol.n_x},{sol.n_y},{1.0 / (r * r)!r}\n")
+    print(f"r_l = {r:.4f} m, n_x = {sol.n_x}, n_y = {sol.n_y}")
 
 
 def _coverage_csv(report) -> str:
@@ -366,7 +360,8 @@ def _coverage_csv(report) -> str:
 def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     """Deploy, then run every configured failure event through detection and
     super-agent recovery; snapshots of the last round keep the plain
-    clusters/recovered names, earlier rounds get a round suffix. A failed
+    clusters/recovered names, earlier rounds get a round suffix. A round that
+    loses no UAV logs its failure and changes nothing else. A failed
     recovery ends the run: the coverage of the survivors and the log are
     written, then ``InfeasibleError`` carries the plan's reason."""
     platform = cfg.require_platform()
@@ -402,6 +397,8 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         inject_failure(state, event)  # every round starts from a formation without losses
         lost = sorted(state.lost)
         events.append((state.time, "failure", f"lost {len(lost)} UAVs: {' '.join(map(str, lost))}"))
+        if not lost:  # nothing to detect or recover: the formation flies on
+            continue
 
         report = detect_failures(state)
         t_detect = state.time  # detection advances the clock to its instant
@@ -480,14 +477,13 @@ def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         r_min_turn=r_turn,
         r_l_max=cfg.r_l_max,
     )
-    lines = ["r_init_m,loss_fraction,survivors,r_new_m,regime,ideal_r_new_m"]
+    # An empty r_new_m: the survivors need more than the radius cap allows.
+    lines = ["r_init_m,loss_fraction,survivors,r_new_m,ideal_r_new_m"]
     for p in result.points:
         r_new = "" if p.r_new is None else repr(p.r_new)
-        lines.append(
-            f"{p.r_init!r},{p.loss_fraction!r},{p.survivors},{r_new},{p.regime.value},{p.ideal_r_new!r}"
-        )
+        lines.append(f"{p.r_init!r},{p.loss_fraction!r},{p.survivors},{r_new},{p.ideal_r_new!r}")
     out.write_text("sweep.csv", "\n".join(lines) + "\n")
-    out.write_text("sweep.svg", render_sweep(result.points, r_c, result.r_cap))
+    out.write_text("sweep.svg", render_sweep(result.points, result.r_cap))
     # An empty fraction (stdout: none): no fleet of at most N UAVs is accepted.
     max_lines = ["r_init_m,max_recoverable_fraction"]
     for r_init in cfg.sweep_r_inits:

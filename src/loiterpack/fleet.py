@@ -41,7 +41,6 @@ from .geometry import (
 from .optimize import (
     FleetBudget,
     RadiusSolution,
-    Regime,
     _shortage,
     ideal_radius_after_loss,
     revisit_period,
@@ -61,7 +60,6 @@ BASE = Vec2(0.0, 0.0)  # the base station, which hears UAVs within the comm radi
 
 
 class RecoveryOutcome(Enum):
-    PERSISTENT_RESTORED = "persistent-restored"
     FULL_RESTORED = "full-restored"
     RECOVERY_FAILED = "recovery-failed"
 
@@ -428,17 +426,12 @@ def super_agent_recover(
             solution,
         )
 
-    outcome = (
-        RecoveryOutcome.PERSISTENT_RESTORED
-        if solution.regime is Regime.PERSISTENT
-        else RecoveryOutcome.FULL_RESTORED
-    )
     return RecoveryPlan(
         solution=solution,
         new_layout=layout,
         assignment=assignment,
         transitions=tuple(plans[i] for i in ordered),
-        outcome=outcome,
+        outcome=RecoveryOutcome.FULL_RESTORED,
         spare_ids=spares,
         min_separation=sep if len(plans) > 1 else None,
     )
@@ -521,8 +514,7 @@ class SweepPoint:
     r_init: float
     loss_fraction: float
     survivors: int
-    r_new: float | None
-    regime: Regime
+    r_new: float | None  # None when the survivors are infeasible
     ideal_r_new: float
 
 
@@ -570,7 +562,6 @@ def loss_sweep(
                     loss_fraction=frac,
                     survivors=survivors,
                     r_new=sol.loiter_radius,
-                    regime=sol.regime,
                     ideal_r_new=ideal_radius_after_loss(r_init, frac),
                 )
             )

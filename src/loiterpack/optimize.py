@@ -1,4 +1,4 @@
-"""Loiter-radius optimization for a fleet budget, plus coverage-regime rules.
+"""Loiter-radius optimization for a fleet budget.
 
 The feasible set is defined operationally by the placement construction: a
 radius is feasible when the packed layout needs at most the budgeted number
@@ -11,21 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import InfeasibleError
-from .geometry import BOUNDARY_TOL, SQRT2, SQRT3, AreaSpec, PackingKind, max_loiter_radius
+from .geometry import SQRT2, SQRT3, AreaSpec, PackingKind, max_loiter_radius
 from .packing import axis_march, check_layout_size, min_layout_radius, uav_count
 
 # Lower bound on any solved radius (meters): prevents degenerate zero-radius
 # layouts when the budget is effectively unlimited.
 RADIUS_FLOOR = 1e-3
-
-
-class Regime(Enum):
-    PERSISTENT = "persistent"
-    FULL_ONLY = "full-only"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -39,14 +32,14 @@ class FleetBudget:
 
 @dataclass(frozen=True)
 class RadiusSolution:
-    """The smallest feasible loiter radius, or None. ``r_cap`` is the radius
-    cap clipped to the coverage bound; when infeasible, ``min_required`` is the
-    UAV count at ``r_cap`` if the minimum turn radius allows it."""
+    """The smallest feasible loiter radius, or None when the budget is
+    infeasible. ``r_cap`` is the radius cap clipped to the coverage bound;
+    when infeasible, ``min_required`` is the UAV count at ``r_cap`` if the
+    minimum turn radius allows it."""
 
     loiter_radius: float | None
     n_x: int
     n_y: int
-    regime: Regime
     r_min_turn: float
     r_cap: float
     min_required: int | None = None
@@ -67,17 +60,6 @@ def _shortage(n: int, solution: RadiusSolution, noun: str = "UAVs") -> Infeasibl
         f"the {name} {r_min:.6g} m exceeds the radius cap {solution.r_cap:.6g} m: "
         f"no number of {noun} can cover the area"
     )
-
-
-def classify_regime(r_l: float, r_c: float, kind: PackingKind) -> Regime:
-    """Coverage regime for a loiter radius: persistent, full-only, or neither."""
-    if not (r_l > 0 and r_c > 0):
-        raise ValueError("radii must be positive")
-    if r_l <= r_c + BOUNDARY_TOL:
-        return Regime.PERSISTENT
-    if r_l <= max_loiter_radius(r_c, kind) + BOUNDARY_TOL:
-        return Regime.FULL_ONLY
-    return Regime.INFEASIBLE
 
 
 def ideal_radius_after_loss(r_init: float, loss_fraction: float) -> float:
@@ -153,7 +135,7 @@ def solve_radius(
     n = budget.uav_count
     min_required = uav_count(area, r_cap, kind) if lo <= r_cap else None
     if min_required is None or min_required > n:
-        return RadiusSolution(None, 0, 0, Regime.INFEASIBLE, r_min_turn, r_cap, min_required)
+        return RadiusSolution(None, 0, 0, r_min_turn, r_cap, min_required)
 
     # The layout needs at least area / (cell area) circles, so radii below
     # the continuous tiling bound are always infeasible; skip them. Radii
@@ -183,5 +165,4 @@ def solve_radius(
         check_layout_size(area, math.nextafter(r_placeable, 0.0), kind)
 
     xs, ys = axis_march(area, r_best, kind)
-    regime = classify_regime(r_best, r_c, kind)
-    return RadiusSolution(r_best, len(xs[0]), len(ys), regime, r_min_turn, r_cap)
+    return RadiusSolution(r_best, len(xs[0]), len(ys), r_min_turn, r_cap)

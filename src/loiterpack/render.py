@@ -172,9 +172,9 @@ def render_transition(
     return scene.document()
 
 
-def render_sweep(points, r_c: float, r_l_max: float) -> str:
-    """Radius-vs-loss curves per initial radius with the persistent-coverage
-    (r_l = r_c, magenta) and radius-cap (black) reference lines."""
+def render_sweep(points, r_l_max: float) -> str:
+    """Radius-vs-loss curves per initial radius with the radius-cap (black)
+    reference line."""
     width, height, margin = 640.0, 440.0, 60.0
     r_inits = sorted({p.r_init for p in points})
     max_frac = max((p.loss_fraction for p in points), default=1.0) or 1.0
@@ -212,15 +212,14 @@ def render_sweep(points, r_c: float, r_l_max: float) -> str:
             f'<text x="{margin - 8:.1f}" y="{py(r) + 4:.1f}" font-size="11" '
             f'text-anchor="end">{r:.0f}</text>'
         )
-    for y_ref, color, label in ((r_c, "#ff00ff", "persistent limit"), (r_l_max, "#000000", "max loiter")):
-        parts.append(
-            f'<line x1="{margin}" y1="{py(y_ref):.1f}" x2="{width - margin}" '
-            f'y2="{py(y_ref):.1f}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        parts.append(
-            f'<text x="{width - margin + 4:.1f}" y="{py(y_ref) + 4:.1f}" font-size="10" '
-            f'fill="{color}">{label}</text>'
-        )
+    parts.append(
+        f'<line x1="{margin}" y1="{py(r_l_max):.1f}" x2="{width - margin}" '
+        f'y2="{py(r_l_max):.1f}" stroke="#000000" stroke-width="1.5"/>'
+    )
+    parts.append(
+        f'<text x="{width - margin + 4:.1f}" y="{py(r_l_max) + 4:.1f}" font-size="10" '
+        f'fill="#000000">max loiter</text>'
+    )
     for ci, r_init in enumerate(r_inits):
         color = _CLUSTER_COLORS[ci % len(_CLUSTER_COLORS)]
         sim = [(p.loss_fraction, p.r_new) for p in points if p.r_init == r_init and p.r_new is not None]

@@ -11,9 +11,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 #
 # The scenario's coverage radius is 80 m: large enough that the recovered
 # 96.225 m layout is exactly fully covered (corner circles bound full
-# coverage at about 1.2113 * r_c, and 96.225/80 = 1.203), small enough that
-# the recovery is full-only (96.225 > 80) and the initial 70 m deployment is
-# persistent (70 <= 80). The 100 m cap is applied as an explicit override.
+# coverage at about 1.2113 * r_c, and 96.225/80 = 1.203). No instant coverage
+# is claimed at either radius: the initial 70 m deployment (70 <= 80) covers
+# the interior at every instant but leaks at the rectangle's boundary. The
+# 100 m cap is applied as an explicit override.
 AREA_X = 500.0
 AREA_Y = 650.0
 R_L_MAX = 100.0

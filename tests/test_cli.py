@@ -115,11 +115,11 @@ class TestOptimizeCommand:
         out = tmp_path / "out"
         cfg = base_config(out, deployment={"budget_n": 17})
         assert run("optimize", write_config(tmp_path, cfg)) == 0
-        assert "96.22" in capsys.readouterr().out
+        assert capsys.readouterr().out == "r_l = 96.2250 m, n_x = 3, n_y = 5\n"
         row = read_rows(out / "solution.csv")[0]
+        assert list(row) == ["r_l_m", "n_x", "n_y", "objective"]
         assert float(row["r_l_m"]) == pytest.approx(96.225, abs=0.01)
         assert (row["n_x"], row["n_y"]) == ("3", "5")
-        assert row["regime"] == "full-only"
 
     def test_budget_16_is_infeasible_exit(self, tmp_path, capsys):
         # (budget, config overrides, exit code, stderr). At r_c = 40 m the
@@ -254,6 +254,21 @@ class TestSimulateCommand:
         cov = read_rows(out / "coverage.csv")[0]
         assert float(cov["cycle_fraction"]) == 1.0
 
+    def test_zero_loss_round_changes_nothing(self, tmp_path):
+        # A round that loses no UAV only logs its failure row: the next round
+        # recovers from the same formation, phase and clock as without it.
+        lose_18 = {"time_s": 200.0, "seed": 42, "loss_count": 18}
+        runs = {}
+        for name, failures in (("with", [{"time_s": 60.0, "lost_ids": []}, lose_18]), ("without", [lose_18])):
+            out = tmp_path / name
+            cfg = base_config(out, deployment={"radius_m": 70.0}, failures=failures)
+            assert run("simulate", write_config(tmp_path, cfg, f"{name}.json")) == 0
+            runs[name] = {p.name: p.read_text() for p in out.iterdir() if p.name != "manifest.json"}
+        log = runs["with"].pop("events.log").splitlines()
+        assert log.pop(2) == "60.000,failure,lost 0 UAVs: "
+        assert log == runs["without"].pop("events.log").splitlines()
+        assert runs["with"] == runs["without"]
+
     def test_both_failure_styles_rejected(self, tmp_path):
         cfg = base_config(tmp_path / "out", deployment={"radius_m": 70.0})
         cfg["failure"] = {"time_s": 1.0, "seed": 1, "loss_count": 2}
@@ -313,20 +328,20 @@ RESTORED = FAILED + ("final_layout.csv", "recovered.svg")
 
 # One row per gate of a single-failure simulate run on the 500 x 650 m area
 # at a 70 m deploy unless overridden: (failure, config overrides, patch, exit
-# code, stdout, stderr, recover row of events.log, artifacts). None leaves a
+# code, stdout, stderr, recover rows of events.log, artifacts). None leaves a
 # column unpinned.
 OUTCOMES = [
     pytest.param(
         {"time_s": 10.0, "lost_ids": list(range(35))}, {}, None, 3, "",
         "infeasible: no survivors\n",
-        "39.322,recover_failed,no survivors",
+        ("39.322,recover_failed,no survivors",),
         FAILED,
         id="no-survivors",
     ),
     pytest.param(
         {"time_s": 60.0, "seed": 42, "loss_count": 19}, {}, None, 3, "",
         "infeasible: 16 survivors cannot cover the area; deficit 1\n",
-        "60.000,recover_failed,16 survivors cannot cover the area; deficit 1",
+        ("60.000,recover_failed,16 survivors cannot cover the area; deficit 1",),
         FAILED,
         id="infeasible-radius",
     ),
@@ -335,7 +350,7 @@ OUTCOMES = [
     pytest.param(
         {"time_s": 60.0, "seed": 3, "loss_count": 22}, {"r_l_max_m": 131.0}, None, 3, "",
         "infeasible: 13 survivors cannot cover the area; deficit 1\n",
-        "89.322,recover_failed,13 survivors cannot cover the area; deficit 1",
+        ("89.322,recover_failed,13 survivors cannot cover the area; deficit 1",),
         FAILED,
         id="cap-above-the-coverage-bound",
     ),
@@ -346,8 +361,10 @@ OUTCOMES = [
         {"platform": FAST, "deployment": {"radius_m": 105.0}}, None, 3, "",
         "infeasible: the minimum turn radius 103.211 m exceeds the radius cap 100 m: "
         "no number of survivors can cover the area\n",
-        "60.000,recover_failed,the minimum turn radius 103.211 m exceeds the radius cap 100 m: "
-        "no number of survivors can cover the area",
+        (
+            "60.000,recover_failed,the minimum turn radius 103.211 m exceeds the radius cap 100 m: "
+            "no number of survivors can cover the area",
+        ),
         FAILED,
         id="turn-radius-above-the-cap",
     ),
@@ -362,14 +379,14 @@ OUTCOMES = [
     pytest.param(
         LOSE_18, {}, no_path_in_round_0, 3, "",
         "infeasible: transition planning failed: no path\n",
-        "60.000,recover_failed,transition planning failed: no path",
+        ("60.000,recover_failed,transition planning failed: no path",),
         FAILED,
         id="planning-error-round-0",
     ),
     pytest.param(
         LOSE_18, {}, no_path_in_a_stagger_round, 3, "",
         "infeasible: transition planning failed while staggering: no path\n",
-        "60.000,recover_failed,transition planning failed while staggering: no path",
+        ("60.000,recover_failed,transition planning failed while staggering: no path",),
         FAILED,
         id="planning-error-stagger-round",
     ),
@@ -377,26 +394,40 @@ OUTCOMES = [
         LOSE_18, {}, always_breach, 3, "",
         "infeasible: UAVs 0 and 3 come within 1.5 m, under the 2.0 m separation, "
         "after 10 stagger rounds\n",
-        "60.000,recover_failed,UAVs 0 and 3 come within 1.5 m, under the 2.0 m separation, "
-        "after 10 stagger rounds",
+        (
+            "60.000,recover_failed,UAVs 0 and 3 come within 1.5 m, under the 2.0 m separation, "
+            "after 10 stagger rounds",
+        ),
         FAILED,
         id="breach-after-the-last-stagger-round",
     ),
+    # At 72.17 m <= r_c the recovered fleet covers the interior at every
+    # instant but not the rectangle's boundary strip, so it claims full
+    # coverage only; coverage.csv reports the measured instant fraction.
     pytest.param(
         {"time_s": 60.0, "seed": 0, "loss_count": 2}, {}, None, 0,
         "final cycle coverage 1.0000 with 31 UAVs\n",
         "",
-        "60.000,recover,r_l_new=72.1688 outcome=persistent-restored restore_s=17.235",
+        ("60.000,recover,r_l_new=72.1688 outcome=full-restored restore_s=17.235",),
         RESTORED,
-        id="persistent-restored",
+        id="full-restored-within-r-c",
     ),
     pytest.param(
         LOSE_18, {}, None, 0,
         "final cycle coverage 1.0000 with 17 UAVs\n",
         "",
-        "60.000,recover,r_l_new=96.2250 outcome=full-restored restore_s=25.300",
+        ("60.000,recover,r_l_new=96.2250 outcome=full-restored restore_s=25.300",),
         RESTORED,
         id="full-restored",
+    ),
+    # A round that loses no UAV changes nothing: no detection, no recovery.
+    pytest.param(
+        {"time_s": 60.0, "seed": 1, "loss_count": 0}, {}, None, 0,
+        "final cycle coverage 1.0000 with 35 UAVs\n",
+        "",
+        (),
+        ("coverage.csv", "events.log", "initial.svg", "initial_layout.csv"),
+        id="zero-loss",
     ),
     # Without a radius cap, 14 survivors recover at 108.33 m, past the
     # radius a bounded rectangle can cover: the run logs full-restored,
@@ -412,9 +443,9 @@ OUTCOMES = [
 
 
 class TestOutcomes:
-    @pytest.mark.parametrize("failure, overrides, patch, code, stdout, stderr, row, artifacts", OUTCOMES)
+    @pytest.mark.parametrize("failure, overrides, patch, code, stdout, stderr, rows, artifacts", OUTCOMES)
     def test_simulate_outcome(
-        self, tmp_path, capsys, monkeypatch, failure, overrides, patch, code, stdout, stderr, row, artifacts
+        self, tmp_path, capsys, monkeypatch, failure, overrides, patch, code, stdout, stderr, rows, artifacts
     ):
         plans = []
 
@@ -431,7 +462,8 @@ class TestOutcomes:
         assert run("simulate", write_config(tmp_path, cfg)) == code
         captured = capsys.readouterr()
         assert captured.out == stdout
-        assert len(plans) == (code != 2)  # a config error stops the run before recovery
+        # One recovery per recover row; a config error stops the run before recovery.
+        assert len(plans) == (code != 2 if rows is None else len(rows))
         if code == 3:  # the one stderr line holds the plan's reason verbatim
             [plan] = plans
             assert captured.err == f"infeasible: {plan.reason}\n"
@@ -439,9 +471,9 @@ class TestOutcomes:
             assert plan.deficit is None or captured.err.endswith(f"; deficit {plan.deficit}\n")
         if stderr is not None:
             assert captured.err == stderr
-        if row is not None:
+        if rows is not None:
             log = (out / "events.log").read_text().splitlines()
-            assert [line for line in log if ",recover" in line] == [row]
+            assert tuple(line for line in log if ",recover" in line) == rows
         if artifacts:
             manifest = json.loads((out / "manifest.json").read_text())
             assert [entry["file"] for entry in manifest] == sorted(artifacts)
@@ -974,6 +1006,16 @@ class TestReadmeConfig:
         assert float(read_rows(out / "coverage.csv")[0]["grid_pitch_m"]) == cfg["r_c_m"] / 20.0
 
 
+def test_readme_library_example_prints_its_comment(capsys):
+    # The python block of the README runs as written, and its last line
+    # prints what the comment on that line says.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    comment = code.rstrip().rsplit("# ", 1)[1]
+    assert capsys.readouterr().out == comment + "\n"
+
+
 def random_config(rng, command, out_dir):
     """A scenario for ``command`` on a small area whose fields are each
     valid most of the time and otherwise malformed, out of range or extreme
@@ -1146,8 +1188,8 @@ class TestRandomConfigs:
             if code == 0 or written:
                 manifest = json.loads((out_dir / "manifest.json").read_text())
                 assert {entry["file"] for entry in manifest} == written - {"manifest.json"}
-            # A sweep row is infeasible exactly when it has no radius, and
-            # exactly when it loses more than the largest recoverable loss.
+            # A sweep row is infeasible (has no radius) exactly when it loses
+            # more than the largest recoverable loss.
             if command == "sweep" and code == 0:
                 scenario = cli.load_config(path)
                 max_rows = read_rows(out_dir / "max_recoverable.csv")
@@ -1155,8 +1197,7 @@ class TestRandomConfigs:
                 for row in read_rows(out_dir / "sweep.csv"):
                     n = uav_count(scenario.area, float(row["r_init_m"]), scenario.kind)
                     lost = n - int(row["survivors"])
-                    infeasible = row["regime"] == "infeasible"
-                    assert infeasible == (row["r_new_m"] == ""), (seed, row)
+                    infeasible = row["r_new_m"] == ""
                     # A blank fraction: no fleet of this size is accepted.
                     frac = max_rec[row["r_init_m"]]
                     recoverable = frac != "" and lost <= round(float(frac) * n)

@@ -21,7 +21,6 @@ from loiterpack.fleet import (
     super_agent_recover,
 )
 from loiterpack.geometry import AreaSpec, LoiterCircle, PackingKind, PlatformModel, Vec2, min_turn_radius
-from loiterpack.optimize import Regime
 from oracles import (
     assignment_by_dist,
     brute_force_assignment,
@@ -494,7 +493,6 @@ class TestLossSweep:
         by_frac = {p.loss_fraction: p for p in result.points}
         assert by_frac[0.0].r_new <= 70.0
         assert by_frac[0.75].survivors == 8
-        assert by_frac[0.75].regime is Regime.INFEASIBLE
         assert by_frac[0.75].r_new is None
 
     def test_ideal_column(self):

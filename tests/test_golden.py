@@ -46,7 +46,7 @@ GOLDEN = {
         {"deployment": {"budget_n": 17}},
         0,
         {
-            "solution.csv": "1b57262d59456dfd4ed894a3f7c6301a2b61de00a12e415fecc0f5e42c8575df",
+            "solution.csv": "f8bc4b68d4544b81ffb01db22614090035b367686b083607e2f5a4c2c2bc3140",
         },
     ),
     "simulate-table2": (
@@ -115,8 +115,8 @@ GOLDEN = {
         0,
         {
             "max_recoverable.csv": "e6cf68efd74e5279563e8d840f8f67097a7c21e785211b3ca10722f7de45a295",
-            "sweep.csv": "4565274d1b4b25e5dbc12d89c977d4328be78c74cac3c03c876996867d4807c5",
-            "sweep.svg": "a29e1290afeba8b3e35441ac744f4309ed4cb0878bd9d8183c81faac0bd68e36",
+            "sweep.csv": "6fb0a199bae73cf2f17c6e16202b665a7473479db11507fcef1602bc4e0e5004",
+            "sweep.svg": "a1ccb98ab8bee406d629f9f3f414d4b0a1b9757025ccdff57048ebf3957bfe32",
         },
     ),
     "path-readme": (

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from loiterpack import optimize
-from loiterpack.geometry import AreaSpec, PackingKind
+from loiterpack.geometry import AreaSpec, PackingKind, max_loiter_radius
 from loiterpack.optimize import (
     RADIUS_FLOOR,
     FleetBudget,
-    Regime,
-    classify_regime,
     ideal_radius_after_loss,
     revisit_period,
     solve_radius,
@@ -32,25 +30,23 @@ class TestSolveRadius:
         assert sol.loiter_radius == pytest.approx(table2["r_new"], abs=0.01)
         assert sol.loiter_radius == pytest.approx(96.22, abs=0.01)
         assert (sol.n_x, sol.n_y) == (3, 5)
-        assert sol.regime is Regime.FULL_ONLY
+        assert R_C < sol.loiter_radius <= max_loiter_radius(R_C, HEX)
 
     def test_sixteen_is_infeasible(self):
         sol = solve(16)
-        assert sol.regime is Regime.INFEASIBLE
         assert sol.loiter_radius is None
         assert sol.min_required == 17
 
     def test_large_budget_reaches_persistence(self):
         sol = solve(58, r_c=50.0, cap=None)
-        assert sol.regime is Regime.PERSISTENT
         assert sol.loiter_radius <= 50.0
 
     def test_zero_budget(self):
-        assert solve(0).regime is Regime.INFEASIBLE
+        assert solve(0).loiter_radius is None
 
     def test_min_turn_above_cap(self):
         sol = solve(100, r_min=150.0, cap=100.0)
-        assert sol.regime is Regime.INFEASIBLE
+        assert sol.loiter_radius is None
 
     def test_huge_budget_clamps_to_floor(self):
         # On a small area the floor itself is feasible, so the radius
@@ -107,31 +103,28 @@ class TestSolveRadius:
             assert sol.n_x == len(layout.rows[0])
             assert sol.n_y == layout.n_rows
 
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [(HEX, R_C / (math.sqrt(3.0) - 1.0)), (PackingKind.SQUARE, R_C / (math.sqrt(2.0) - 1.0))],
+        ids=["hexagon", "square"],
+    )
+    def test_uncapped_search_ends_at_the_coverage_bound(self, kind, bound):
+        # Without a cap the search runs up to the coverage bound, edge
+        # included: the fleet counted at the bound is accepted, one UAV fewer
+        # is not, and no budget solves above the bound.
+        assert max_loiter_radius(R_C, kind) == bound
+        smallest = solve(0, cap=None, kind=kind)
+        assert smallest.r_cap == bound
+        m = smallest.min_required
+        assert m == uav_count(AREA, bound, kind)
+        assert solve(m - 1, cap=None, kind=kind).loiter_radius is None
+        for n in range(m, m + 40):
+            assert solve(n, cap=None, kind=kind).loiter_radius <= bound
+
     def test_square_kind(self):
         sol = solve(42, kind=PackingKind.SQUARE, cap=None)
-        assert sol.regime is not Regime.INFEASIBLE
+        assert sol.loiter_radius is not None
         assert uav_count(AREA, sol.loiter_radius, PackingKind.SQUARE) <= 42
-
-
-class TestClassifyRegime:
-    def test_boundary_is_persistent(self):
-        assert classify_regime(50.0, 50.0, HEX) is Regime.PERSISTENT
-
-    def test_between_bounds_is_full_only(self):
-        assert classify_regime(1.2 * 50.0, 50.0, HEX) is Regime.FULL_ONLY
-
-    def test_beyond_cap_is_infeasible(self):
-        assert classify_regime(1.5 * 50.0, 50.0, HEX) is Regime.INFEASIBLE
-
-    def test_upper_edge_inclusive(self):
-        r_c = 73.205
-        r_l = r_c * (1.0 / (math.sqrt(3.0) - 1.0))
-        assert classify_regime(r_l, r_c, HEX) is Regime.FULL_ONLY
-
-    def test_square_upper_edge(self):
-        r_c = 10.0
-        assert classify_regime(r_c / (math.sqrt(2) - 1), r_c, PackingKind.SQUARE) is Regime.FULL_ONLY
-        assert classify_regime(2.5 * r_c, r_c, PackingKind.SQUARE) is Regime.INFEASIBLE
 
 
 class TestIdealRadiusAfterLoss:
