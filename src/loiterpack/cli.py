@@ -82,7 +82,6 @@ class ScenarioConfig:
     path_source: LoiterCircle | None = None
     path_target: LoiterCircle | None = None
     min_turn_formula: str = "paper"
-    table1_mode: str = "exact"
     out_dir: str = "out"
 
     def coverage_radius(self) -> float:
@@ -133,7 +132,6 @@ _SCHEMA = {
     "validation": ({"grid_pitch_m": (float, None), "phase_samples": (int, 36)}, {}),
     "sweep": ({"r_init_m": ([float], ()), "loss_fractions": ([float], ())}, {}),
     "path": ({"source": (_CIRCLE, None), "target": (_CIRCLE, None)}, {}),
-    "table1_mode": (("exact", "paper"), "exact"),
     "min_turn_formula": (("paper", "standard"), "paper"),
     "r_l_max_m": (float, None),
     "output_dir": (str, "out"),
@@ -152,10 +150,11 @@ def _label(key: str, where: str) -> str:
 
 def _read(value, kind, key: str, where: str, errors: list):
     """``value`` of key ``key`` of section ``where`` as ``kind`` (see
-    ``_SCHEMA``): a number takes JSON numbers only (no bools, no strings), an
-    integer integral numbers only, a string JSON strings only, and a section
-    is read by ``_walk``. Anything else raises ``ConfigError`` naming the key."""
-    if value.__class__ is kind:  # a float, int or str of its own kind
+    ``_SCHEMA``): a number takes finite JSON numbers only (no bools, no
+    strings, no Infinity or NaN), an integer integral numbers only, a string
+    JSON strings only, and a section is read by ``_walk``. Anything else
+    raises ``ConfigError`` naming the key."""
+    if value.__class__ is kind and kind is not float:  # an int or str of its own kind
         return value
     if isinstance(kind, dict):
         if not isinstance(value, dict):
@@ -175,9 +174,13 @@ def _read(value, kind, key: str, where: str, errors: list):
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number and (kind is float or (kind is int and value.is_integer())):
         try:
-            return kind(value)
+            value = kind(value)
         except OverflowError:  # an integer past the float range
             pass
+        else:
+            if math.isfinite(value):
+                return value
+            raise ConfigError(f"{_label(key, where)} must be a finite JSON number, got {value!r}")
     raise ConfigError(f"{_label(key, where)} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
@@ -229,7 +232,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     errors: list[tuple[int, ConfigError]] = []
     (
         area, packing, sensor, r_c, platform, r_min_turn, deployment, failure, failures,
-        validation, sweep, path, table1_mode, min_turn_formula, r_l_max, out_dir,
+        validation, sweep, path, min_turn_formula, r_l_max, out_dir,
     ) = _walk(raw, _SCHEMA, "", errors)
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
@@ -240,8 +243,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         events = []
         for k, (time_s, lost_ids, seed, loss_count) in enumerate((failure,) if failure else failures or ()):
             name = "failure" if failure else f"failures[{k}]"
-            if not (math.isfinite(time_s) and time_s >= 0.0):
-                raise ConfigError(f"{name}: 'time_s' must be finite and >= 0, got {time_s!r}")
+            if not time_s >= 0.0:
+                raise ConfigError(f"{name}: 'time_s' must be >= 0, got {time_s!r}")
             if seed is not None and seed < 0:
                 raise ConfigError(f"{name}: 'seed' must be >= 0, got {seed}")
             if events and not time_s > events[-1].time:
@@ -256,7 +259,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
             r_min_turn=r_min_turn, deploy_radius=deployment[0], deploy_budget=deployment[1],
             r_l_max=r_l_max, failures=tuple(events), grid_pitch=validation[0], phase_samples=validation[1],
             sweep_r_inits=sweep[0], sweep_fractions=sweep[1], path_source=source, path_target=target,
-            min_turn_formula=min_turn_formula, table1_mode=table1_mode, out_dir=out_dir,
+            min_turn_formula=min_turn_formula, out_dir=out_dir,
         )
     except ConfigError:
         raise
@@ -298,14 +301,14 @@ def layout_csv(layout: PackingLayout) -> str:
 
 
 def _params_csv(cfg: ScenarioConfig, r_l: float) -> str:
-    p = packing_params(r_l, cfg.kind, cfg.table1_mode)
+    p = packing_params(r_l, cfg.kind)
     header = (
-        "kind,r_l_m,side_length_m,x_pitch_m,y_pitch_m,overlap_angle_rad,"
-        "half_overlap_area_m2,effective_area_m2,table_mode"
+        "kind,r_l_m,side_length_m,x_pitch_m,y_pitch_m,overlap_angle_rad,half_overlap_area_m2,"
+        "effective_area_m2,paper_half_overlap_area_m2,paper_effective_area_m2"
     )
     row = (
-        f"{cfg.kind.value},{r_l!r},{p.side_length!r},{p.x_pitch!r},{p.y_pitch!r},"
-        f"{p.overlap_angle!r},{p.half_overlap_area!r},{p.effective_area!r},{p.table_mode}"
+        f"{cfg.kind.value},{r_l!r},{p.side_length!r},{p.x_pitch!r},{p.y_pitch!r},{p.overlap_angle!r},"
+        f"{p.half_overlap_area!r},{p.effective_area!r},{p.paper_half_overlap_area!r},{p.paper_effective_area!r}"
     )
     return header + "\n" + row + "\n"
 
@@ -542,8 +545,6 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
         cfg.grid_pitch = args.grid_pitch
     if getattr(args, "phase_samples", None) is not None:
         cfg.phase_samples = args.phase_samples
-    if getattr(args, "table1_mode", None) is not None:
-        cfg.table1_mode = args.table1_mode
     if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -579,8 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="failure selection seed override")
             p.add_argument("--grid-pitch", type=float, default=None, help="validation grid pitch (m)")
             p.add_argument("--phase-samples", type=int, default=None, help="phase samples for validation")
-        if name == "pack":
-            p.add_argument("--table1-mode", choices=("paper", "exact"), default=None)
     return parser
 
 

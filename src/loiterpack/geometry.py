@@ -1,8 +1,11 @@
 """Scalar geometry of sensing and loitering.
 
-Radii relations and circle-overlap areas used by every other module, and
-``pairs_within``, the one sweep for near pairs of many boxes or points. All
-operations are pure functions over immutable value types or arrays.
+``LATTICES`` holds the constants that tell square packing from hexagon
+packing; the radii relations here, the layout march and the radius solver
+read them from that one table. Also here: the circle-overlap areas of the
+paper's Table 1, and ``pairs_within``, the one sweep for near pairs of many
+boxes or points. All operations are pure functions over immutable value
+types or arrays.
 """
 
 from __future__ import annotations
@@ -18,13 +21,33 @@ import numpy as np
 # flip that. Matches the span tolerance used by the packing construction.
 BOUNDARY_TOL = 1e-9
 
-SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
-
 
 class PackingKind(Enum):
     SQUARE = "square"
     HEXAGON = "hexagon"
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The centre lattice of one packing kind, in loiter radii r: centres sit
+    ``pitch`` r apart along a row and rows ``row_pitch`` r apart, the cell
+    polygon has sides of ``side`` r, each circle has ``neighbours`` nearest
+    neighbours ``pitch`` r away, and a row's circle count changes ``steps``
+    times per ``pitch`` of width (hexagon rows alternate two offsets)."""
+
+    pitch: float
+    row_pitch: float
+    side: float
+    neighbours: int
+    steps: int
+
+
+SQRT2 = math.sqrt(2.0)
+SQRT3 = math.sqrt(3.0)
+LATTICES = {
+    PackingKind.SQUARE: Lattice(SQRT2, SQRT2, SQRT2, 4, 1),
+    PackingKind.HEXAGON: Lattice(SQRT3, 1.5, 1.0, 6, 2),
+}
 
 
 @dataclass(frozen=True)
@@ -108,11 +131,10 @@ class LoiterCircle:
 
 @dataclass(frozen=True)
 class PackingParams:
-    """Per-circle layout parameters for one packing kind at one radius.
-
-    ``table_mode`` records which overlap/effective-area variant the instance
-    carries ("exact" or "paper"); the two are never mixed silently.
-    """
+    """The paper's Table 1 row of one packing kind at one radius: the cell
+    side, the centre pitches, the angle between neighbours, and the half
+    overlap and effective areas of a circle twice over, from the exact lens
+    and from the paper's closed forms (``paper_`` fields)."""
 
     side_length: float
     x_pitch: float
@@ -120,7 +142,8 @@ class PackingParams:
     overlap_angle: float
     half_overlap_area: float
     effective_area: float
-    table_mode: str
+    paper_half_overlap_area: float
+    paper_effective_area: float
 
 
 def coverage_radius(sensor: SensorModel) -> float:
@@ -145,16 +168,14 @@ def max_loiter_radius(r_c: float, kind: PackingKind) -> float:
     """Largest loiter radius that still sweeps full coverage of a packed cell."""
     if not r_c > 0:
         raise ValueError(f"coverage radius must be positive, got {r_c}")
-    if kind is PackingKind.HEXAGON:
-        return r_c / (SQRT3 - 1.0)
-    return r_c / (SQRT2 - 1.0)
+    return r_c / (LATTICES[kind].pitch - 1.0)
 
 
 def min_comm_radius(r_l_max: float, kind: PackingKind) -> float:
     """Smallest communication radius that keeps packed neighbors connected."""
     if not r_l_max > 0:
         raise ValueError(f"r_l_max must be positive, got {r_l_max}")
-    return (SQRT3 if kind is PackingKind.HEXAGON else SQRT2) * r_l_max
+    return LATTICES[kind].pitch * r_l_max
 
 
 def lens_area(d: float, r: float) -> float:
@@ -170,52 +191,29 @@ def lens_area(d: float, r: float) -> float:
     return 2.0 * r * r * math.acos(d / (2.0 * r)) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
 
 
-def packing_params(r_l: float, kind: PackingKind, table_mode: str = "exact") -> PackingParams:
-    """Layout parameters (pitches, overlap, effective area) for one circle.
-
-    For hexagon packing the tabulated closed forms for the overlap and the
-    effective area ("paper" mode) disagree with the exact lens geometry;
-    ``table_mode`` selects which variant to report. Square packing is
-    identical in both modes. "exact" is authoritative for downstream
-    computation.
+def packing_params(r_l: float, kind: PackingKind) -> PackingParams:
+    """The Table 1 row of ``kind`` at loiter radius ``r_l``. With k
+    neighbours, the exact areas come from the lens of two circles one pitch
+    apart: half of it, and the circle less k lenses. The paper's closed
+    forms are (pi - k/2) r^2 / k and (k - pi) r^2; for square packing they
+    equal the exact areas, for hexagon packing they do not. No computation
+    reads this row: the layout march and the solver read ``LATTICES``.
     """
     if not r_l > 0:
         raise ValueError(f"loiter radius must be positive, got {r_l}")
-    if table_mode not in ("exact", "paper"):
-        raise ValueError(f"table_mode must be 'exact' or 'paper', got {table_mode!r}")
+    lat = LATTICES[kind]
+    k = lat.neighbours
     r2 = r_l * r_l
-    if kind is PackingKind.SQUARE:
-        lens = lens_area(SQRT2 * r_l, r_l)  # == (pi - 2) r^2 / 2
-        if table_mode == "exact":
-            a_s = 0.5 * lens
-            eff = math.pi * r2 - 4.0 * lens
-        else:
-            a_s = (math.pi - 2.0) * r2 / 4.0
-            eff = (4.0 - math.pi) * r2
-        return PackingParams(
-            side_length=SQRT2 * r_l,
-            x_pitch=SQRT2 * r_l,
-            y_pitch=SQRT2 * r_l,
-            overlap_angle=math.pi / 2,
-            half_overlap_area=a_s,
-            effective_area=eff,
-            table_mode=table_mode,
-        )
-    lens = lens_area(SQRT3 * r_l, r_l)
-    if table_mode == "exact":
-        a_s = 0.5 * lens
-        eff = math.pi * r2 - 6.0 * lens
-    else:
-        a_s = (math.pi - 3.0) * r2 / 6.0
-        eff = (6.0 - math.pi) * r2
+    lens = lens_area(lat.pitch * r_l, r_l)
     return PackingParams(
-        side_length=r_l,
-        x_pitch=SQRT3 * r_l,
-        y_pitch=1.5 * r_l,
-        overlap_angle=math.pi / 3,
-        half_overlap_area=a_s,
-        effective_area=eff,
-        table_mode=table_mode,
+        side_length=lat.side * r_l,
+        x_pitch=lat.pitch * r_l,
+        y_pitch=lat.row_pitch * r_l,
+        overlap_angle=2.0 * math.pi / k,
+        half_overlap_area=0.5 * lens,
+        effective_area=math.pi * r2 - k * lens,
+        paper_half_overlap_area=(math.pi - k / 2) * r2 / k,
+        paper_effective_area=(k - math.pi) * r2,
     )
 
 

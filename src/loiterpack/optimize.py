@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
-from .geometry import SQRT2, SQRT3, AreaSpec, PackingKind, max_loiter_radius
+from .geometry import LATTICES, AreaSpec, PackingKind, max_loiter_radius
 from .packing import axis_march, check_layout_size, min_layout_radius, uav_count
 
 # Lower bound on any solved radius (meters): prevents degenerate zero-radius
@@ -80,10 +80,11 @@ def revisit_period(r_l: float, v: float) -> float:
 def _binding_radii(area: AreaSpec, kind: PackingKind, lo: float, hi: float) -> list[float]:
     """Radii in [lo, hi] where any row/column count of the layout changes.
 
-    Hexagon rows bind at n*sqrt(3)*r = X (offset template) and at
-    (n - 1/2)*sqrt(3)*r = X (boundary template), i.e. r = 2X/(sqrt(3) j) for
-    integer j; columns bind at m*1.5*r = Y. Square rows/columns bind at
-    n*sqrt(2)*r = extent.
+    A row's count changes ``steps`` times per pitch p of the width X, at
+    r = steps*X/(p j) for integer j: hexagon rows bind at n*sqrt(3)*r = X
+    (offset template) and at (n - 1/2)*sqrt(3)*r = X (boundary template),
+    square rows at n*sqrt(2)*r = X. The row count changes once per row
+    pitch q of the height Y, at r = Y/(q j).
     """
     out: list[float] = []
 
@@ -98,12 +99,9 @@ def _binding_radii(area: AreaSpec, kind: PackingKind, lo: float, hi: float) -> l
                 out.append(r)
             j += 1
 
-    if kind is PackingKind.HEXAGON:
-        family(2.0 * area.x_extent / SQRT3)
-        family(2.0 * area.y_extent / 3.0)
-    else:
-        family(area.x_extent / SQRT2)
-        family(area.y_extent / SQRT2)
+    lat = LATTICES[kind]
+    family(lat.steps * area.x_extent / lat.pitch)
+    family(area.y_extent / lat.row_pitch)
     return out
 
 
@@ -140,8 +138,8 @@ def solve_radius(
     # The layout needs at least area / (cell area) circles, so radii below
     # the continuous tiling bound are always infeasible; skip them. Radii
     # below the layout limit cannot be placed; skip them too.
-    cell = SQRT3 * 1.5 if kind is PackingKind.HEXAGON else 2.0
-    r_inf = math.sqrt(area.x_extent * area.y_extent / (cell * n))
+    lat = LATTICES[kind]
+    r_inf = math.sqrt(area.x_extent * area.y_extent / (lat.pitch * lat.row_pitch * n))
     cand_lo = max(lo, r_inf * (1.0 - 1e-9))
     r_placeable = min_layout_radius(area, kind)
     clipped = cand_lo < r_placeable

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SQRT2, SQRT3, AreaSpec, PackingKind, Vec2
+from .geometry import LATTICES, SQRT2, AreaSpec, PackingKind, Vec2
 
 # A new circle is appended while the footprint span falls short of the extent
 # by more than this (meters); exact-fit layouts do not gain a spurious circle.
@@ -70,8 +70,8 @@ def _march(first: float, pitch: float, extent: float, half_span: float) -> list[
 
 def _pitches(r_l: float, kind: PackingKind) -> tuple[float, float]:
     """(x, y) pitches of the centres at loiter radius ``r_l``."""
-    x_pitch = (SQRT3 if kind is PackingKind.HEXAGON else SQRT2) * r_l
-    return x_pitch, 1.5 * r_l if kind is PackingKind.HEXAGON else x_pitch
+    lat = LATTICES[kind]
+    return lat.pitch * r_l, lat.row_pitch * r_l
 
 
 def _circle_bound(area: AreaSpec, r_l: float, kind: PackingKind) -> float:

@@ -98,16 +98,17 @@ class TestPackCommand:
         cfg = base_config(tmp_path / "out", deployment={"budget_n": 17})
         assert run("pack", write_config(tmp_path, cfg)) == 2
 
-    def test_table1_mode_flag_changes_params(self, tmp_path):
+    def test_params_csv_reports_both_table1_variants(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, deployment={"radius_m": 70.0})
-        path = write_config(tmp_path, cfg)
-        run("pack", path, "--table1-mode", "exact")
-        exact = read_rows(out / "params.csv")[0]
-        run("pack", path, "--table1-mode", "paper")
-        paper = read_rows(out / "params.csv")[0]
-        assert exact["table_mode"] == "exact" and paper["table_mode"] == "paper"
-        assert float(exact["half_overlap_area_m2"]) != float(paper["half_overlap_area_m2"])
+        assert run("pack", write_config(tmp_path, cfg)) == 0
+        row = read_rows(out / "params.csv")[0]
+        assert list(row)[-4:] == [
+            "half_overlap_area_m2", "effective_area_m2", "paper_half_overlap_area_m2", "paper_effective_area_m2"
+        ]
+        # The paper's hexagon closed forms disagree with the exact lens areas.
+        assert float(row["half_overlap_area_m2"]) != float(row["paper_half_overlap_area_m2"])
+        assert float(row["effective_area_m2"]) != float(row["paper_effective_area_m2"])
 
 
 class TestOptimizeCommand:
@@ -146,7 +147,7 @@ class TestOptimizeCommand:
                 "no number of UAVs can cover the area",
             ),
             (20, {"platform": None, "r_min_turn_m": math.nan}, 2,
-             "config error: minimum turn radius must be >= 0, got nan"),
+             "config error: config key 'r_min_turn_m' must be a finite JSON number, got nan"),
             (20, {"platform": None, "r_min_turn_m": -5.0}, 2,
              "config error: minimum turn radius must be >= 0, got -5.0"),
         ]
@@ -701,7 +702,7 @@ class TestConfigSections:
 
     def test_null_top_level_keys_take_their_defaults(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        keys = ("packing", "table1_mode", "min_turn_formula", "output_dir", "r_min_turn_m")
+        keys = ("packing", "min_turn_formula", "output_dir", "r_min_turn_m")
         cfg = every_section_config(None, **dict.fromkeys(keys))
         assert run("pack", write_config(tmp_path, cfg)) == 0
         assert (tmp_path / "out" / "manifest.json").is_file()
@@ -759,6 +760,28 @@ class TestConfigSections:
         assert run(command, write_config(tmp_path, cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("sweep", {"sweep": {"r_init_m": [math.inf, 60.0], "loss_fractions": [0.1]}},
+             "sweep: 'r_init_m' must be a finite JSON number, got inf"),
+            ("optimize", {"r_c_m": math.nan, "deployment": {"budget_n": 17}},
+             "config key 'r_c_m' must be a finite JSON number, got nan"),
+            ("pack", {"area": {"x_extent_m": math.inf, "y_extent_m": 650.0}},
+             "area: 'x_extent_m' must be a finite JSON number, got inf"),
+            ("simulate", {"failure": {"time_s": math.inf, "seed": 0, "loss_count": 18}, "failures": None},
+             "failure: 'time_s' must be a finite JSON number, got inf"),
+            ("pack", {"r_c_m": 10**400}, "config key 'r_c_m' must be a JSON number, got 1000"),
+        ],
+        ids=["r_init_m-inf", "r_c_m-nan", "x_extent_m-inf", "time_s-inf", "r_c_m-past-float"],
+    )
+    def test_numbers_must_be_finite(self, tmp_path, capsys, command, overrides, message):
+        # JSON's Infinity and NaN parse, but no number key takes them.
+        cfg = every_section_config(tmp_path / "out", **overrides)
+        assert run(command, write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_oversized_grid_is_config_error(self, tmp_path, capsys):
@@ -1111,10 +1134,11 @@ def random_config(rng, command, out_dir):
             [{"source": circle()}, {"source": {"x_m": 0, "y_m": 0, "radius_m": 0}, "target": circle()},
              {"source": 3, "target": circle()}],
         )
-    if rng.random() < 0.2:  # the value of a deleted key, drawn so later draws stay the same
+    # The values of deleted keys, drawn so later draws stay the same.
+    if rng.random() < 0.2:
         maybe(num(2, 40), bad_num)
     if rng.random() < 0.1:
-        cfg["table1_mode"] = rng.choice(["exact", "paper", "other"])
+        rng.choice(["exact", "paper", "other"])
     if rng.random() < 0.1:
         cfg["min_turn_formula"] = rng.choice(["paper", "standard", "other"])
     return cfg
@@ -1146,8 +1170,8 @@ def random_flags(rng, command, cfg):
             flags += ["--grid-pitch", str(rng.choice([6.0, 9.5, 0.0, -2.0]))]
         if rng.random() < 0.2:
             flags += ["--phase-samples", str(rng.choice([8, 12, 4, 0]))]
-    if command == "pack" and rng.random() < 0.2:
-        flags += ["--table1-mode", rng.choice(["paper", "exact"])]
+    if command == "pack" and rng.random() < 0.2:  # a deleted flag, drawn so later draws stay the same
+        rng.choice(["paper", "exact"])
     return flags
 
 
@@ -1214,9 +1238,9 @@ class TestRandomConfigs:
 RANDOM_CONFIGS = 100
 # The exit code of each draw of TestRandomConfigs, in seed order.
 EXIT_CODES = {
-    "pack": "0220000220000020000000220220222022222000020022020200202002000222022202000202022000000220000200200002",
-    "optimize": "2222000302000002202000002000200222222020200230200202200002200222223202030200222232200200202022222002",
-    "simulate": "0220222222220222202022202200222222000220222223022322220300220020222200202222202220202020202222220022",
-    "sweep": "2000222002000002022220202220202220000220000222200022200002022220002202200000202022200002200222020220",
-    "path": "2222422222022422222220200022222200222022220200242002222220202022002222200020002202002220202022202004",
+    "pack": "0220000220000020000000220220222022222000020022000200202002000222022202000222022000000222000200200002",
+    "optimize": "2222002302000002202000002000200222222022200230200200200002200222223202030200220222200200200022222002",
+    "simulate": "0220222222220222202022202200222222000200222223022322220300220020222200202222202220202020202222220022",
+    "sweep": "2000222002000002022220202220202220000220000222200022200002022220002202200000202022200002200202020220",
+    "path": "2222422222022422222220200022222200222022220200240002222220202022002022200020002202002220202022202004",
 }

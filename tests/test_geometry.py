@@ -139,33 +139,29 @@ class TestLensArea:
 
 class TestPackingParams:
     def test_square_half_overlap(self):
-        p = packing_params(1.0, PackingKind.SQUARE, "paper")
-        assert p.half_overlap_area == pytest.approx((math.pi - 2.0) / 4.0, abs=1e-9)
-        assert p.half_overlap_area == pytest.approx(0.28540, abs=1e-5)
+        p = packing_params(1.0, PackingKind.SQUARE)
+        assert p.paper_half_overlap_area == pytest.approx((math.pi - 2.0) / 4.0, abs=1e-9)
+        assert p.paper_half_overlap_area == pytest.approx(0.28540, abs=1e-5)
 
     def test_square_paper_equals_exact(self):
-        paper = packing_params(2.5, PackingKind.SQUARE, "paper")
-        exact = packing_params(2.5, PackingKind.SQUARE, "exact")
-        assert paper.half_overlap_area == pytest.approx(exact.half_overlap_area, abs=1e-9)
-        assert paper.effective_area == pytest.approx(exact.effective_area, abs=1e-9)
+        p = packing_params(2.5, PackingKind.SQUARE)
+        assert p.paper_half_overlap_area == pytest.approx(p.half_overlap_area, abs=1e-9)
+        assert p.paper_effective_area == pytest.approx(p.effective_area, abs=1e-9)
 
     def test_hexagon_variants(self):
-        paper = packing_params(1.0, PackingKind.HEXAGON, "paper")
-        exact = packing_params(1.0, PackingKind.HEXAGON, "exact")
-        assert paper.half_overlap_area == pytest.approx((math.pi - 3.0) / 6.0, abs=1e-9)
-        assert paper.half_overlap_area == pytest.approx(0.02360, abs=1e-5)
-        assert exact.half_overlap_area == pytest.approx(0.09059, abs=1e-5)
-        assert paper.effective_area == pytest.approx(6.0 - math.pi, abs=1e-9)
-        assert exact.effective_area == pytest.approx(math.pi - 6.0 * lens_area(SQRT3, 1.0))
-        assert paper.table_mode == "paper" and exact.table_mode == "exact"
+        p = packing_params(1.0, PackingKind.HEXAGON)
+        assert p.paper_half_overlap_area == pytest.approx((math.pi - 3.0) / 6.0, abs=1e-9)
+        assert p.paper_half_overlap_area == pytest.approx(0.02360, abs=1e-5)
+        assert p.half_overlap_area == pytest.approx(0.09059, abs=1e-5)
+        assert p.paper_effective_area == pytest.approx(6.0 - math.pi, abs=1e-9)
+        assert p.effective_area == pytest.approx(math.pi - 6.0 * lens_area(SQRT3, 1.0))
 
     def test_hexagon_discrepancy_is_a_fixed_scale_offset(self):
         # exact - paper is a constant multiple of r^2, never silently mixed away
         offset = None
         for r in (0.5, 1.0, 7.0, 60.0):
-            paper = packing_params(r, PackingKind.HEXAGON, "paper")
-            exact = packing_params(r, PackingKind.HEXAGON, "exact")
-            scaled = (exact.half_overlap_area - paper.half_overlap_area) / (r * r)
+            p = packing_params(r, PackingKind.HEXAGON)
+            scaled = (p.half_overlap_area - p.paper_half_overlap_area) / (r * r)
             if offset is None:
                 offset = scaled
             assert scaled == pytest.approx(offset, abs=1e-12)
@@ -194,10 +190,6 @@ class TestPackingParams:
         for _ in range(50):
             r = rng.uniform(1e-3, 500.0)
             assert 6.0 * lens_area(SQRT3 * r, r) < 4.0 * lens_area(SQRT2 * r, r)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            packing_params(1.0, PackingKind.HEXAGON, "folklore")
 
 
 def _hex_cluster(r_l: float) -> list[Vec2]:

@@ -28,7 +28,7 @@ GOLDEN = {
         {
             "layout.csv": "7783ce6608af90c22ad744eb35530908362e94105d90781dd69f5e27df9f5443",
             "layout.svg": "bc461301e4e274cc1cc915fafa8d36363c2deaa4d768e1b3d9023adf794d938e",
-            "params.csv": "2fd6857cc720bd5fdaafbd403b894f44b491625446425661286f37c9cab0ab31",
+            "params.csv": "173528eeead343bdbbf0336a6ac1f75fc5830684af2c0d3fbe44562e01521420",
         },
     ),
     "pack-square-70": (
@@ -38,7 +38,7 @@ GOLDEN = {
         {
             "layout.csv": "e7de89d37d24ccbfd178e2a4c4b64b6a8e2e0722b6ea6093828424c775e1dd9e",
             "layout.svg": "0cf139b9727f88d4f562267b8d1ccf2172b7a51ce7a1550472cc4ec79fb1f078",
-            "params.csv": "5e6e185fde9dd5db138cf0a09002dfbd4285ff0d9535f0b5105413591170ac8e",
+            "params.csv": "b158ef554e10303bbffac23b80cf4abed3172ae95b7a2f6ca732fae9d504b5d3",
         },
     ),
     "optimize-17": (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loiterpack import optimize
-from loiterpack.geometry import AreaSpec, PackingKind, max_loiter_radius
+from loiterpack.geometry import AreaSpec, PackingKind, max_loiter_radius, min_comm_radius, packing_params
 from loiterpack.optimize import (
     RADIUS_FLOOR,
     FleetBudget,
@@ -125,6 +125,40 @@ class TestSolveRadius:
         sol = solve(42, kind=PackingKind.SQUARE, cap=None)
         assert sol.loiter_radius is not None
         assert uav_count(AREA, sol.loiter_radius, PackingKind.SQUARE) <= 42
+
+
+def random_areas():
+    rng = np.random.default_rng(32)
+    return [AreaSpec(*rng.uniform(60.0, 1000.0, 2)) for _ in range(40)]
+
+
+@pytest.mark.parametrize("kind", list(PackingKind), ids=lambda kind: kind.value)
+class TestLatticeMatchesMarch:
+    """The lattice table that the solver and the radii relations read agrees
+    with the layout march, over seeded random areas."""
+
+    def test_counts_change_only_at_binding_radii(self, kind):
+        for area in random_areas():
+            longest = max(area.x_extent, area.y_extent)
+            radii = sorted(set(optimize._binding_radii(area, kind, longest / 40.0, longest)))
+            for a, b in zip(radii, radii[1:]):
+                w = b - a
+                probes = (a + 1e-6 * w, a + 0.5 * w, b - 1e-6 * w)
+                assert len({uav_count(area, r, kind) for r in probes}) == 1, (area, a, b)
+
+    def test_nearest_centre_distance_and_pitches(self, kind):
+        rng = np.random.default_rng(33)
+        for area in random_areas():
+            r = rng.uniform(0.05, 0.3) * min(area.x_extent, area.y_extent)
+            layout = pack(area, r, kind)
+            xy = np.array([(c.x, c.y) for c in layout.centers])
+            d = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+            np.fill_diagonal(d, np.inf)
+            assert d.min() == pytest.approx(min_comm_radius(r, kind), rel=1e-12)
+            p = packing_params(r, kind)
+            rows = layout.rows
+            assert rows[0][1].x - rows[0][0].x == pytest.approx(p.x_pitch, rel=1e-12)
+            assert rows[1][0].y - rows[0][0].y == pytest.approx(p.y_pitch, rel=1e-12)
 
 
 class TestIdealRadiusAfterLoss:
