@@ -63,14 +63,19 @@ EXIT_PLANNING = 4
 MAX_PATH_SAMPLES = 1 << 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario. ``parse_config`` resolves each derived value once:
+    ``r_c`` is ``r_c_m``, else the sensor's footprint radius, else None;
+    ``r_turn``, the minimum turn radius that bounds every loiter radius and
+    shapes every transit, is ``r_min_turn_m``, else the platform's, else 0;
+    ``grid_pitch`` is ``grid_pitch_m``, else r_c / 20."""
+
     area: AreaSpec
     kind: PackingKind
     r_c: float | None = None
-    sensor: SensorModel | None = None
     platform: PlatformModel | None = None
-    r_min_turn: float | None = None
+    r_turn: float = 0.0
     deploy_radius: float | None = None
     deploy_budget: int | None = None
     r_l_max: float | None = None
@@ -81,28 +86,12 @@ class ScenarioConfig:
     sweep_fractions: tuple[float, ...] = ()
     path_source: LoiterCircle | None = None
     path_target: LoiterCircle | None = None
-    min_turn_formula: str = "paper"
     out_dir: str = "out"
 
     def coverage_radius(self) -> float:
-        if self.r_c is not None:
-            return self.r_c
-        if self.sensor is None:
+        if self.r_c is None:
             raise ConfigError("this command needs either 'sensor' or 'r_c_m'")
-        return coverage_radius(self.sensor)
-
-    def min_turn(self) -> float:
-        """The scenario's minimum turn radius, which bounds every loiter
-        radius and shapes every transit: ``r_min_turn_m``, else the
-        platform's, else 0."""
-        if self.r_min_turn is not None:
-            return self.r_min_turn
-        if self.platform is not None:
-            return min_turn_radius(self.platform, self.min_turn_formula)
-        return 0.0
-
-    def effective_grid_pitch(self) -> float:
-        return self.grid_pitch if self.grid_pitch is not None else self.coverage_radius() / 20.0
+        return self.r_c
 
     def require_platform(self) -> PlatformModel:
         if self.platform is None:
@@ -132,7 +121,6 @@ _SCHEMA = {
     "validation": ({"grid_pitch_m": (float, None), "phase_samples": (int, 36)}, {}),
     "sweep": ({"r_init_m": ([float], ()), "loss_fractions": ([float], ())}, {}),
     "path": ({"source": (_CIRCLE, None), "target": (_CIRCLE, None)}, {}),
-    "min_turn_formula": (("paper", "standard"), "paper"),
     "r_l_max_m": (float, None),
     "output_dir": (str, "out"),
 }
@@ -232,14 +220,24 @@ def parse_config(raw: dict) -> ScenarioConfig:
     errors: list[tuple[int, ConfigError]] = []
     (
         area, packing, sensor, r_c, platform, r_min_turn, deployment, failure, failures,
-        validation, sweep, path, min_turn_formula, r_l_max, out_dir,
+        validation, sweep, path, r_l_max, out_dir,
     ) = _walk(raw, _SCHEMA, "", errors)
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     try:
         area = AreaSpec(*area)
-        sensor = None if sensor is None else SensorModel(*sensor)
-        platform = None if platform is None else PlatformModel(*platform)
+        if sensor is not None:
+            r_c = coverage_radius(SensorModel(*sensor))
+        r_turn = 0.0 if r_min_turn is None else r_min_turn
+        if platform is not None:
+            platform = PlatformModel(*platform)
+            try:
+                r_turn = min_turn_radius(platform)
+            except OverflowError:  # the speed's square is past the float range
+                r_turn = math.inf
+        for name, value in (("sensor: the coverage radius", r_c), ("platform: the minimum turn radius", r_turn)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         events = []
         for k, (time_s, lost_ids, seed, loss_count) in enumerate((failure,) if failure else failures or ()):
             name = "failure" if failure else f"failures[{k}]"
@@ -253,13 +251,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
                 )
             lost_ids = None if lost_ids is None else frozenset(lost_ids)
             events.append(FailureEvent(time_s, lost_ids, seed, loss_count))
+        grid_pitch = validation[0] if validation[0] is not None or r_c is None else r_c / 20.0
         source, target = [None if c is None else LoiterCircle(Vec2(c[0], c[1]), c[2]) for c in path]
         return ScenarioConfig(
-            area=area, kind=PackingKind(packing), r_c=r_c, sensor=sensor, platform=platform,
-            r_min_turn=r_min_turn, deploy_radius=deployment[0], deploy_budget=deployment[1],
-            r_l_max=r_l_max, failures=tuple(events), grid_pitch=validation[0], phase_samples=validation[1],
+            area=area, kind=PackingKind(packing), r_c=r_c, platform=platform, r_turn=r_turn,
+            deploy_radius=deployment[0], deploy_budget=deployment[1], r_l_max=r_l_max,
+            failures=tuple(events), grid_pitch=grid_pitch, phase_samples=validation[1],
             sweep_r_inits=sweep[0], sweep_fractions=sweep[1], path_source=source, path_target=target,
-            min_turn_formula=min_turn_formula, out_dir=out_dir,
+            out_dir=out_dir,
         )
     except ConfigError:
         raise
@@ -339,7 +338,7 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         cfg.area,
         cfg.kind,
         cfg.coverage_radius(),
-        cfg.min_turn(),
+        cfg.r_turn,
         r_l_max=cfg.r_l_max,
     )
     header = "r_l_m,n_x,n_y,objective\n"
@@ -352,11 +351,11 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     print(f"r_l = {r:.4f} m, n_x = {sol.n_x}, n_y = {sol.n_y}")
 
 
-def _coverage_csv(report) -> str:
+def _coverage_csv(report, cfg: ScenarioConfig) -> str:
     return (
         "instant_min_fraction,cycle_fraction,grid_pitch_m,phase_samples\n"
         f"{report.instant_min_fraction!r},{report.cycle_fraction!r},"
-        f"{report.grid_pitch!r},{report.phase_samples}\n"
+        f"{cfg.grid_pitch!r},{cfg.phase_samples}\n"
     )
 
 
@@ -369,8 +368,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     written, then ``InfeasibleError`` carries the plan's reason."""
     platform = cfg.require_platform()
     r_c = cfg.coverage_radius()
-    r_turn = cfg.min_turn()
-    check_coverage_inputs(cfg.area, r_c, cfg.effective_grid_pitch(), cfg.phase_samples)
+    check_coverage_inputs(cfg.area, r_c, cfg.grid_pitch, cfg.phase_samples)
     events: list[tuple[float, str, str]] = []
 
     state = deploy(
@@ -381,7 +379,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         budget=cfg.deploy_budget,
         r_c=r_c,
         r_l_max=cfg.r_l_max,
-        r_turn=r_turn,
+        r_turn=cfg.r_turn,
     )
     events.append((0.0, "deploy", f"{len(state.uavs)} UAVs at r_l={state.layout.loiter_radius:.4f}"))
     out.write_text("initial.svg", render_fleet(cfg.area, state.uavs, state.phase, title="initial deployment"))
@@ -415,7 +413,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         )
 
         plan = super_agent_recover(
-            report, cfg.area, cfg.kind, r_c, platform, r_l_max=cfg.r_l_max, r_turn=r_turn
+            report, cfg.area, cfg.kind, r_c, platform, r_l_max=cfg.r_l_max, r_turn=cfg.r_turn
         )
         if plan.outcome is RecoveryOutcome.RECOVERY_FAILED:
             events.append((t_detect, "recover_failed", plan.reason))
@@ -447,10 +445,10 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         [c.center for i, c in state.uavs.items() if i not in state.lost],
         state.layout.loiter_radius,
         r_c,
-        cfg.effective_grid_pitch(),
+        cfg.grid_pitch,
         cfg.phase_samples,
     )
-    out.write_text("coverage.csv", _coverage_csv(cov))
+    out.write_text("coverage.csv", _coverage_csv(cov, cfg))
     out.write_text("events.log", _events_text(events))
     if failed is not None:
         raise InfeasibleError(failed.reason, failed.deficit)
@@ -468,16 +466,15 @@ def cmd_sweep(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if not cfg.sweep_r_inits or not cfg.sweep_fractions:
         raise ConfigError("sweep needs sweep.r_init_m and sweep.loss_fractions lists")
     r_c = cfg.coverage_radius()
-    r_turn = cfg.min_turn()
     for r_init in cfg.sweep_r_inits:
-        check_deploy_radius(r_init, r_turn)
+        check_deploy_radius(r_init, cfg.r_turn)
     result = loss_sweep(
         cfg.area,
         cfg.kind,
         cfg.sweep_r_inits,
         cfg.sweep_fractions,
         r_c,
-        r_min_turn=r_turn,
+        r_min_turn=cfg.r_turn,
         r_l_max=cfg.r_l_max,
     )
     # An empty r_new_m: the survivors need more than the radius cap allows.
@@ -500,7 +497,7 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     if cfg.path_source is None or cfg.path_target is None:
         raise ConfigError("path needs path.source and path.target circles")
     platform = cfg.require_platform()
-    plan = plan_transition(0, cfg.path_source, 0.0, cfg.path_target, cfg.min_turn(), platform.speed)
+    plan = plan_transition(0, cfg.path_source, 0.0, cfg.path_target, cfg.r_turn, platform.speed)
     dt = 0.1
     if not plan.arrival_time / dt < MAX_PATH_SAMPLES:
         raise ConfigError(
@@ -537,29 +534,6 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
 # entry point
 
 
-def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    if args.out is not None:
-        cfg.out_dir = args.out
-    # Each command registers only the flags it reads; the others are absent.
-    if getattr(args, "grid_pitch", None) is not None:
-        cfg.grid_pitch = args.grid_pitch
-    if getattr(args, "phase_samples", None) is not None:
-        cfg.phase_samples = args.phase_samples
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        seeded = [f for f in cfg.failures if f.seed is not None]
-        if not seeded:
-            raise ConfigError("--seed needs a seeded failure event in the config")
-        cfg.failures = tuple(
-            FailureEvent(time=f.time, seed=args.seed, loss_count=f.loss_count)
-            if f.seed is not None
-            else f
-            for f in cfg.failures
-        )
-    return cfg
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loiterpack",
@@ -576,10 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        if name == "simulate":
-            p.add_argument("--seed", type=int, default=None, help="failure selection seed override")
-            p.add_argument("--grid-pitch", type=float, default=None, help="validation grid pitch (m)")
-            p.add_argument("--phase-samples", type=int, default=None, help="phase samples for validation")
     return parser
 
 
@@ -596,8 +566,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = None
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        out = ArtifactWriter(Path(cfg.out_dir))
+        cfg = load_config(args.config)
+        out = ArtifactWriter(Path(cfg.out_dir if args.out is None else args.out))
         _COMMANDS[args.command](cfg, out)
         return EXIT_OK
     except InfeasibleError as exc:

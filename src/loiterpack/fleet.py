@@ -95,8 +95,6 @@ class SurvivorReport:
 class CoverageReport:
     instant_min_fraction: float
     cycle_fraction: float
-    grid_pitch: float
-    phase_samples: int
 
 
 @dataclass(frozen=True)
@@ -202,11 +200,23 @@ def deploy(
 
 def check_deploy_radius(radius: float, r_turn: float) -> None:
     """Raise ``ValueError``, naming both radii, when a deploy radius lies below
-    the minimum turn radius ``r_turn``: the platform cannot loiter on it."""
+    the minimum turn radius ``r_turn``: the platform cannot loiter on it; or
+    when it is too large to square (``_check_square``)."""
     if radius < r_turn:
         raise ValueError(
             f"the deploy radius {radius:.6g} m is below the minimum turn radius {r_turn:.6g} m"
         )
+    _check_square("deploy radius", radius)
+
+
+def _check_square(name: str, radius: float) -> None:
+    """Raise ``ValueError`` when 32 ``radius``^2 overflows (above about
+    2.4e153 m). The coverage kernels add two squares of at most a loiter
+    radius plus the coverage radius, and a solved loiter radius is at most
+    2.42 coverage radii: with the coverage and deploy radii passing, such
+    sums stay below 32 times the larger one squared."""
+    if not math.isfinite(32.0 * radius * radius):
+        raise ValueError(f"the {name} {radius:.6g} m is too large: its square overflows")
 
 
 def step(state: FleetState, dt: float) -> FleetState:
@@ -463,11 +473,13 @@ def apply_recovery(state: FleetState, plan: RecoveryPlan) -> FleetState:
 
 def check_coverage_inputs(area: AreaSpec, r_c: float, grid_pitch: float, phase_samples: int):
     """Raise ``ValueError`` on the inputs ``coverage_report`` rejects: a coverage
-    radius that is not positive, fewer than 8 or more than
-    ``MAX_PHASE_SAMPLES`` phases or a bad or oversized grid. Allocates
-    nothing, so a command can check before its first output."""
+    radius that is not positive or too large to square (``_check_square``),
+    fewer than 8 or more than ``MAX_PHASE_SAMPLES`` phases or a bad or
+    oversized grid. Allocates nothing, so a command can check before its
+    first output."""
     if not r_c > 0:
         raise ValueError(f"coverage radius must be positive, got {r_c}")
+    _check_square("coverage radius", r_c)
     if phase_samples < 8:
         raise ValueError(f"phase_samples must be >= 8, got {phase_samples}")
     if phase_samples > MAX_PHASE_SAMPLES:
@@ -494,19 +506,14 @@ def coverage_report(
     xs, ys = grid_points(area, grid_pitch)
     centers = list(centers)
     if not centers:
-        return CoverageReport(0.0, 0.0, grid_pitch, phase_samples)
+        return CoverageReport(0.0, 0.0)
     cx = np.array([c.x for c in centers])
     cy = np.array([c.y for c in centers])
     covered = kernels.cycle_cover_count(xs, ys, cx, cy, r_l, r_c, BOUNDARY_TOL)
     cycle = covered / (xs.size * ys.size)
     phases = np.arange(phase_samples) * (TWO_PI / phase_samples)
     instant = kernels.min_instant_fraction(xs, ys, cx, cy, r_l, r_c, phases, BOUNDARY_TOL)
-    return CoverageReport(
-        instant_min_fraction=instant,
-        cycle_fraction=cycle,
-        grid_pitch=grid_pitch,
-        phase_samples=phase_samples,
-    )
+    return CoverageReport(instant_min_fraction=instant, cycle_fraction=cycle)
 
 
 @dataclass(frozen=True)

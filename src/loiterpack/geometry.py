@@ -151,17 +151,10 @@ def coverage_radius(sensor: SensorModel) -> float:
     return sensor.altitude * math.tan(sensor.fov_half_angle)
 
 
-def min_turn_radius(platform: PlatformModel, formula: str = "paper") -> float:
-    """Smallest feasible turn radius for the platform.
-
-    ``formula="paper"`` evaluates v^2 * psi_max / g; ``"standard"`` uses the
-    aeronautics form v^2 / (g * tan(psi_max)).
-    """
-    if formula == "paper":
-        return platform.speed**2 * platform.max_bank / platform.gravity
-    if formula == "standard":
-        return platform.speed**2 / (platform.gravity * math.tan(platform.max_bank))
-    raise ValueError(f"unknown min-turn formula {formula!r}")
+def min_turn_radius(platform: PlatformModel) -> float:
+    """Smallest feasible turn radius for the platform, the paper's
+    v^2 * psi_max / g."""
+    return platform.speed**2 * platform.max_bank / platform.gravity
 
 
 def max_loiter_radius(r_c: float, kind: PackingKind) -> float:

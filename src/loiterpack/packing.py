@@ -37,7 +37,6 @@ class PackingLayout:
     kind: PackingKind
     loiter_radius: float
     rows: tuple[tuple[Vec2, ...], ...]
-    area: AreaSpec
 
     @property
     def n_rows(self) -> int:
@@ -137,7 +136,7 @@ def pack(area: AreaSpec, r_l: float, kind: PackingKind) -> PackingLayout:
     """Generate the loiter-circle layout for ``area`` at radius ``r_l``."""
     xs, ys = axis_march(area, r_l, kind)
     rows = tuple(tuple(Vec2(x, y) for x in xs[i % len(xs)]) for i, y in enumerate(ys))
-    return PackingLayout(kind=kind, loiter_radius=r_l, rows=rows, area=area)
+    return PackingLayout(kind=kind, loiter_radius=r_l, rows=rows)
 
 
 def uav_count(area: AreaSpec, r_l: float, kind: PackingKind) -> int:
@@ -158,7 +157,7 @@ def grid_shape(area: AreaSpec, grid_pitch: float) -> tuple[int, int]:
     nx, ny = (max(1, round(c)) for c in cells)
     if nx * ny > MAX_GRID_POINTS:
         raise ValueError(
-            f"a {nx} x {ny} sample grid exceeds the limit of {MAX_GRID_POINTS} points"
+            f"a {nx:.3g} x {ny:.3g} sample grid exceeds the limit of {MAX_GRID_POINTS} points"
         )
     return nx, ny
 

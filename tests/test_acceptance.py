@@ -188,9 +188,10 @@ def test_criterion_8_dubins_property_suite():
 def test_criterion_9_persistent_coverage_regimes():
     with budget(20.0, "criterion 9: cluster instant coverage 1.0 at r_l=r_c; 1.3 r_c loses instant, keeps cycle"):
         r_c = 70.0
-        persistent = hex_cluster_layout(r_c)  # r_l = r_c
-        frac = layout_coverage(persistent, r_c, r_c / 20.0, 360).instant_min_fraction
+        area, persistent = hex_cluster_layout(r_c)  # r_l = r_c
+        frac = layout_coverage(persistent, r_c, r_c / 20.0, 360, area).instant_min_fraction
         assert frac == 1.0
-        stretched = layout_coverage(hex_cluster_layout(1.3 * r_c), r_c, r_c / 20.0, 360)
+        area, layout = hex_cluster_layout(1.3 * r_c)
+        stretched = layout_coverage(layout, r_c, r_c / 20.0, 360, area)
         assert stretched.instant_min_fraction < 1.0
         assert stretched.cycle_fraction == 1.0

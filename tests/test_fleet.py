@@ -39,9 +39,7 @@ R_L_MAX = 100.0
 def fleet_coverage(state, grid_pitch, phase_samples):
     """Coverage fractions of the UAVs still alive, as ``simulate`` reports them."""
     centers = [c.center for i, c in state.uavs.items() if i not in state.lost]
-    return coverage_report(
-        state.layout.area, centers, state.layout.loiter_radius, R_C, grid_pitch, phase_samples
-    )
+    return coverage_report(AREA, centers, state.layout.loiter_radius, R_C, grid_pitch, phase_samples)
 
 
 def table2_fleet():

@@ -77,16 +77,6 @@ class TestMinTurnRadius:
         assert min_turn_radius(PlatformModel(15.0, 0.5, 9.81)) == pytest.approx(11.4679, abs=1e-4)
         assert min_turn_radius(PlatformModel(10.0, 1.0, 10.0)) == pytest.approx(10.0)
 
-    def test_standard_formula_uses_tan(self):
-        p = PlatformModel(15.0, 0.5, 9.81)
-        assert min_turn_radius(p, formula="standard") == pytest.approx(
-            15.0**2 / (9.81 * math.tan(0.5))
-        )
-
-    def test_unknown_formula_rejected(self):
-        with pytest.raises(ValueError):
-            min_turn_radius(PlatformModel(15.0, 0.5), formula="guess")
-
 
 class TestMaxLoiterRadius:
     def test_hexagon_bound(self):

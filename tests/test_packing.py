@@ -127,9 +127,9 @@ class TestUavCount:
             assert hex_n <= sq_n
 
 
-def hex_cluster_layout(r_l: float) -> PackingLayout:
-    """Seven-circle packed cluster whose area rectangle is inscribed in the
-    central loiter circle (the persistently-covered test region)."""
+def hex_cluster_layout(r_l: float) -> tuple[AreaSpec, PackingLayout]:
+    """Seven-circle packed cluster and its area rectangle, which is inscribed
+    in the central loiter circle (the persistently-covered test region)."""
     side = math.sqrt(2.0) * r_l
     area = AreaSpec(side, side)
     cx, cy = side / 2.0, side / 2.0
@@ -138,14 +138,12 @@ def hex_cluster_layout(r_l: float) -> PackingLayout:
         tuple(Vec2(cx + dx, cy) for dx in (-SQRT3 * r_l, 0.0, SQRT3 * r_l)),
         tuple(Vec2(cx + dx, cy + 1.5 * r_l) for dx in (-SQRT3 * r_l / 2, SQRT3 * r_l / 2)),
     )
-    return PackingLayout(kind=PackingKind.HEXAGON, loiter_radius=r_l, rows=rows, area=area)
+    return area, PackingLayout(kind=PackingKind.HEXAGON, loiter_radius=r_l, rows=rows)
 
 
-def layout_coverage(layout, r_c, grid_pitch, phase_samples=8):
-    """Coverage fractions of a layout's circles on its own area."""
-    return coverage_report(
-        layout.area, layout.centers, layout.loiter_radius, r_c, grid_pitch, phase_samples
-    )
+def layout_coverage(layout, r_c, grid_pitch, phase_samples=8, area=AREA):
+    """Coverage fractions of a layout's circles on ``area``."""
+    return coverage_report(area, layout.centers, layout.loiter_radius, r_c, grid_pitch, phase_samples)
 
 
 class TestValidateFullCoverage:
@@ -181,11 +179,11 @@ class TestValidateFullCoverage:
         middle = list(rows[3])
         del middle[2]  # remove an interior circle
         rows[3] = tuple(middle)
-        broken = PackingLayout(layout.kind, layout.loiter_radius, tuple(rows), layout.area)
+        broken = PackingLayout(layout.kind, layout.loiter_radius, tuple(rows))
         assert layout_coverage(broken, 70.0 * (SQRT3 - 1), 2.0).cycle_fraction < 1.0
 
     def test_empty_layout(self):
-        empty = PackingLayout(PackingKind.HEXAGON, 10.0, (), AREA)
+        empty = PackingLayout(PackingKind.HEXAGON, 10.0, ())
         cov = layout_coverage(empty, 5.0, 10.0)
         assert (cov.cycle_fraction, cov.instant_min_fraction) == (0.0, 0.0)
 
@@ -193,8 +191,8 @@ class TestValidateFullCoverage:
 class TestValidatePersistentCoverage:
     def test_cluster_is_persistent_at_footprint_radius(self):
         r_l = 70.0
-        layout = hex_cluster_layout(r_l)
-        frac = layout_coverage(layout, r_l, r_l / 20.0, 360).instant_min_fraction
+        area, layout = hex_cluster_layout(r_l)
+        frac = layout_coverage(layout, r_l, r_l / 20.0, 360, area).instant_min_fraction
         assert frac == 1.0
 
     def test_persistence_lost_above_footprint_radius(self):
@@ -203,16 +201,13 @@ class TestValidatePersistentCoverage:
         assert frac < 1.0
 
     def test_single_circle_covers_its_center_at_all_phases(self):
-        area = AreaSpec(1.0, 1.0)
-        layout = PackingLayout(
-            PackingKind.HEXAGON, 5.0, ((Vec2(0.5, 0.5),),), area
-        )
-        assert layout_coverage(layout, 6.0, 0.2, 36).instant_min_fraction == 1.0
+        layout = PackingLayout(PackingKind.HEXAGON, 5.0, ((Vec2(0.5, 0.5),),))
+        assert layout_coverage(layout, 6.0, 0.2, 36, AreaSpec(1.0, 1.0)).instant_min_fraction == 1.0
 
     def test_requires_enough_phase_samples(self):
-        layout = hex_cluster_layout(10.0)
+        area, layout = hex_cluster_layout(10.0)
         with pytest.raises(ValueError):
-            layout_coverage(layout, 10.0, 1.0, phase_samples=4)
+            layout_coverage(layout, 10.0, 1.0, 4, area)
 
 
 class TestGridPoints:
