@@ -50,7 +50,7 @@ from .geometry import (
     min_turn_radius,
     packing_params,
 )
-from .optimize import FleetBudget, _shortage, solve_radius
+from .optimize import FleetBudget, RadiusSolution, _shortage, solve_radius
 from .packing import PackingLayout, pack
 from .render import render_fleet, render_sweep, render_transition
 
@@ -271,14 +271,20 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
 
 class ArtifactWriter:
+    """Writes the artifacts into ``out_dir``, which the first write creates,
+    and keeps their hashes for the manifest."""
+
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
         self.written: dict[str, str] = {}
 
     def write_text(self, name: str, content: str) -> Path:
         path = self.out_dir / name
-        path.write_text(content)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            path.write_text(content)
+        except OSError as exc:  # the output directory names a file, say
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         self.written[name] = hashlib.sha256(content.encode()).hexdigest()
         return path
 
@@ -330,9 +336,9 @@ def cmd_pack(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     print(f"packed {layout.count} circles ({layout.n_rows} rows) at r_l={cfg.deploy_radius:g} m")
 
 
-def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
-    if cfg.deploy_budget is None:
-        raise ConfigError("optimize needs deployment.budget_n")
+def _solve_budget(cfg: ScenarioConfig) -> RadiusSolution:
+    """The smallest loiter radius that ``deployment.budget_n`` UAVs cover the
+    area with; ``InfeasibleError`` when there is none."""
     sol = solve_radius(
         FleetBudget(cfg.deploy_budget),
         cfg.area,
@@ -341,10 +347,20 @@ def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
         cfg.r_turn,
         r_l_max=cfg.r_l_max,
     )
-    header = "r_l_m,n_x,n_y,objective\n"
     if sol.loiter_radius is None:
-        out.write_text("solution.csv", header + ",,,\n")
         raise _shortage(cfg.deploy_budget, sol)
+    return sol
+
+
+def cmd_optimize(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
+    if cfg.deploy_budget is None:
+        raise ConfigError("optimize needs deployment.budget_n")
+    header = "r_l_m,n_x,n_y,objective\n"
+    try:
+        sol = _solve_budget(cfg)
+    except InfeasibleError:
+        out.write_text("solution.csv", header + ",,,\n")
+        raise
     r = sol.loiter_radius
     # The objective column is the revisit-rate proxy 1/r^2.
     out.write_text("solution.csv", header + f"{r!r},{sol.n_x},{sol.n_y},{1.0 / (r * r)!r}\n")
@@ -369,18 +385,17 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     platform = cfg.require_platform()
     r_c = cfg.coverage_radius()
     check_coverage_inputs(cfg.area, r_c, cfg.grid_pitch, cfg.phase_samples)
+    # Every transit turns at r_turn, which a crawling speed underflows to 0.
+    if not cfg.r_turn > 0 and any(e.loss_count or e.lost_ids for e in cfg.failures):
+        raise ConfigError(
+            f"platform: the minimum turn radius must be positive for a recovery, got {cfg.r_turn!r}"
+        )
+    if cfg.deploy_radius is None and cfg.deploy_budget is None:
+        raise ConfigError("simulate needs deployment.radius_m or deployment.budget_n")
+    radius = cfg.deploy_radius if cfg.deploy_budget is None else _solve_budget(cfg).loiter_radius
     events: list[tuple[float, str, str]] = []
 
-    state = deploy(
-        cfg.area,
-        cfg.kind,
-        platform,
-        radius=cfg.deploy_radius,
-        budget=cfg.deploy_budget,
-        r_c=r_c,
-        r_l_max=cfg.r_l_max,
-        r_turn=cfg.r_turn,
-    )
+    state = deploy(cfg.area, cfg.kind, platform, radius, r_turn=cfg.r_turn)
     events.append((0.0, "deploy", f"{len(state.uavs)} UAVs at r_l={state.layout.loiter_radius:.4f}"))
     out.write_text("initial.svg", render_fleet(cfg.area, state.uavs, state.phase, title="initial deployment"))
     out.write_text("initial_layout.csv", layout_csv(state.layout))
@@ -451,7 +466,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     out.write_text("coverage.csv", _coverage_csv(cov, cfg))
     out.write_text("events.log", _events_text(events))
     if failed is not None:
-        raise InfeasibleError(failed.reason, failed.deficit)
+        raise InfeasibleError(failed.reason)
     print(f"final cycle coverage {cov.cycle_fraction:.4f} with {len(state.uavs)} UAVs")
 
 

@@ -9,11 +9,7 @@ class ConfigError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """No loiter radius satisfies the fleet budget within the radius cap, or
-    a recovery failed."""
-
-    def __init__(self, message: str, deficit: int | None = None):
-        super().__init__(message)
-        self.deficit = deficit
+    a recovery failed; the message says why (a shortage names its deficit)."""
 
 
 class PlanningError(RuntimeError):

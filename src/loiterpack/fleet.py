@@ -1,15 +1,15 @@
 """Discrete-time fleet simulation and the super-agent recovery workflow.
 
-A deployed fleet loiters phase-synchronized on a packed layout. Each
-formation (the deployment, then every recovered layout) has one
-communication graph: the pairs of circles whose centers lie within the
-layout's comm radius. A failure only marks UAVs lost; survivors on an edge
-with one lost end report it, and the edges with two live ends cluster the
-survivors. Recovery re-optimizes the homogeneous loiter radius for the
-survivor count, packs the new layout, assigns survivors to circles by
-minimum-total-distance matching and plans phase-synchronized transitions with
-pairwise-separation staggering. ``coverage_report`` measures the coverage
-fractions of any set of loiter circles.
+A deployed fleet loiters phase-synchronized on a packed layout. A failure
+only marks UAVs lost. Detection builds the formation's communication graph,
+the pairs of circles whose centers lie within the layout's comm radius:
+survivors on an edge with one lost end report the loss, and the edges with
+two live ends cluster the survivors. Recovery re-optimizes the homogeneous
+loiter radius for the survivor count, packs the new layout, assigns
+survivors to circles by minimum-total-distance matching and plans
+phase-synchronized transitions with pairwise-separation staggering.
+``coverage_report`` measures the coverage fractions of any set of loiter
+circles.
 """
 
 from __future__ import annotations
@@ -101,24 +101,21 @@ class CoverageReport:
 class RecoveryPlan:
     solution: RadiusSolution | None  # None when there are no survivors
     new_layout: PackingLayout | None
-    assignment: dict[int, int]  # survivor id -> index into new layout centers
     transitions: tuple[TransitionPlan, ...]
     outcome: RecoveryOutcome
     spare_ids: tuple[int, ...] = ()
     min_separation: float | None = None
-    deficit: int | None = None
     reason: str | None = None
 
 
 @dataclass
 class FleetState:
     """One formation: every UAV's loiter circle, the UAVs failures removed
-    from it, its comm graph and the clock."""
+    from it and the clock."""
 
     platform: PlatformModel
     layout: PackingLayout
     uavs: dict[int, LoiterCircle]  # every UAV of the formation, id -> circle, ids ascending
-    edges: frozenset[tuple[int, int]]  # comm graph of the formation, (i, j) with i < j
     phase: float
     time: float
     lost: set[int] = field(default_factory=set)  # ids of the UAVs failures removed
@@ -154,48 +151,24 @@ def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> frozens
     return frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def _fleet(platform, layout, circles, phase, time) -> FleetState:
-    """Fleet of live UAVs loitering on ``circles`` (id -> circle) of ``layout``,
-    with the formation's comm graph."""
-    uavs = {i: circles[i] for i in sorted(circles)}
-    edges = _build_comm_graph(uavs, min_comm_radius(layout.loiter_radius, layout.kind))
-    return FleetState(platform, layout, uavs, edges, phase, time)
-
-
 def deploy(
     area: AreaSpec,
     kind: PackingKind,
     platform: PlatformModel,
-    radius: float | None = None,
-    budget: int | None = None,
-    r_c: float | None = None,
-    r_l_max: float | None = None,
+    radius: float,
     r_turn: float | None = None,
 ) -> FleetState:
-    """Deploy a synchronized fleet, radius-driven or budget-driven.
+    """Deploy a synchronized fleet on the ``kind`` layout of loiter radius
+    ``radius``; a fleet budget is turned into a radius by ``solve_radius``.
 
     ``r_turn`` is the platform's minimum turn radius,
-    ``min_turn_radius(platform)`` when None, and bounds the loiter radius
-    from below: a radius-driven deployment under it raises ``ValueError``.
-    Budget-driven deployment solves for the smallest feasible radius and
-    raises :class:`InfeasibleError` when the budget cannot cover the area
-    (a budget of zero UAVs included).
+    ``min_turn_radius(platform)`` when None: a radius under it raises
+    ``ValueError`` (``check_deploy_radius``).
     """
-    if (radius is None) == (budget is None):
-        raise ValueError("specify exactly one of radius or budget")
-    r_turn = min_turn_radius(platform) if r_turn is None else r_turn
-    if radius is None:
-        if r_c is None:
-            raise ValueError("budget-driven deployment needs the coverage radius")
-        sol = solve_radius(FleetBudget(budget), area, kind, r_c, r_turn, r_l_max=r_l_max)
-        if sol.loiter_radius is None:
-            raise _shortage(budget, sol)
-        radius = sol.loiter_radius
-    else:
-        check_deploy_radius(radius, r_turn)
+    check_deploy_radius(radius, min_turn_radius(platform) if r_turn is None else r_turn)
     layout = pack(area, radius, kind)
-    circles = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
-    return _fleet(platform, layout, circles, phase=0.0, time=0.0)
+    uavs = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
+    return FleetState(platform, layout, uavs, phase=0.0, time=0.0)
 
 
 def check_deploy_radius(radius: float, r_turn: float) -> None:
@@ -230,7 +203,7 @@ def step(state: FleetState, dt: float) -> FleetState:
 
 
 def inject_failure(state: FleetState, event: FailureEvent) -> FleetState:
-    """Add the event's UAVs to the lost ids. The comm graph stays the formation's."""
+    """Add the event's UAVs to the lost ids; the formation stays as it was."""
     alive = state.alive_ids
     if event.lost_ids is not None:
         lost = set(event.lost_ids)
@@ -271,16 +244,17 @@ def _connected_components(vertices, edges) -> list[frozenset]:
 def detect_failures(state: FleetState) -> SurvivorReport:
     """Report the losses to the base and cluster the survivors.
 
-    A survivor on a formation edge whose other end is lost detects the loss;
-    the edges with two live ends cluster the survivors. The report reaches the
-    base through the comm graph when some detector shares a cluster with a
-    survivor in the base's comm radius. Otherwise the base detects the outage
-    by itself after one loiter period without heartbeats, and the clock
-    advances to that instant (a whole period leaves the phase unchanged).
+    Builds the formation's comm graph (lost UAVs included): a survivor on an
+    edge whose other end is lost detects the loss, and the edges with two
+    live ends cluster the survivors. The report reaches the base through the
+    comm graph when some detector shares a cluster with a survivor in the
+    base's comm radius. Otherwise the base detects the outage by itself after
+    one loiter period without heartbeats, and the clock advances to that
+    instant (a whole period leaves the phase unchanged).
     """
     survivors = {i: c for i, c in state.uavs.items() if i not in state.lost}
     detectors, links = set(), []
-    for i, j in state.edges:
+    for i, j in _build_comm_graph(state.uavs, state.r_com):
         if i in survivors and j in survivors:
             links.append((i, j))
         elif i in survivors or j in survivors:
@@ -368,7 +342,8 @@ def super_agent_recover(
     r_l_max: float | None = None,
     r_turn: float | None = None,
 ) -> RecoveryPlan:
-    """Compute the survivors' new radius, layout, assignment and transitions.
+    """Compute the survivors' new radius and layout, and a transition to its
+    new circle (the plan's ``target``) for each assigned survivor.
 
     ``r_turn`` is the platform's minimum turn radius,
     ``min_turn_radius(platform)`` when None: the smallest loiter radius the
@@ -379,14 +354,12 @@ def super_agent_recover(
     fails the recovery."""
     n_new = len(report.circles)
 
-    def failed(reason: str, solution: RadiusSolution | None = None, deficit=None) -> RecoveryPlan:
+    def failed(reason: str, solution: RadiusSolution | None = None) -> RecoveryPlan:
         return RecoveryPlan(
             solution=solution,
             new_layout=None,
-            assignment={},
             transitions=(),
             outcome=RecoveryOutcome.RECOVERY_FAILED,
-            deficit=deficit,
             reason=reason,
         )
 
@@ -395,8 +368,7 @@ def super_agent_recover(
     r_turn = min_turn_radius(platform) if r_turn is None else r_turn
     solution = solve_radius(FleetBudget(n_new), area, kind, r_c, r_turn, r_l_max=r_l_max)
     if solution.loiter_radius is None:
-        error = _shortage(n_new, solution, "survivors")
-        return failed(str(error), solution, error.deficit)
+        return failed(str(_shortage(n_new, solution, "survivors")), solution)
 
     layout = pack(area, solution.loiter_radius, kind)
     circles = [LoiterCircle(c, solution.loiter_radius) for c in layout.centers]
@@ -439,7 +411,6 @@ def super_agent_recover(
     return RecoveryPlan(
         solution=solution,
         new_layout=layout,
-        assignment=assignment,
         transitions=tuple(plans[i] for i in ordered),
         outcome=RecoveryOutcome.FULL_RESTORED,
         spare_ids=spares,
@@ -448,24 +419,22 @@ def super_agent_recover(
 
 
 def apply_recovery(state: FleetState, plan: RecoveryPlan) -> FleetState:
-    """Fleet state after all transitions complete: survivors loiter on the new
-    layout, and the clock (at the detection instant, where the transitions
-    start) and the synchronized phase advance to the last arrival.
+    """Fleet state after all transitions complete: each survivor loiters on
+    its transition's target circle of the new layout, and the clock (at the
+    detection instant, where the transitions start) and the synchronized
+    phase advance to the last arrival.
 
     Spare survivors (more survivors than circles) leave the fleet. No path
     is planned for them, and the separation check does not see them.
     """
     if plan.outcome is RecoveryOutcome.RECOVERY_FAILED:
-        raise InfeasibleError("cannot apply a failed recovery plan", plan.deficit)
-    r_new = plan.solution.loiter_radius
+        raise InfeasibleError("cannot apply a failed recovery plan")
     t_end = max((p.arrival_time for p in plan.transitions), default=0.0)
-    omega_new = state.platform.speed / r_new
-    centers = plan.new_layout.centers
-    circles = {uav_id: LoiterCircle(centers[idx], r_new) for uav_id, idx in plan.assignment.items()}
-    return _fleet(
+    omega_new = state.platform.speed / plan.solution.loiter_radius
+    return FleetState(
         state.platform,
         plan.new_layout,
-        circles,
+        {p.uav_id: p.target for p in plan.transitions},
         phase=(state.phase + omega_new * t_end) % TWO_PI,
         time=state.time + t_end,
     )

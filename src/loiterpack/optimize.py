@@ -52,8 +52,7 @@ def _shortage(n: int, solution: RadiusSolution, noun: str = "UAVs") -> Infeasibl
     radius searched (the minimum turn radius, or ``RADIUS_FLOOR``) and the
     radius cap under it."""
     if solution.min_required is not None:
-        deficit = solution.min_required - n
-        return InfeasibleError(f"{n} {noun} cannot cover the area; deficit {deficit}", deficit)
+        return InfeasibleError(f"{n} {noun} cannot cover the area; deficit {solution.min_required - n}")
     turn = solution.r_min_turn > solution.r_cap
     name, r_min = ("minimum turn radius", solution.r_min_turn) if turn else ("radius floor", RADIUS_FLOOR)
     return InfeasibleError(

@@ -121,12 +121,13 @@ def test_criterion_5_loss_sweep_max_recoverable():
                 for extra in (0, 1):
                     state = deploy(AREA, kind, PLATFORM, radius=r_init)
                     inject_failure(state, FailureEvent(time=60.0, seed=0, loss_count=lost + extra))
-                    plan = super_agent_recover(
-                        detect_failures(state), AREA, kind, R_C, PLATFORM, r_l_max=R_L_MAX
-                    )
+                    report = detect_failures(state)
+                    plan = super_agent_recover(report, AREA, kind, R_C, PLATFORM, r_l_max=R_L_MAX)
                     failed = plan.outcome is RecoveryOutcome.RECOVERY_FAILED
                     assert failed == bool(extra), (kind, r_init, extra, plan.reason)
-                    assert plan.deficit == (1 if extra else None), (kind, r_init, extra)
+                    if extra:  # the radius cap needs one UAV more than survived
+                        assert plan.solution.min_required - len(report.circles) == 1, (kind, r_init)
+                        assert plan.reason.endswith("; deficit 1"), (kind, r_init, plan.reason)
 
 
 def test_criterion_6_hexagon_never_needs_more_than_square():

@@ -449,9 +449,9 @@ class TestOutcomes:
     ):
         plans = []
 
-        def recording(*args, **kwargs):
-            plans.append(recover(*args, **kwargs))
-            return plans[-1]
+        def recording(report, *args, **kwargs):
+            plans.append((report, recover(report, *args, **kwargs)))
+            return plans[-1][1]
 
         recover = cli.super_agent_recover
         monkeypatch.setattr(cli, "super_agent_recover", recording)
@@ -465,10 +465,12 @@ class TestOutcomes:
         # One recovery per recover row; a config error stops the run before recovery.
         assert len(plans) == (code != 2 if rows is None else len(rows))
         if code == 3:  # the one stderr line holds the plan's reason verbatim
-            [plan] = plans
+            [(report, plan)] = plans
             assert captured.err == f"infeasible: {plan.reason}\n"
-            assert (plan.deficit is not None) == ("; deficit" in captured.err)
-            assert plan.deficit is None or captured.err.endswith(f"; deficit {plan.deficit}\n")
+            # A shortage names its deficit: the UAVs the radius cap needs less the survivors.
+            needed = None if plan.solution is None else plan.solution.min_required
+            assert (needed is not None) == ("; deficit" in captured.err)
+            assert needed is None or captured.err.endswith(f"; deficit {needed - len(report.circles)}\n")
         if stderr is not None:
             assert captured.err == stderr
         if rows is not None:
@@ -477,8 +479,8 @@ class TestOutcomes:
         if artifacts:
             manifest = json.loads((out / "manifest.json").read_text())
             assert [entry["file"] for entry in manifest] == sorted(artifacts)
-        elif artifacts is not None:  # no artifact, so no manifest either
-            assert list(out.iterdir()) == []
+        elif artifacts is not None:  # no artifact, so no output directory either
+            assert not out.exists()
 
 
 class TestSweepCommand:
@@ -538,7 +540,7 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "config error: the deploy radius 70 m is below the minimum turn radius 103.211 m\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestPathCommand:
@@ -607,6 +609,26 @@ class TestManifest:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1 == m2
         assert all(set(entry) == {"file", "sha256"} for entry in m1)
+
+    @pytest.mark.parametrize(
+        "out_dir, flag",
+        [("afile", True), ("afile/sub", True), ("afile", False)],
+        ids=["out-is-a-file", "out-below-a-file", "output_dir-is-a-file"],
+    )
+    def test_output_dir_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch, out_dir, flag):
+        # The first artifact write meets the file: one config error line
+        # naming the artifact's path, nothing written and no manifest.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        cfg = base_config(out_dir, deployment={"radius_m": 70.0})
+        path = write_config(tmp_path, cfg)
+        code = run("pack", path, "--out", out_dir) if flag else run("pack", path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {Path(out_dir) / 'layout.csv'}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "scenario.json"]
 
     def test_manifest_covers_written_files(self, tmp_path):
         out = tmp_path / "out"
@@ -810,7 +832,34 @@ class TestSimulateChecksFirst:
         )
         assert run("simulate", write_config(tmp_path, cfg)) == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    def test_missing_deployment_exits_2_before_any_artifact(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out, failure={"time_s": 60.0, "seed": 42, "loss_count": 18})
+        assert run("simulate", write_config(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == "config error: simulate needs deployment.radius_m or deployment.budget_n\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failure, code", [(LOSE_18, 2), ({"time_s": 60.0, "lost_ids": []}, 0)])
+    def test_zero_turn_radius_exits_2_before_any_artifact_when_a_uav_is_lost(
+        self, tmp_path, capsys, failure, code
+    ):
+        # 1e-300 m/s squared underflows: the turn radius is 0.0, and no
+        # transit can be planned on it. A run that loses no UAV plans none.
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            platform={"speed_mps": 1e-300, "max_bank_rad": 0.5},
+            deployment={"radius_m": 70.0},
+            failure=failure,
+        )
+        assert run("simulate", write_config(tmp_path, cfg)) == code
+        if code == 2:
+            assert capsys.readouterr().err == (
+                "config error: platform: the minimum turn radius must be positive for a recovery, got 0.0\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -870,8 +919,7 @@ class TestOversizedInputs:
             cfg["deployment"] = {"budget_n": 17}
         assert run(command, write_config(tmp_path, cfg)) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
-        out = tmp_path / "out"
-        assert not out.exists() or not any(out.iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_radii_up_to_1e150_run(self, tmp_path):
         cfg = every_section_config(tmp_path / "out", r_c_m=1e150, deployment={"radius_m": 1e150}, failures=None)

@@ -28,6 +28,7 @@ from oracles import (
     edge_components,
     union_find_clusters,
 )
+from test_cli import base_config, run, write_config
 
 AREA = AreaSpec(500.0, 650.0)
 HEX = PackingKind.HEXAGON
@@ -46,6 +47,22 @@ def table2_fleet():
     return deploy(AREA, HEX, PLATFORM, radius=70.0)
 
 
+def assignment(plan):
+    """Survivor id -> index of its transition's target among the new layout's
+    centers; every target is a circle of the solved radius."""
+    centers = plan.new_layout.centers
+    assert all(tr.target.radius == plan.solution.loiter_radius for tr in plan.transitions)
+    return {tr.uav_id: centers.index(tr.target.center) for tr in plan.transitions}
+
+
+def simulate_budget(tmp_path, budget):
+    """Exit code of ``simulate`` deploying ``budget`` UAVs on the Table II
+    area with no failure, and its output directory."""
+    out = tmp_path / "out"
+    cfg = base_config(out, deployment={"budget_n": budget}, validation={"phase_samples": 8})
+    return run("simulate", write_config(tmp_path, cfg)), out
+
+
 class TestDeploy:
     def test_radius_driven(self):
         state = table2_fleet()
@@ -55,13 +72,18 @@ class TestDeploy:
 
     def test_interior_uav_has_six_neighbors(self):
         state = table2_fleet()
-        degree = np.bincount(np.array(sorted(state.edges)).ravel())
+        degree = np.bincount(np.array(sorted(_build_comm_graph(state.uavs, state.r_com))).ravel())
         assert degree.max() == 6
 
-    def test_budget_driven(self, table2):
-        state = deploy(AREA, HEX, PLATFORM, budget=17, r_c=R_C, r_l_max=R_L_MAX)
-        assert len(state.uavs) == 17
-        assert state.layout.loiter_radius == pytest.approx(table2["r_new"], abs=0.01)
+    # A budget deployment is simulate's: it solves the radius with
+    # solve_radius, then deploys at that radius.
+    def test_budget_driven(self, tmp_path, capsys, table2):
+        code, out = simulate_budget(tmp_path, 17)
+        assert code == 0
+        assert capsys.readouterr().out == "final cycle coverage 1.0000 with 17 UAVs\n"
+        assert "0.000,deploy,17 UAVs at r_l=96.2250" in (out / "events.log").read_text().splitlines()
+        radii = {row.split(",")[-1] for row in (out / "initial_layout.csv").read_text().splitlines()[1:]}
+        assert len(radii) == 1 and float(radii.pop()) == pytest.approx(table2["r_new"], abs=0.01)
 
     def test_radius_below_the_turn_radius_fails(self):
         with pytest.raises(ValueError, match="below the minimum turn radius 11.4679 m"):
@@ -69,19 +91,24 @@ class TestDeploy:
         with pytest.raises(ValueError, match="deploy radius 70 m is below the minimum turn radius 80 m"):
             deploy(AREA, HEX, PLATFORM, radius=70.0, r_turn=80.0)
 
-    def test_zero_budget_fails(self):
-        with pytest.raises(InfeasibleError):
-            deploy(AREA, HEX, PLATFORM, budget=0, r_c=R_C)
+    def test_zero_budget_fails(self, tmp_path, capsys):
+        code, out = simulate_budget(tmp_path, 0)
+        assert code == 3
+        assert capsys.readouterr().err == "infeasible: 0 UAVs cannot cover the area; deficit 17\n"
+        assert not out.exists()
 
-    def test_infeasible_budget_fails(self):
-        with pytest.raises(InfeasibleError) as err:
-            deploy(AREA, HEX, PLATFORM, budget=16, r_c=R_C, r_l_max=R_L_MAX)
-        assert err.value.deficit == 1
+    def test_infeasible_budget_fails(self, tmp_path, capsys):
+        code, out = simulate_budget(tmp_path, 16)
+        assert code == 3
+        assert capsys.readouterr().err == "infeasible: 16 UAVs cannot cover the area; deficit 1\n"
+        assert not out.exists()
 
     def test_comm_graph_edges_are_packed_neighbors(self):
         state = table2_fleet()
         reach = state.r_com + 1e-6
-        for i, j in state.edges:
+        edges = _build_comm_graph(state.uavs, state.r_com)
+        assert len(edges) == 82  # 7 rows of 4 in-row pairs, 6 row gaps of 9 cross-row pairs
+        for i, j in edges:
             d = state.uavs[i].center.dist(state.uavs[j].center)
             assert d <= reach
 
@@ -95,12 +122,13 @@ class TestCommGraph:
     def test_matches_the_pair_loop_on_perfbench_layouts(self, x, y, loss_count, draws):
         area = AreaSpec(x, y)
         state = deploy(area, HEX, PLATFORM, radius=70.0)
-        assert state.edges == comm_edges_loop(state.uavs, state.r_com)
+        assert _build_comm_graph(state.uavs, state.r_com) == comm_edges_loop(state.uavs, state.r_com)
         for seed in range(draws):
             state = deploy(area, HEX, PLATFORM, radius=70.0)
             inject_failure(state, FailureEvent(seed=seed, loss_count=loss_count))
-            # The formation keeps its graph; the survivors' clusters are the
-            # components of the graph rebuilt on the survivors alone.
+            # Detection builds the formation's graph, lost UAVs included; the
+            # survivors' clusters are the components of the graph built on
+            # the survivors alone.
             survivors = {i: c for i, c in state.uavs.items() if i not in state.lost}
             report = detect_failures(state)
             rebuilt = comm_edges_loop(survivors, state.r_com)
@@ -108,7 +136,25 @@ class TestCommGraph:
             recovered = apply_recovery(
                 state, super_agent_recover(report, area, HEX, R_C, PLATFORM, r_l_max=R_L_MAX)
             )
-            assert recovered.edges == comm_edges_loop(recovered.uavs, recovered.r_com)
+            assert _build_comm_graph(recovered.uavs, recovered.r_com) == comm_edges_loop(
+                recovered.uavs, recovered.r_com
+            )
+
+    def test_second_round_detection_clusters_as_union_find(self):
+        # Detection on a recovered formation builds its graph at the
+        # recovered layout's comm radius, not the deployment's.
+        split = 0
+        for seed in range(12):
+            state, _, plan = run_recovery(seed=seed)
+            recovered = apply_recovery(state, plan)
+            assert recovered.r_com > state.r_com
+            inject_failure(recovered, FailureEvent(seed=seed, loss_count=6))
+            report = detect_failures(recovered)
+            positions = {i: (c.center.x, c.center.y) for i, c in report.circles.items()}
+            expected = union_find_clusters(list(report.circles), positions, recovered.r_com + 1e-9)
+            assert set(report.clusters) == expected
+            split += len(expected) > 1
+        assert split > 0
 
     def test_matches_the_pair_loop_at_the_reach(self):
         # Random layouts plus partners placed at reach - 1e-12, reach and
@@ -296,8 +342,8 @@ class TestSuperAgentRecover:
 
     def test_assignment_is_a_bijection(self):
         _, report, plan = run_recovery()
-        assert sorted(plan.assignment) == list(report.circles)
-        assert sorted(plan.assignment.values()) == list(range(plan.new_layout.count))
+        assert sorted(assignment(plan)) == list(report.circles)
+        assert sorted(assignment(plan).values()) == list(range(plan.new_layout.count))
         assert plan.spare_ids == ()
 
     def test_no_survivors(self):
@@ -310,7 +356,7 @@ class TestSuperAgentRecover:
         _, _, plan = run_recovery(loss_count=17)  # 18 survivors, 17 circles
         assert plan.outcome is RecoveryOutcome.FULL_RESTORED
         assert len(plan.spare_ids) == 1
-        assert sorted(plan.assignment.values()) == list(range(17))
+        assert sorted(assignment(plan).values()) == list(range(17))
 
     def test_recovery_radius_monotone_in_losses(self):
         radii = []
@@ -322,7 +368,7 @@ class TestSuperAgentRecover:
     def test_deterministic_plans(self):
         _, _, p1 = run_recovery()
         _, _, p2 = run_recovery()
-        assert p1.assignment == p2.assignment
+        assert assignment(p1) == assignment(p2)
         assert p1.transitions == p2.transitions
         assert p1.min_separation == p2.min_separation
 
@@ -335,7 +381,7 @@ class TestSuperAgentRecover:
         centers = plan.new_layout.centers
         positions = {i: c.center for i, c in report.circles.items()}
         cost = np.array([[positions[i].dist(c) for c in centers] for i in positions])
-        total = sum(positions[i].dist(centers[j]) for i, j in plan.assignment.items())
+        total = sum(positions[i].dist(centers[j]) for i, j in assignment(plan).items())
         assert total == pytest.approx(brute_force_assignment(cost), rel=1e-12)
 
     def test_transitions_keep_separation(self):
@@ -437,7 +483,9 @@ class TestApplyRecoveryAndCoverage:
         assert len(plan.spare_ids) == 1
         recovered = apply_recovery(state, plan)
         assert recovered.lost == set()
-        assert list(recovered.uavs) == sorted(plan.assignment)
+        assert list(recovered.uavs) == sorted(assignment(plan))
+        centers, r_new = plan.new_layout.centers, plan.solution.loiter_radius
+        assert recovered.uavs == {i: LoiterCircle(centers[j], r_new) for i, j in assignment(plan).items()}
         assert not recovered.uavs.keys() & set(plan.spare_ids)
 
     def test_cycle_dominates_instant(self):
@@ -557,7 +605,7 @@ class TestAssignSurvivors:
             centers = plan.new_layout.centers
             expected = assignment_by_dist(report.circles, centers)
             assert fleet._assign_survivors(report, centers) == expected
-            assert (plan.assignment, plan.spare_ids) == expected
+            assert (assignment(plan), plan.spare_ids) == expected
 
     def test_more_survivors_than_circles(self):
         rng = np.random.default_rng(7)
