@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dubins import plan_transition, track
+from .dubins import loiter_pose, plan_transition, track
 from .errors import ConfigError, InfeasibleError, PlanningError
 from .fleet import (
     FailureEvent,
@@ -395,7 +395,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     radius = cfg.deploy_radius if cfg.deploy_budget is None else _solve_budget(cfg).loiter_radius
     events: list[tuple[float, str, str]] = []
 
-    state = deploy(cfg.area, cfg.kind, platform, radius, r_turn=cfg.r_turn)
+    state = deploy(cfg.area, cfg.kind, platform, radius)
     events.append((0.0, "deploy", f"{len(state.uavs)} UAVs at r_l={state.layout.loiter_radius:.4f}"))
     out.write_text("initial.svg", render_fleet(cfg.area, state.uavs, state.phase, title="initial deployment"))
     out.write_text("initial_layout.csv", layout_csv(state.layout))
@@ -427,9 +427,7 @@ def cmd_simulate(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
             render_fleet(cfg.area, report.circles, state.phase, dead=dead, clusters=report.clusters, title="survivor clusters"),
         )
 
-        plan = super_agent_recover(
-            report, cfg.area, cfg.kind, r_c, platform, r_l_max=cfg.r_l_max, r_turn=cfg.r_turn
-        )
+        plan = super_agent_recover(report, cfg.area, cfg.kind, r_c, platform, r_l_max=cfg.r_l_max)
         if plan.outcome is RecoveryOutcome.RECOVERY_FAILED:
             events.append((t_detect, "recover_failed", plan.reason))
             failed = plan
@@ -526,17 +524,14 @@ def cmd_path(cfg: ScenarioConfig, out: ArtifactWriter) -> None:
     lines = ["uav_id,t_s,x_m,y_m,heading_rad"]
     lines += [f"0,{t!r},{x!r},{y!r},{h!r}" for t, x, y, h in rows]
     out.write_text("path.csv", "\n".join(lines) + "\n")
-    break_off = cfg.path_source.point_at(plan.break_off_phase)
-    join_in = cfg.path_target.point_at(plan.join_phase)
     out.write_text(
         "path.svg",
         render_transition(
             cfg.path_source,
             cfg.path_target,
             list(zip(xs.tolist(), ys.tolist())),
-            break_off,
-            join_in,
-            headings=(plan.break_off_phase + math.pi / 2, plan.join_phase + math.pi / 2),
+            plan.path.start,
+            loiter_pose(cfg.path_target, plan.join_phase),
         ),
     )
     print(

@@ -122,11 +122,14 @@ class DubinsPath:
 
 @dataclass(frozen=True)
 class TransitionPlan:
+    """One UAV's transfer: it loiters on ``source`` from ``start_phase``
+    for ``depart_delay`` seconds, breaks off at ``path.start``, flies
+    ``path`` and joins ``target`` at ``join_phase`` at ``arrival_time``."""
+
     uav_id: int
     source: LoiterCircle
     target: LoiterCircle
     start_phase: float
-    break_off_phase: float
     depart_delay: float
     path: DubinsPath
     join_phase: float
@@ -464,8 +467,7 @@ def plan_transition(
 
     for offset in DELAY_OFFSETS:
         delay = base_delay + offset * target_period
-        break_phase = mod2pi(start_phase + omega_src * delay)
-        depart = loiter_pose(source, break_phase)
+        depart = loiter_pose(source, mod2pi(start_phase + omega_src * delay))
         ax, ay, ah = depart.position.x, depart.position.y, depart.heading
 
         def arrival_for(t):
@@ -494,7 +496,6 @@ def plan_transition(
                 source=source,
                 target=target,
                 start_phase=mod2pi(start_phase),
-                break_off_phase=break_phase,
                 depart_delay=delay,
                 path=shortest_path(depart, loiter_pose(target, join_phase), r_turn),
                 join_phase=join_phase,
@@ -602,8 +603,9 @@ def _timeline(plans, loitering, v: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, t_end, n)
 
 
-def closest_approach(plans, loitering=(), v: float = 1.0, dt: float = 0.25):
-    """(distance, index_i, index_j) of the closest pair over the sampled timeline.
+def closest_approach(plans, loitering=(), *, v: float, dt: float = 0.25):
+    """(distance, index_i, index_j) of the closest pair over the sampled
+    timeline of UAVs flying at the speed ``v``, which has no default.
 
     ``loitering`` holds (circle, phase-at-t0) pairs for UAVs that stay on
     their circles; indices run over plans first, then loitering entries.

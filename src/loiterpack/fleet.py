@@ -74,6 +74,8 @@ class FailureEvent:
     loss_count: int | None = None
 
     def __post_init__(self) -> None:
+        if not (self.time >= 0 and math.isfinite(self.time)):
+            raise ValueError(f"time must be finite and >= 0, got {self.time}")
         explicit = self.lost_ids is not None
         seeded = self.seed is not None or self.loss_count is not None
         if explicit == seeded:
@@ -151,21 +153,12 @@ def _build_comm_graph(circles: dict[int, LoiterCircle], r_com: float) -> frozens
     return frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
-def deploy(
-    area: AreaSpec,
-    kind: PackingKind,
-    platform: PlatformModel,
-    radius: float,
-    r_turn: float | None = None,
-) -> FleetState:
+def deploy(area: AreaSpec, kind: PackingKind, platform: PlatformModel, radius: float) -> FleetState:
     """Deploy a synchronized fleet on the ``kind`` layout of loiter radius
     ``radius``; a fleet budget is turned into a radius by ``solve_radius``.
-
-    ``r_turn`` is the platform's minimum turn radius,
-    ``min_turn_radius(platform)`` when None: a radius under it raises
-    ``ValueError`` (``check_deploy_radius``).
-    """
-    check_deploy_radius(radius, min_turn_radius(platform) if r_turn is None else r_turn)
+    A radius under the platform's minimum turn radius raises ``ValueError``
+    (``check_deploy_radius``)."""
+    check_deploy_radius(radius, min_turn_radius(platform))
     layout = pack(area, radius, kind)
     uavs = {i: LoiterCircle(c, radius) for i, c in enumerate(layout.centers)}
     return FleetState(platform, layout, uavs, phase=0.0, time=0.0)
@@ -194,8 +187,8 @@ def _check_square(name: str, radius: float) -> None:
 
 def step(state: FleetState, dt: float) -> FleetState:
     """Advance the synchronized loiter phase by omega * dt."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     omega = state.platform.speed / state.layout.loiter_radius
     state.phase = (state.phase + omega * dt) % TWO_PI
     state.time += dt
@@ -340,13 +333,11 @@ def super_agent_recover(
     r_c: float,
     platform: PlatformModel,
     r_l_max: float | None = None,
-    r_turn: float | None = None,
 ) -> RecoveryPlan:
     """Compute the survivors' new radius and layout, and a transition to its
     new circle (the plan's ``target``) for each assigned survivor.
 
-    ``r_turn`` is the platform's minimum turn radius,
-    ``min_turn_radius(platform)`` when None: the smallest loiter radius the
+    The platform's minimum turn radius is the smallest loiter radius the
     solve accepts and the turn radius of every transit. Round 0 plans every
     assigned UAV. While the closest pair is under the separation threshold, a
     later round delays its later-departing UAV by one more source period and
@@ -365,7 +356,7 @@ def super_agent_recover(
 
     if n_new == 0:
         return failed("no survivors")
-    r_turn = min_turn_radius(platform) if r_turn is None else r_turn
+    r_turn = min_turn_radius(platform)
     solution = solve_radius(FleetBudget(n_new), area, kind, r_c, r_turn, r_l_max=r_l_max)
     if solution.loiter_radius is None:
         return failed(str(_shortage(n_new, solution, "survivors")), solution)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .dubins import Pose
 from .geometry import AreaSpec, LoiterCircle, Vec2
 
 _CLUSTER_COLORS = (
@@ -24,9 +25,12 @@ _CLUSTER_COLORS = (
 
 
 class _Scene:
-    """World-coordinate drawing surface with a y-up to y-down flip."""
+    """World-coordinate drawing surface with a y-up to y-down flip: the
+    world point ``origin`` lands ``margin_m`` inside the lower-left corner
+    of a ``width_m`` by ``height_m`` drawing."""
 
-    def __init__(self, width_m: float, height_m: float, margin_m: float):
+    def __init__(self, origin: Vec2, width_m: float, height_m: float, margin_m: float):
+        self.origin = origin
         self.margin = margin_m
         self.w = width_m + 2 * margin_m
         self.h = height_m + 2 * margin_m
@@ -34,10 +38,10 @@ class _Scene:
         self.parts: list[str] = []
 
     def tx(self, x: float) -> float:
-        return x + self.margin
+        return x - self.origin.x + self.margin
 
     def ty(self, y: float) -> float:
-        return self.height_m + self.margin - y
+        return self.height_m + self.margin - (y - self.origin.y)
 
     def add(self, element: str) -> None:
         self.parts.append(element)
@@ -94,7 +98,7 @@ def render_fleet(
     ``clusters`` (id sets) colors each survivor cluster; lost UAVs are drawn
     as grey crosses at their former circle centers.
     """
-    scene = _Scene(area.x_extent, area.y_extent, margin_m=max(40.0, 0.1 * area.x_extent))
+    scene = _Scene(Vec2(0.0, 0.0), area.x_extent, area.y_extent, margin_m=max(40.0, 0.1 * area.x_extent))
     scene.add(_area_rect(scene, area))
     color_of = {}
     if clusters:
@@ -131,12 +135,12 @@ def render_transition(
     source: LoiterCircle,
     target: LoiterCircle,
     points,
-    break_off: Vec2,
-    join_in: Vec2,
-    headings: tuple[float, float],
+    break_off: Pose,
+    join_in: Pose,
 ) -> str:
     """Source/target circles, the transition curve (``points``, a sequence of
-    (x, y) pairs), break-off/join markers and arrowheads at ``headings``."""
+    (x, y) pairs), and a marker and an arrowhead at the break-off and join
+    poses."""
     xs = [source.center.x - source.radius, target.center.x - target.radius]
     xs += [source.center.x + source.radius, target.center.x + target.radius]
     ys = [source.center.y - source.radius, target.center.y - target.radius]
@@ -144,31 +148,21 @@ def render_transition(
     xs += [x for x, _ in points]
     ys += [y for _, y in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    scene = _Scene(max(xs) - min(xs), max(ys) - min(ys), margin_m=0.15 * span)
-    # shift world so min corner sits at origin
-    ox, oy = min(xs), min(ys)
-
-    def shift(p: Vec2) -> Vec2:
-        return Vec2(p.x - ox, p.y - oy)
-
-    scene.add(_circle(scene, LoiterCircle(shift(source.center), source.radius), "#1f77b4", 2.0))
-    scene.add(_circle(scene, LoiterCircle(shift(target.center), target.radius), "#2ca02c", 2.0))
+    scene = _Scene(Vec2(min(xs), min(ys)), max(xs) - min(xs), max(ys) - min(ys), margin_m=0.15 * span)
+    scene.add(_circle(scene, source, "#1f77b4", 2.0))
+    scene.add(_circle(scene, target, "#2ca02c", 2.0))
     if len(points) >= 2:
-        coords = " ".join(
-            f"{scene.tx(x - ox):.2f},{scene.ty(y - oy):.2f}" for x, y in points
-        )
-        scene.add(
-            f'<polyline points="{coords}" fill="none" stroke="#d62728" stroke-width="2"/>'
-        )
-    for marker, color in ((break_off, "#2ca02c"), (join_in, "#d62728")):
-        m = shift(marker)
-        s = 0.035 * span
+        coords = " ".join(f"{scene.tx(x):.2f},{scene.ty(y):.2f}" for x, y in points)
+        scene.add(f'<polyline points="{coords}" fill="none" stroke="#d62728" stroke-width="2"/>')
+    s = 0.035 * span
+    for pose, color in ((break_off, "#2ca02c"), (join_in, "#d62728")):
+        m = pose.position
         scene.add(
             f'<rect x="{scene.tx(m.x) - s:.2f}" y="{scene.ty(m.y) - s:.2f}" '
             f'width="{2 * s:.2f}" height="{2 * s:.2f}" fill="{color}"/>'
         )
-    for pos, heading in ((break_off, headings[0]), (join_in, headings[1])):
-        scene.add(_arrowhead(scene, shift(pos), heading, 0.06 * span, "#000000"))
+    for pose in (break_off, join_in):
+        scene.add(_arrowhead(scene, pose.position, pose.heading, 0.06 * span, "#000000"))
     return scene.document()
 
 

@@ -259,18 +259,17 @@ def shortest_path_loop(a, b, r_turn):
 
 
 def arrival_function(source, start_phase, target, r_turn, v, delay):
-    """(break-off phase, departure pose, arrival(t)) at one departure delay:
+    """(departure pose, arrival(t)) at one departure delay:
     arrival(t) is the arrival time for the guessed arrival ``t``, each
     evaluation one ``shortest_path_loop`` call."""
-    break_phase = mod2pi(start_phase + (v / source.radius) * delay)
-    depart = loiter_pose(source, break_phase)
+    depart = loiter_pose(source, mod2pi(start_phase + (v / source.radius) * delay))
     omega_tgt = v / target.radius
 
     def arrival(t):
         join = loiter_pose(target, mod2pi(start_phase + omega_tgt * t))
         return delay + shortest_path_loop(depart, join, r_turn).length / v
 
-    return break_phase, depart, arrival
+    return depart, arrival
 
 
 def arrival_horizon(source, target, r_turn, v):
@@ -331,7 +330,7 @@ def plan_transition_scan(uav_id, source, start_phase, target, r_turn, v, base_de
     tol = arrival_tolerance(target, v)
     for offset in DELAY_OFFSETS:
         delay = base_delay + offset * target_period
-        break_phase, depart, arrival = arrival_function(source, start_phase, target, r_turn, v, delay)
+        depart, arrival = arrival_function(source, start_phase, target, r_turn, v, delay)
         t_end = delay + arrival_horizon(source, target, r_turn, v)
         root = scan_root(arrival, delay, t_end, pitch * target_period, tol)
         if root is not None:
@@ -341,7 +340,6 @@ def plan_transition_scan(uav_id, source, start_phase, target, r_turn, v, base_de
                 source=source,
                 target=target,
                 start_phase=mod2pi(start_phase),
-                break_off_phase=break_phase,
                 depart_delay=delay,
                 path=shortest_path_loop(depart, loiter_pose(target, join_phase), r_turn),
                 join_phase=join_phase,

@@ -293,14 +293,15 @@ class TestEarliestRoot:
             chosen = delays.index(plan.depart_delay)
             # The word verifies, and the arrival is within tolerance of the
             # guess the join phase was taken at.
-            depart = loiter_pose(source, plan.break_off_phase)
+            depart = loiter_pose(source, mod2pi(start_phase + (v / source.radius) * plan.depart_delay))
+            assert depart == plan.path.start
             assert plan.path == shortest_path_loop(depart, loiter_pose(target, plan.join_phase), r_turn)
             assert plan.arrival_time == plan.depart_delay + plan.path.length / v
             omega = v / target.radius
             assert angle_gap(start_phase + omega * plan.arrival_time, plan.join_phase) <= omega * tol + 1e-12
             # Earlier offsets, and the grid before the root, hold only jumps.
             for k, delay in enumerate(delays[: chosen + 1]):
-                arrival = arrival_function(source, start_phase, target, r_turn, v, delay)[2]
+                arrival = arrival_function(source, start_phase, target, r_turn, v, delay)[1]
                 t_end = delay + arrival_horizon(source, target, r_turn, v)
                 until = plan.arrival_time - tol if k == chosen else math.inf
                 self.assert_no_root_before(arrival, delay, t_end, step, tol, until)
@@ -346,7 +347,7 @@ class TestEarliestRoot:
         assert abs(expected.arrival_time - plan.arrival_time) < 1e-4
         tol = arrival_tolerance(target, 15.0)
         for delay in (offset * period for offset in dubins.DELAY_OFFSETS[:4]):
-            arrival = arrival_function(source, args[2], target, args[4], 15.0, delay)[2]
+            arrival = arrival_function(source, args[2], target, args[4], 15.0, delay)[1]
             t_end = delay + arrival_horizon(source, target, args[4], 15.0)
             assert scan_root(arrival, delay, t_end, period / 640.0, tol) is None
         assert evaluations < 173
@@ -421,7 +422,8 @@ class TestArrivalResidual:
         monkeypatch.undo()
         assert len(calls) >= 30
         for (_, source, start_phase, target, r_turn, v), plan in calls:
-            depart = loiter_pose(source, plan.break_off_phase)
+            depart = loiter_pose(source, mod2pi(start_phase + (v / source.radius) * plan.depart_delay))
+            assert depart == plan.path.start
             omega = v / target.radius
             horizon = arrival_horizon(source, target, r_turn, v)
             times = plan.depart_delay + np.arange(0.0, horizon, TWO_PI / omega / 256.0)
@@ -541,7 +543,6 @@ class TestTrack:
                     source=source,
                     target=target,
                     start_phase=rng.uniform(0, TWO_PI),
-                    break_off_phase=rng.uniform(0, TWO_PI),
                     depart_delay=delay,
                     path=path,
                     join_phase=rng.uniform(0, TWO_PI),
@@ -704,9 +705,9 @@ class TestPlanTransition:
         src = LoiterCircle(Vec2(0, 0), 60.0)
         tgt = LoiterCircle(Vec2(250, 120), 90.0)
         plan = plan_transition(0, src, 1.2, tgt, 11.5, 15.0)
-        depart = loiter_pose(src, plan.break_off_phase)
-        assert plan.path.start.position.dist(depart.position) < 1e-9
-        assert abs(plan.path.start.heading - depart.heading) < 1e-9
+        # The break-off pose, derived from the delay, not read off the path.
+        depart = loiter_pose(src, mod2pi(1.2 + (15.0 / src.radius) * plan.depart_delay))
+        assert depart == plan.path.start
         x, y, heading = sample(plan.path, plan.path.length)
         join = loiter_pose(tgt, plan.join_phase)
         assert Vec2(x, y).dist(join.position) < 1e-6
@@ -741,6 +742,16 @@ class TestMinSeparation:
         circle = LoiterCircle(Vec2(0, 0), 35.0)
         sep = closest_approach([], loitering=[(circle, 0.0), (circle, math.pi)], v=15.0, dt=0.1)[0]
         assert sep == pytest.approx(70.0, rel=1e-9)
+
+    def test_speed_is_keyword_only_and_required(self):
+        # Without a speed the check cannot time the tracks; a positional
+        # speed would be easy to swap with dt.
+        circle = LoiterCircle(Vec2(0, 0), 35.0)
+        loitering = [(circle, 0.0), (circle, math.pi)]
+        with pytest.raises(TypeError):
+            closest_approach([], loitering=loitering)
+        with pytest.raises(TypeError):
+            closest_approach([], loitering, 15.0)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):

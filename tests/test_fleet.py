@@ -88,8 +88,9 @@ class TestDeploy:
     def test_radius_below_the_turn_radius_fails(self):
         with pytest.raises(ValueError, match="below the minimum turn radius 11.4679 m"):
             deploy(AREA, HEX, PLATFORM, radius=11.0)
-        with pytest.raises(ValueError, match="deploy radius 70 m is below the minimum turn radius 80 m"):
-            deploy(AREA, HEX, PLATFORM, radius=70.0, r_turn=80.0)
+        fast = PlatformModel(speed=40.0, max_bank=0.5, gravity=9.81)  # turns at 81.5 m
+        with pytest.raises(ValueError, match="deploy radius 70 m is below the minimum turn radius 81.5494 m"):
+            deploy(AREA, HEX, fast, radius=70.0)
 
     def test_zero_budget_fails(self, tmp_path, capsys):
         code, out = simulate_budget(tmp_path, 0)
@@ -208,8 +209,12 @@ class TestStep:
         assert state.phase == pytest.approx((omega * 18.5) % TWO_PI, abs=1e-12)
 
     def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            step(table2_fleet(), 0.0)
+        # An infinite dt used to leave the phase NaN and the clock infinite.
+        state = table2_fleet()
+        for dt in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                step(state, dt)
+        assert state.phase == 0.0 and state.time == 0.0
 
 
 class TestInjectFailure:
@@ -255,6 +260,13 @@ class TestInjectFailure:
         with pytest.raises(ValueError, match=r"already-lost UAVs: \[3\]"):
             inject_failure(state, FailureEvent(lost_ids=frozenset({3, 4})))
         assert state.lost == {3}
+
+    @pytest.mark.parametrize("time", [-5.0, math.inf, math.nan])
+    def test_event_rejects_a_bad_time(self, time):
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            FailureEvent(time=time, seed=1, loss_count=1)
+        with pytest.raises(ValueError, match="time must be finite and >= 0"):
+            FailureEvent(time=time, lost_ids=frozenset())
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
@@ -329,14 +341,20 @@ class TestSuperAgentRecover:
         assert plan.new_layout.count == 17
         assert len(plan.transitions) == 17
 
-    @pytest.mark.parametrize("r_turn", [None, 20.0])
-    def test_transits_turn_at_the_solved_turn_radius(self, r_turn):
-        # One turn radius, the platform's when None, bounds the solve and
-        # shapes every transit.
-        state = table2_fleet()
+    @pytest.mark.parametrize(
+        "platform",
+        [
+            pytest.param(PLATFORM, id="table2-platform"),  # turns at 11.47 m
+            pytest.param(PlatformModel(15.0, 20 * 9.81 / 225, 9.81), id="20m-platform"),
+        ],
+    )
+    def test_transits_turn_at_the_solved_turn_radius(self, platform):
+        # One turn radius, the platform's, bounds the solve and shapes every
+        # transit.
+        state = deploy(AREA, HEX, platform, radius=70.0)
         inject_failure(state, FailureEvent(seed=42, loss_count=18))
-        plan = super_agent_recover(detect_failures(state), AREA, HEX, R_C, PLATFORM, R_L_MAX, r_turn)
-        assert plan.solution.r_min_turn == (min_turn_radius(PLATFORM) if r_turn is None else r_turn)
+        plan = super_agent_recover(detect_failures(state), AREA, HEX, R_C, platform, R_L_MAX)
+        assert plan.solution.r_min_turn == min_turn_radius(platform)
         assert len(plan.transitions) == 17
         assert all(tr.path.turn_radius == plan.solution.r_min_turn for tr in plan.transitions)
 
