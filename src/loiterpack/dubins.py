@@ -621,8 +621,8 @@ def closest_approach(plans, loitering=(), *, v: float, dt: float = 0.25):
     overlapping boxes, every pair). Any pair left out is farther apart than
     the answer at every sample.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     _check_speed(v)
     plans = list(plans)
     loitering = list(loitering)

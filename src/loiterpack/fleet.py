@@ -82,6 +82,8 @@ class FailureEvent:
             raise ValueError("specify exactly one of lost_ids or (seed, loss_count)")
         if seeded and (self.seed is None or self.loss_count is None or self.loss_count < 0):
             raise ValueError("seeded selection needs seed and a non-negative loss_count")
+        if seeded and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

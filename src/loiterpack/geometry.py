@@ -210,25 +210,48 @@ def packing_params(r_l: float, kind: PackingKind) -> PackingParams:
     )
 
 
+def _spans(entries, budget):
+    """Consecutive spans [i0, i1) of items, given the entries of the items up
+    to each: at most ``budget`` entries per span, and at least one item."""
+    i0 = 0
+    while i0 < entries.size:
+        done = int(entries[i0 - 1]) if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(entries, done + budget, "right")))
+        yield i0, i1
+        i0 = i1
+
+
+# Candidate pairs that pairs_within tests at a time, so that its arrays do
+# not grow with the boxes: 5,120 points of an 8000x8000 m hexagon layout at
+# a 160 m gap make about 590,000 candidates.
+_PAIR_CANDIDATES = 1 << 13
+
+
 def pairs_within(x0, y0, x1, y1, gap: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (first, second) of the boxes [x0, x1] x [y0, y1], each
     unordered pair once, whose gap is at most ``gap``: the ``np.hypot`` of
     their x and y gaps, each 0 where the extents overlap. A point is a box
     with x0 == x1 and y0 == y1, and its gap is its distance. Boxes are sorted
     by x0, and each is tested only against the later ones that start within
-    ``gap`` of its x1, so no N x N matrix is built. The window end
-    x1 + ``gap`` is rounded: a caller that must keep a pair at exactly its
-    gap widens ``gap``."""
+    ``gap`` of its x1, so no N x N matrix is built, in spans of boxes of at
+    most ``_PAIR_CANDIDATES`` such candidates (and at least one box). The
+    window end x1 + ``gap`` is rounded: a caller that must keep a pair at
+    exactly its gap widens ``gap``."""
     order = np.argsort(x0, kind="stable")
     ends = np.searchsorted(x0[order], x1[order] + gap, "right")
     counts = np.maximum(ends - np.arange(1, x0.size + 1), 0)
-    first = np.repeat(np.arange(x0.size), counts)
-    # Each box's partners run first + 1, first + 2, ... up to its window end.
-    second = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - 1, counts) + first
-    first, second = order[first], order[second]
-    # A later box in x0 order never ends left of an earlier one's start, and
-    # for points the gaps are the coordinate differences up to sign.
-    gap_x = np.maximum(x0[second] - x1[first], 0.0)
-    gap_y = np.maximum(np.maximum(y0[second] - y1[first], y0[first] - y1[second]), 0.0)
-    near = np.hypot(gap_x, gap_y) <= gap
-    return first[near], second[near]
+    firsts, seconds = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for i0, i1 in _spans(np.cumsum(counts), _PAIR_CANDIDATES):
+        span = counts[i0:i1]
+        first = np.repeat(np.arange(i0, i1), span)
+        # Each box's partners run first + 1, first + 2, ... up to its window end.
+        second = np.arange(first.size) - np.repeat(np.cumsum(span) - span - 1, span) + first
+        first, second = order[first], order[second]
+        # A later box in x0 order never ends left of an earlier one's start,
+        # and for points the gaps are the coordinate differences up to sign.
+        gap_x = np.maximum(x0[second] - x1[first], 0.0)
+        gap_y = np.maximum(np.maximum(y0[second] - y1[first], y0[first] - y1[second]), 0.0)
+        near = np.hypot(gap_x, gap_y) <= gap
+        firsts.append(first[near])
+        seconds.append(second[near])
+    return np.concatenate(firsts), np.concatenate(seconds)

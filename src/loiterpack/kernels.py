@@ -35,12 +35,20 @@ the k-th start and beyond the (k-1)-th end, and these parts sum to the union
 of the runs. All UAVs share one phase offset, so a UAV with no other centre
 within two reaches (plus ``_ISOLATION_MARGIN``) never shares a sample with
 another: the instant kernel adds the run lengths of those UAVs per phase
-directly and merges only the others' runs. The instant kernel takes the
-phases in blocks of at most ``_RUN_ENTRIES`` (phase, UAV, row) entries, and
-at least one phase; the cycle kernel takes its (circle, row) entries in bands
-of grid rows of at most ``_RUN_ENTRIES`` entries, and at least one row, and
-sums the bands' unions. A block's arrays hold 32 KB each unless one phase or
-one row alone has more. No array spans the grid.
+directly and merges only the others' runs.
+
+No array spans the grid, and no block grows with the fleet. The cycle kernel
+takes its (circle, row) entries in bands of grid rows of at most
+``_RUN_ENTRIES`` entries, and at least one row, and sums the bands' unions.
+The instant kernel takes the phases in passes, and a pass in blocks of at
+most ``_INSTANT_ENTRIES`` (phase, UAV, row) entries, so a phase may span
+blocks: the isolated UAVs' row windows in order, at least one window per
+block, as their integer run lengths add up across blocks; then the other
+UAVs' entries in bands of the pass's (phase, row) groups, at least one group
+per band, as a group's union needs only its own runs. A block's arrays hold
+32 KB (cycle) or 64 KB (instant) each unless one row or one window alone
+has more, and a pass's (UAV, phase) windows and (phase, row) counts number
+at most ``_INSTANT_ENTRIES`` unless one phase alone has more.
 """
 
 from __future__ import annotations
@@ -49,11 +57,22 @@ import math
 
 import numpy as np
 
-from .geometry import pairs_within
+from .geometry import _spans, pairs_within
 
-# (phase, UAV, row) entries of one block of the instant kernel, and
-# (circle, row) entries of one band of the cycle kernel.
+# (circle, row) entries of one band of the cycle kernel. On 4000x4000 m (700
+# circles, 4 m grid) its time hardly depends on the band size (5.7-7.0 ms at
+# 4,096, 6,144 and 8,192 entries on a shared 2-core Xeon host), and 4,096
+# keeps its peak at 0.89 MiB (1.31 and 1.73 MiB at the others).
 _RUN_ENTRIES = 1 << 12
+
+# (phase, UAV, row) entries of one block of the instant kernel, sized for
+# speed: the kernel's CPU time inside perfbench's simulate loop, one process
+# per size on the same host, was 2.04, 1.77, 1.74 and 2.07 ms on the
+# coverage-1km layout at 4,096, 8,192, 12,288 and 16,384 entries, and 0.87,
+# 0.76, 0.94 and 1.02 ms on the paper-35 layout. Larger blocks take fewer
+# numpy calls, until a block's arrays outgrow the caches and the allocator's
+# reuse of freed memory.
+_INSTANT_ENTRIES = 1 << 13
 
 # The run-end certificate, in pitches, with eps the machine epsilon:
 # - the computed u -/+ h are within 3 eps (|u| + h) of their real values,
@@ -122,7 +141,7 @@ def cycle_cover_count(xs, ys, cx, cy, r_l, r_c, tol):
     opened = np.bincount(y0, minlength=ys.size + 1) - np.bincount(y1, minlength=ys.size + 1)
     holding = np.cumsum(opened)[:-1]
     count = 0
-    for r0, r1 in _spans(np.cumsum(holding)):
+    for r0, r1 in _spans(np.cumsum(holding), _RUN_ENTRIES):
         here = np.flatnonzero((y0 < r1) & (y1 > r0))
         first = np.maximum(y0[here], r0)
         row, x, dy2 = _entries(ys, cx[here], cy[here], first, np.minimum(y1[here], r1) - first)
@@ -136,37 +155,29 @@ def cycle_cover_count(xs, ys, cx, cy, r_l, r_c, tol):
     return count
 
 
-def _spans(entries):
-    """Consecutive spans [i0, i1) of items, given the entries of the items up
-    to each: at most ``_RUN_ENTRIES`` entries per span, and at least one
-    item."""
-    i0 = 0
-    while i0 < entries.size:
-        done = int(entries[i0 - 1]) if i0 else 0
-        i1 = max(i0 + 1, int(np.searchsorted(entries, done + _RUN_ENTRIES, "right")))
-        yield i0, i1
-        i0 = i1
-
-
 def min_instant_fraction(xs, ys, cx, cy, r_l, r_c, phases, tol):
     """Minimum over the common loiter phases of the instant-coverage fraction."""
     n = xs.size * ys.size
-    if n == 0:
+    if n == 0 or cx.size == 0:
         return 0.0
     reach = r_c + tol
-    reach2 = reach**2
     off_x = np.array([r_l * math.cos(phi) for phi in phases])
     off_y = np.array([r_l * math.sin(phi) for phi in phases])
-    extent = float(np.abs(cx).max(initial=0.0)) + abs(r_l)
+    extent = float(np.abs(cx).max()) + abs(r_l)
     axis = _axis(xs, extent, reach)
-    # The isolated UAVs first: their entries then come first in each block.
-    isolated = _isolated(cx, cy, reach, extent + float(np.abs(cy).max(initial=0.0)))
+    # The isolated UAVs first: their windows then come first in each pass.
+    isolated = _isolated(cx, cy, reach, extent + float(np.abs(cy).max()))
     order = np.concatenate((np.flatnonzero(isolated), np.flatnonzero(~isolated)))
     cx, cy = cx[order], cy[order]
     n_isolated = int(isolated.sum())
+    # Passes of phases whose (UAV, phase) windows, and (phase, row) counts
+    # when some UAVs are crowded, number at most _INSTANT_ENTRIES, and at
+    # least one phase.
+    per_pass = max(1, _INSTANT_ENTRIES // (cx.size + (ys.size if n_isolated < cx.size else 0)))
     worst = 1.0
-    for block in _phase_blocks(ys, cx, cy, off_x, off_y, reach):
-        covered = _covered_per_phase(axis, ys, *block, n_isolated, reach2)
+    for q0 in range(0, off_x.size, per_pass):
+        q1 = q0 + per_pass
+        covered = _covered_per_phase(axis, ys, cx, cy, off_x[q0:q1], off_y[q0:q1], n_isolated, reach)
         worst = min(worst, int(covered.min()) / n)
         if worst == 0.0:
             break
@@ -183,49 +194,51 @@ def _isolated(cx, cy, reach, extent):
     return ~crowded
 
 
-def _phase_blocks(ys, cx, cy, off_x, off_y, reach):
-    """UAV positions and r_c row windows (ux, uy, y0, rows), each a (phases,
-    UAVs) array, of consecutive blocks of phases: at most ``_RUN_ENTRIES``
-    (phase, UAV, row) entries per block, and at least one phase. The windows
-    are found for at most ``_RUN_ENTRIES`` (phase, UAV) pairs at a time."""
-    per_pass = max(1, _RUN_ENTRIES // max(1, cx.size))
-    for q0 in range(0, off_x.size, per_pass):
-        ux = cx[None, :] + off_x[q0 : q0 + per_pass, None]
-        uy = cy[None, :] + off_y[q0 : q0 + per_pass, None]
-        y0, y1 = _window(ys, uy, reach)
-        rows = y1 - y0
-        for p0, p1 in _spans(np.cumsum(rows.sum(axis=1))):
-            yield ux[p0:p1], uy[p0:p1], y0[p0:p1], rows[p0:p1]
+def _covered_per_phase(axis, ys, cx, cy, off_x, off_y, n_isolated, reach):
+    """Covered samples at each phase of one pass, a float array.
 
-
-def _covered_per_phase(axis, ys, ux, uy, y0, rows, n_isolated, reach2):
-    """Covered samples at each phase of one block.
-
-    ``axis`` is ``_axis``'s result. ``ux``, ``uy``, ``y0`` and ``rows`` are
-    (phases, UAVs) arrays: the UAV positions and their row windows
-    [y0, y0 + rows); the first ``n_isolated`` UAVs are isolated.
+    ``axis`` is ``_axis``'s result, ``cx`` and ``cy`` the centres, of which
+    the first ``n_isolated`` are isolated, and ``off_x`` and ``off_y`` the
+    UAVs' offsets from them at each phase. Each block holds at most
+    ``_INSTANT_ENTRIES`` (phase, UAV, row) entries. The isolated UAVs' row
+    windows are taken in order, at least one per block, and their run
+    lengths add up per phase across the blocks. The other UAVs' windows are
+    cut into bands of the pass's grid rows at every phase, g = phase * ny +
+    row, at least one row per band, so that the runs of each (phase, row)
+    are merged within one band.
     """
-    n_phases = rows.shape[0]
-    # UAV-major entries, so the isolated UAVs' entries come first.
-    counts = rows.T.ravel()
-    row, x, dy2 = _entries(ys, ux.T, uy.T, y0.T, rows.T)
-    a, b = _runs(axis, x, dy2, reach2, lambda d2: d2 <= reach2)
-    pairs = n_isolated * n_phases
-    ends = np.cumsum(counts[:pairs])
-    split = int(ends[-1]) if pairs else 0
-    # Run lengths of the isolated UAVs summed per (UAV, phase), then per
-    # phase; no sum is empty, as a row window holds at least one row.
-    covered = np.zeros(n_phases, dtype=np.intp)
-    if pairs:
-        lengths = np.add.reduceat(b[:split] - a[:split], ends - counts[:pairs])
-        covered += lengths.reshape(-1, n_phases).sum(axis=0)
-    if split < row.size:
-        width = axis[0].size - 1
-        phase = np.repeat(np.tile(np.arange(n_phases), rows.shape[1] - n_isolated), counts[pairs:])
-        start, length = _union((phase * ys.size + row[split:]) * width - 1, a[split:], b[split:])
-        covered = covered + np.bincount(
-            start // (ys.size * width), weights=length, minlength=n_phases
-        )
+    n_phases, ny = off_x.size, ys.size
+    reach2 = reach * reach
+    # The (UAV, phase) windows, UAV-major, so the isolated UAVs' come first.
+    ux = (cx[:, None] + off_x).ravel()
+    uy = (cy[:, None] + off_y).ravel()
+    phase = np.tile(np.arange(n_phases), cx.size)
+    y0, y1 = _window(ys, uy, reach)
+    rows = y1 - y0
+    split = n_isolated * n_phases
+    covered = np.zeros(n_phases)
+    for w0, w1 in _spans(np.cumsum(rows[:split]), _INSTANT_ENTRIES):
+        counts = rows[w0:w1]
+        x, dy2 = _entries(ys, ux[w0:w1], uy[w0:w1], y0[w0:w1], counts)[1:]
+        a, b = _runs(axis, x, dy2, reach2, lambda d2: d2 <= reach2)
+        # Summed per window, then per phase; no window is empty.
+        lengths = np.add.reduceat(b - a, np.cumsum(counts) - counts)
+        covered += np.bincount(phase[w0:w1], weights=lengths, minlength=n_phases)
+    if split == phase.size:
+        return covered
+    width = axis[0].size - 1
+    ux, uy, phase = ux[split:], uy[split:], phase[split:]
+    g0, g1 = phase * ny + y0[split:], phase * ny + y1[split:]
+    opened = np.bincount(g0, minlength=n_phases * ny + 1) - np.bincount(g1, minlength=n_phases * ny + 1)
+    for r0, r1 in _spans(np.cumsum(np.cumsum(opened)[:-1]), _INSTANT_ENTRIES):
+        here = np.flatnonzero((g0 < r1) & (g1 > r0))
+        first = np.maximum(g0[here], r0)
+        counts = np.minimum(g1[here], r1) - first
+        at = phase[here]
+        row, x, dy2 = _entries(ys, ux[here], uy[here], first - at * ny, counts)
+        a, b = _runs(axis, x, dy2, reach2, lambda d2: d2 <= reach2)
+        start, length = _union((np.repeat(at * ny, counts) + row) * width - 1, a, b)
+        covered += np.bincount(start // (ny * width), weights=length, minlength=n_phases)
     return covered
 
 
@@ -236,8 +249,10 @@ def _entries(ys, ux, uy, y0, rows):
     first = np.cumsum(counts) - counts
     row = np.repeat(y0.ravel() - first, counts)
     row += np.arange(row.size)
-    dy = ys[row] - np.repeat(uy.ravel(), counts)
-    return row, np.repeat(ux.ravel(), counts), dy * dy
+    dy = ys[row]
+    dy -= np.repeat(uy.ravel(), counts)
+    dy *= dy
+    return row, np.repeat(ux.ravel(), counts), dy
 
 
 def _union(group, a, b):
@@ -262,20 +277,35 @@ def _runs(axis, x, dy2, q, hold):
     """
     xp, pitch, certified = axis
     nx = xp.size - 2
-    u = (x - xp[1]) * (1.0 / pitch)
-    h = np.sqrt(np.maximum(q - dy2, 0.0)) * (1.0 / pitch)
-    lo = u - h
-    hi = u + h
+    # In place where an array is done with, to keep a block's arrays few.
+    hi = x - xp[1]
+    hi *= 1.0 / pitch
+    h = q - dy2
+    np.maximum(h, 0.0, out=h)
+    np.sqrt(h, out=h)
+    h *= 1.0 / pitch
+    lo = hi - h
+    hi += h
     a = np.ceil(lo)
     b = np.floor(hi)
     empty = ~hold(dy2)
     if certified:
-        near = (np.abs(a - lo - 0.5) > 0.5 - _DELTA) | (np.abs(hi - b - 0.5) > 0.5 - _DELTA)
-        fallback = np.flatnonzero((near | (h < _H_MIN)) & ~empty)
+        # |a - lo - 0.5| and |hi - b - 0.5| against 0.5 - _DELTA.
+        np.subtract(a, lo, out=lo)
+        lo -= 0.5
+        near = np.abs(lo, out=lo) > 0.5 - _DELTA
+        np.subtract(hi, b, out=hi)
+        hi -= 0.5
+        near |= np.abs(hi, out=hi) > 0.5 - _DELTA
+        near |= h < _H_MIN
+        fallback = np.flatnonzero(near & ~empty)
     else:
         fallback = np.flatnonzero(~empty)
-    a = np.clip(a + 1.0, 1, nx + 1).astype(np.intp)
-    b = np.clip(b + 2.0, 1, nx + 1).astype(np.intp)
+    del lo, hi, h
+    a += 1.0
+    b += 2.0
+    a = np.clip(a, 1, nx + 1, out=a).astype(np.intp)
+    b = np.clip(b, 1, nx + 1, out=b).astype(np.intp)
     np.copyto(b, a, where=empty)
     if fallback.size:
         x, dy2 = x[fallback], dy2[fallback]

@@ -757,6 +757,18 @@ class TestMinSeparation:
         with pytest.raises(ValueError):
             closest_approach([], loitering=[], v=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_non_finite_dt(self, dt):
+        # Two UAVs swapping 40 m circles 400 m apart pass 50.14 m from each
+        # other at dt 0.25 s; a timeline of only its two ends at dt inf
+        # reported 400.0 m.
+        a = LoiterCircle(Vec2(0, 0), 40.0)
+        b = LoiterCircle(Vec2(400, 0), 40.0)
+        plans = [plan_transition(0, a, 0.0, b, 11.47, 15.0), plan_transition(1, b, 0.0, a, 11.47, 15.0)]
+        assert closest_approach(plans, v=15.0)[0] == pytest.approx(50.14, abs=0.01)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            closest_approach(plans, v=15.0, dt=dt)
+
     def test_entry_limit(self, monkeypatch):
         # Two loiterers over one 14.66 s period at dt 0.25 s: 60 samples each.
         circle = LoiterCircle(Vec2(0, 0), 35.0)

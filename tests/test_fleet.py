@@ -268,6 +268,14 @@ class TestInjectFailure:
         with pytest.raises(ValueError, match="time must be finite and >= 0"):
             FailureEvent(time=time, lost_ids=frozenset())
 
+    def test_event_rejects_a_negative_seed(self):
+        # numpy's own error named neither the event nor the seed.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            FailureEvent(seed=-1, loss_count=1)
+        state = table2_fleet()
+        inject_failure(state, FailureEvent(seed=0, loss_count=1))
+        assert len(state.lost) == 1
+
     def test_event_validation(self):
         with pytest.raises(ValueError):
             FailureEvent(lost_ids=frozenset({1}), seed=2, loss_count=1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from loiterpack import geometry
 from loiterpack.geometry import (
     AreaSpec,
     LoiterCircle,
@@ -288,6 +289,22 @@ class TestPairsWithin:
         x, y = lattice
         first, second = pairs_within(x, y, x, y, 25.0)
         assert (np.hypot(x[second] - x[first], y[second] - y[first]) == 25.0).any()
+
+    @pytest.mark.parametrize("candidates", [1, 7, 100])
+    def test_spans_of_candidates(self, monkeypatch, candidates):
+        # Spans of one box, of a few candidates and of a few boxes' windows
+        # give the same pairs, in the same order, as the sweep over points.
+        monkeypatch.setattr(geometry, "_PAIR_CANDIDATES", candidates)
+        rng = np.random.default_rng(70)
+        lattice = rng.integers(0, 12, size=(2, 150)) * 5.0
+        for x, y in (lattice, rng.uniform(-300.0, 300.0, size=(2, 150))):
+            for gap in (0.0, 25.0, math.inf):
+                first, second = pairs_within(x, y, x, y, gap)
+                expected_first, expected_second = pairs_within_points(x, y, gap)
+                assert np.array_equal(first, expected_first)
+                assert np.array_equal(second, expected_second)
+        empty = np.zeros(0)
+        assert all(side.size == 0 for side in pairs_within(empty, empty, empty, empty, 1.0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_boxes_match_every_pair(self, seed):

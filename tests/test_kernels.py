@@ -153,8 +153,9 @@ class TestStampedMatchesDense:
             assert_matches_dense(rows, axis, row, c, r_l, r_c, np.array([math.pi / 2]), tol=0.0)
 
     def test_phase_blocks_and_row_chunks(self, monkeypatch):
-        # A budget small enough that every phase gets its own block of runs.
-        monkeypatch.setattr(kernels, "_RUN_ENTRIES", 1)
+        # A budget small enough that every row window of an isolated UAV, and
+        # every (phase, row) of the others, gets its own block of runs.
+        monkeypatch.setattr(kernels, "_INSTANT_ENTRIES", 1)
         xs, ys = grid_points(AreaSpec(90.0, 70.0), 1.5)
         rng = np.random.default_rng(7)
         cx, cy = rng.uniform(-10.0, 100.0, size=6), rng.uniform(-10.0, 80.0, size=6)
@@ -162,6 +163,37 @@ class TestStampedMatchesDense:
         # Every phase first once, so that no block can borrow the first one's.
         for k in range(phases.size):
             assert_matches_dense(xs, ys, cx, cy, 14.0, 11.0, np.roll(phases, -k))
+
+    @pytest.mark.parametrize("entries", [5, 40, 150])
+    def test_phases_split_mid_way(self, monkeypatch, entries):
+        # Budgets below one phase's entries, so that blocks end inside a
+        # phase: among the isolated UAVs' windows, or inside the rows of the
+        # UAVs crowded around the middle (one centre repeated).
+        monkeypatch.setattr(kernels, "_INSTANT_ENTRIES", entries)
+        sizes = []
+        runs = kernels._runs
+
+        def recorded(axis, x, *args):
+            sizes.append(x.size)
+            return runs(axis, x, *args)
+
+        monkeypatch.setattr(kernels, "_runs", recorded)
+        xs, ys = grid_points(AreaSpec(90.0, 70.0), 1.5)
+        rng = np.random.default_rng(11)
+        cx = np.concatenate(([5.0, 85.0, 5.0, 85.0], 45.0 + rng.uniform(-6.0, 6.0, size=6)))
+        cy = np.concatenate(([5.0, 5.0, 65.0, 65.0], 35.0 + rng.uniform(-6.0, 6.0, size=6)))
+        cx[-1], cy[-1] = cx[-2], cy[-2]
+        r_l, r_c = 14.0, 11.0
+        isolated = kernels._isolated(cx, cy, r_c + TOL, 100.0)
+        assert isolated.tolist() == [True] * 4 + [False] * 6
+        phases = np.arange(12) * (math.pi / 6)
+        px, py = grid_samples(xs, ys)
+        expected = dense_min_instant_fraction(px, py, cx, cy, r_l, r_c, phases, TOL)
+        assert kernels.min_instant_fraction(xs, ys, cx, cy, r_l, r_c, phases, TOL) == expected
+        # An isolated UAV's window (at most 18 rows here) or one crowded row
+        # (at most 6 entries) may exceed a budget, no block more.
+        assert max(sizes) <= max(entries, 18)
+        assert len(sizes) > phases.size
 
     @pytest.mark.parametrize("seed", range(12))
     def test_crowded_layouts(self, seed):
@@ -253,6 +285,32 @@ class TestRowRuns:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize(
+        "r_l, circles, crowded",
+        [(95.23809523809523, 2744, False), (70.0, 5120, True)],
+        ids=["2744-isolated", "5120-crowded"],
+    )
+    def test_instant_kernel_memory_at_8km(self, r_l, circles, crowded):
+        # 8000x8000 m hexagon layouts on a 4 m grid at 4 phases stay under
+        # 2 MiB of Python-visible allocations (0.98 and 1.31 MiB measured);
+        # blocks of whole phases, with every candidate pair of the isolation
+        # sweep at once, took 10.05 and 22.38 MiB.
+        area = AreaSpec(8000.0, 8000.0)
+        centers = pack(area, r_l, PackingKind.HEXAGON).centers
+        cx = np.array([c.x for c in centers])
+        cy = np.array([c.y for c in centers])
+        assert cx.size == circles
+        assert (~kernels._isolated(cx, cy, 80.0 + TOL, 8100.0)).all() == crowded
+        xs, ys = grid_points(area, 4.0)
+        phases = np.arange(4) * (2.0 * math.pi / 4)
+        tracemalloc.start()
+        try:
+            kernels.min_instant_fraction(xs, ys, cx, cy, r_l, 80.0, phases, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_cycle_kernel_memory(self):
         # The same layout's cycle count stays under 7/8 MiB of Python-visible
